@@ -30,6 +30,13 @@ def _as_matrix(samples) -> np.ndarray:
     return data
 
 
+def _as_finite_matrix(samples) -> np.ndarray:
+    data = _as_matrix(samples)
+    if not np.all(np.isfinite(data)):
+        raise ConfigurationError("samples must be finite")
+    return data
+
+
 def sample_mean(samples) -> np.ndarray:
     """Plain arithmetic mean of the rows."""
     return _as_matrix(samples).mean(axis=0)
@@ -88,7 +95,7 @@ def geometric_median_of_means(
     samples, blocks: int, tol: float = 1e-10
 ) -> np.ndarray:
     """Geometric median of the means of contiguous near-equal blocks."""
-    data = _as_matrix(samples)
+    data = _as_finite_matrix(samples)
     if not 1 <= blocks <= data.shape[0]:
         raise ConfigurationError("blocks must lie in [1, n]")
     if tol <= 0:
@@ -209,7 +216,7 @@ def srm_bruteforce(samples, epsilon: float) -> np.ndarray:
     Ties resolve to the lexicographically smallest index set, which is the
     enumeration order.
     """
-    data = _as_matrix(samples)
+    data = _as_finite_matrix(samples)
     n = data.shape[0]
     if n > SRM_MAX_N:
         raise ConfigurationError(

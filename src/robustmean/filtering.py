@@ -88,63 +88,114 @@ class EstimateReport:
     diagnostics: dict = field(default_factory=dict)
 
 
-def top_eigenpair(
-    matrix: np.ndarray, seed: int = 0, rel_tol: float = 1e-10, max_iter: int = 10_000
-) -> Tuple[float, np.ndarray]:
-    """Leading eigenpair of a symmetric PSD matrix by seeded power iteration.
+# The survivor statistics are recomputed exactly once trace(G at the last
+# exact computation) exceeds _DRIFT_RATIO * m * trace(cov).  The downdates and
+# the subtraction in G/m - mu mu^T leave an absolute error of about
+# eps * trace(G at the last exact computation) / m in cov, so at this ratio
+# float64 still keeps about 12 significant digits of cov.
+_DRIFT_RATIO = 2.0**10
 
-    Returns (0, e_1) for the zero matrix.  The returned eigenvalue is the
-    Rayleigh quotient of the final iterate.
+
+def top_eigenpair(matrix: np.ndarray) -> Tuple[float, np.ndarray]:
+    """Leading eigenpair of a symmetric PSD matrix by an exact dense
+    eigensolve (LAPACK, through ``np.linalg.eigh``).
+
+    Returns (0, e_1) for the zero matrix and (a, [1]) for the 1 x 1 matrix
+    [[a]].  The eigenvector has unit norm; its sign is LAPACK's.
     """
     p = matrix.shape[0]
     if p == 1:
         return float(matrix[0, 0]), np.ones(1)
-    scale = float(np.abs(matrix).max())
-    if scale == 0.0:
+    if not matrix.any():
         v = np.zeros(p)
         v[0] = 1.0
         return 0.0, v
-    rng = np.random.default_rng(np.random.SeedSequence([seed, 0x9E3779B9]))
-    v = rng.standard_normal(p)
-    v /= np.linalg.norm(v)
-    lam = 0.0
-    for _ in range(max_iter):
-        w = matrix @ v
-        lam = float(v @ w)  # Rayleigh quotient; v is unit
-        # Residual-based stop: the eigenpair contract is on ||Av - lam*v||.
-        if np.linalg.norm(w - lam * v) <= rel_tol * max(abs(lam), scale * 1e-12):
-            break
-        norm_w = np.linalg.norm(w)
-        if norm_w == 0.0:
-            # v is in the null space; restart from a fresh direction.
-            v = rng.standard_normal(p)
-            v /= np.linalg.norm(v)
-            continue
-        v = w / norm_w
-    return lam, v
+    values, vectors = np.linalg.eigh(matrix)
+    return float(values[-1]), vectors[:, -1]
 
 
-def _mean_and_cov(data: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    mean = data.mean(axis=0)
-    centered = data - mean
-    cov = centered.T @ centered / data.shape[0]
-    return mean, cov
+class _Univariate:
+    """Round statistics of one coordinate: the top eigenvalue is the
+    survivors' variance and the scores are their squared deviations."""
+
+    def __init__(self, values: np.ndarray):
+        self.values = values
+
+    def round(self, alive: np.ndarray) -> Tuple[float, np.ndarray]:
+        survivors = self.values[alive]
+        # sum()/m is mean() bit for bit, without its Python-level overhead.
+        scores = np.square(survivors - survivors.sum() / alive.size)
+        return float(scores.sum() / alive.size), scores
+
+    def remove(self, row: int) -> None:
+        pass
 
 
-def _stop(config: FilterConfig, lam: float, iterations: int) -> bool:
-    threshold_hit = lam < config.threshold_factor * config.cov_bound
-    if config.stop_mode == STOP_THRESHOLD:
-        return threshold_hit
-    if config.stop_mode == STOP_FIXED_STEPS:
-        return iterations >= config.steps
-    return threshold_hit or iterations >= config.steps
+class _Multivariate:
+    """Round statistics from the survivors' shifted sum and Gram matrix G,
+    downdated by one rank-one term per removed row."""
+
+    def __init__(self, data: np.ndarray):
+        self.data = data
+        self._recentre(np.arange(data.shape[0]))
+
+    def _recentre(self, alive: np.ndarray) -> None:
+        self.shifted = self.data - self.data[alive].mean(axis=0)
+        rows = self.shifted[alive]
+        self.total = rows.sum(axis=0)
+        self.gram = rows.T @ rows
+        self.exact_trace = float(np.trace(self.gram))
+
+    def _moments(self, m: int) -> Tuple[np.ndarray, np.ndarray]:
+        mu = self.total / m
+        return mu, self.gram / m - np.outer(mu, mu)
+
+    def round(self, alive: np.ndarray) -> Tuple[float, np.ndarray]:
+        m = alive.size
+        mu, cov = self._moments(m)
+        if self.exact_trace > _DRIFT_RATIO * m * np.trace(cov):
+            self._recentre(alive)
+            mu, cov = self._moments(m)
+        lam, v = top_eigenpair(cov)
+        return lam, np.square((self.shifted @ v)[alive] - mu @ v)
+
+    def remove(self, row: int) -> None:
+        x = self.shifted[row]
+        self.total -= x
+        self.gram -= np.outer(x, x)
+
+
+def _stop_reason(config: FilterConfig, lam: float, iterations: int) -> Optional[str]:
+    """``threshold`` or ``budget`` when the stop rule holds, else None."""
+    if config.stop_mode != STOP_FIXED_STEPS and \
+            lam < config.threshold_factor * config.cov_bound:
+        return "threshold"
+    if config.stop_mode != STOP_THRESHOLD and iterations >= config.steps:
+        return "budget"
+    return None
 
 
 def filter_multivariate(samples, config: FilterConfig) -> EstimateReport:
     """Run the iterative spectral filter on an n x p dataset.
 
     Accepts a ``SampleSet`` or a raw array.  Deterministic given
-    ``config.seed``.
+    ``config.seed``: each round makes one ``rng.choice`` over the survivors,
+    in index order, with probabilities proportional to their scores.
+
+    For p > 1 each round takes the survivors' top eigenpair exactly with
+    ``top_eigenpair``.  Its covariance comes from the rows shifted by a
+    centre: the survivors' shifted sum and Gram matrix G lose one rank-one
+    term per removal, so cov = G/m - mu mu^T costs O(p^2) a round, plus one
+    O(np) projection for the scores.  A drift guard re-centres the rows on
+    the survivors and recomputes both exactly whenever the trace of G at the
+    last exact computation exceeds 2^10 * m * trace(cov), as it does once a
+    far outlier has been removed.  For p = 1 a round is the variance and the
+    squared deviations of the survivors: no matrix and no eigensolve.  The
+    estimate is the survivors' mean, computed from the data.
+
+    ``diagnostics`` holds ``stop_reason`` (``threshold``, ``budget`` or
+    ``zero_scatter``) and ``eigenvalues``, the top eigenvalue of every round,
+    the last being the one the filter stopped on.
     """
     data = np.asarray(getattr(samples, "data", samples), dtype=float)
     if data.ndim == 1:
@@ -154,38 +205,36 @@ def filter_multivariate(samples, config: FilterConfig) -> EstimateReport:
     if not np.all(np.isfinite(data)):
         raise ConfigurationError("samples must be finite")
 
+    stats = _Univariate(data[:, 0]) if data.shape[1] == 1 else _Multivariate(data)
     rng = np.random.default_rng(np.random.SeedSequence(config.seed))
     alive = np.arange(data.shape[0])
     removed: List[int] = []
+    eigenvalues: List[float] = []
     while True:
-        survivors = data[alive]
-        mean, cov = _mean_and_cov(survivors)
-        lam, v = top_eigenpair(cov, seed=config.seed)
-        if _stop(config, lam, len(removed)):
+        lam, scores = stats.round(alive)
+        eigenvalues.append(lam)
+        reason = _stop_reason(config, lam, len(removed))
+        if reason is None and lam <= 0.0:
+            # Zero scatter: no point can be scored, so stop regardless of the
+            # unmet stop rule.
+            reason, lam = "zero_scatter", 0.0
+        if reason is not None:
             return EstimateReport(
-                estimate=mean,
+                estimate=data[alive].mean(axis=0),
                 removed_indices=tuple(removed),
                 iterations=len(removed),
                 final_top_eigenvalue=lam,
+                diagnostics={"stop_reason": reason, "eigenvalues": eigenvalues},
             )
-        if lam <= 0.0:
-            # Zero scatter: no point can be scored, so stop regardless of the
-            # unmet stop rule.
-            return EstimateReport(
-                estimate=mean,
-                removed_indices=tuple(removed),
-                iterations=len(removed),
-                final_top_eigenvalue=max(lam, 0.0),
-            )
-        scores = np.square((survivors - mean) @ v)
         total = scores.sum()
         if total <= 0.0:
             raise DegenerateScoresError(
                 "all scores zero with positive top eigenvalue"
             )
         pick = rng.choice(alive.size, p=scores / total)
+        stats.remove(alive[pick])
         removed.append(int(alive[pick]))
-        alive = np.delete(alive, pick)
+        alive = np.concatenate((alive[:pick], alive[pick + 1:]))
         if alive.size < 2:
             raise FilterExhaustedError(
                 "fewer than 2 survivors before the stop condition held"
@@ -193,8 +242,9 @@ def filter_multivariate(samples, config: FilterConfig) -> EstimateReport:
 
 
 def filter_univariate(samples: Sequence[float], config: FilterConfig) -> EstimateReport:
-    """Univariate filtering: the direction is the scalar 1 and the top
-    eigenvalue is the sample variance (population convention)."""
+    """Univariate filtering: ``filter_multivariate`` on one column, whose
+    p = 1 rounds score squared deviations from the survivors' mean and stop
+    on their variance (population convention)."""
     values = np.asarray(samples, dtype=float).ravel()
     return filter_multivariate(values[:, None], config)
 

@@ -18,6 +18,7 @@ from robustmean import (
     srm_bruteforce,
     srm_population_bias,
 )
+from robustmean import baselines
 from robustmean.baselines import (
     oracle_survivor_covariance,
     srm_keeps_contamination,
@@ -87,6 +88,17 @@ class TestGmom:
         data[:25] = 1000.0
         est = geometric_median_of_means(data, blocks=50)
         assert np.linalg.norm(est) < 1.0
+
+    def test_rejects_non_finite_before_weiszfeld(self, monkeypatch):
+        # Unchecked, one inf runs Weiszfeld to its 10k-iteration cap.
+        def unreachable(*args, **kwargs):
+            raise AssertionError("Weiszfeld ran on non-finite input")
+
+        monkeypatch.setattr(baselines, "geometric_median", unreachable)
+        data = np.random.default_rng(4).standard_normal((40, 3))
+        data[7, 1] = np.inf
+        with pytest.raises(ConfigurationError):
+            geometric_median_of_means(data, blocks=6)
 
 
 def test_sample_mean_matches_numpy():
@@ -191,6 +203,14 @@ class TestSubsetSearch:
     def test_size_limit(self):
         with pytest.raises(ConfigurationError):
             srm_bruteforce(np.zeros((26, 1)), epsilon=0.1)
+
+    def test_rejects_non_finite(self):
+        # Unchecked, every subset with the NaN row loses the scatter
+        # comparison and the search returns a finite mean of the others.
+        data = np.random.default_rng(5).standard_normal((10, 1))
+        data[3] = np.nan
+        with pytest.raises(ConfigurationError):
+            srm_bruteforce(data, epsilon=0.2)
 
     def test_epsilon_zero_is_sample_mean(self):
         data = np.arange(6.0).reshape(3, 2)

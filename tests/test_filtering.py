@@ -21,11 +21,11 @@ from robustmean.filtering import STOP_CAPPED, STOP_FIXED_STEPS, STOP_THRESHOLD
 class TestTopEigenpair:
     def test_matches_dense_eigensolver(self):
         rng = np.random.default_rng(0)
-        for trial in range(20):
+        for _ in range(20):
             p = rng.integers(2, 12)
             a = rng.standard_normal((p, p))
             mat = a @ a.T  # PSD
-            lam, v = top_eigenpair(mat, seed=trial)
+            lam, v = top_eigenpair(mat)
             ref = np.linalg.eigvalsh(mat)[-1]
             assert lam == pytest.approx(ref, rel=1e-8)
             # eigenpair residual contract
@@ -133,6 +133,120 @@ class TestFilterMechanics:
             stop_mode=STOP_FIXED_STEPS, steps=1, seed=0))
         assert rep.estimate.shape == (1,)
         assert rep.removed_indices == (4,)
+
+
+def _reference_filter(data, config):
+    """Plain filter loop: every round takes the survivors' exact mean and
+    covariance and a dense eigensolve, and makes the filter's RNG call.
+    Returns the removed indices, the estimate and the eigenvalue of each
+    round."""
+    data = np.asarray(data, dtype=float).reshape(len(data), -1)
+    rng = np.random.default_rng(np.random.SeedSequence(config.seed))
+    alive = np.arange(data.shape[0])
+    removed, eigenvalues = [], []
+    while True:
+        survivors = data[alive]
+        mean = survivors.mean(axis=0)
+        centered = survivors - mean
+        values, vectors = np.linalg.eigh(centered.T @ centered / alive.size)
+        eigenvalues.append(values[-1])
+        if config.stop_mode == STOP_FIXED_STEPS:
+            done = len(removed) >= config.steps
+        else:
+            done = values[-1] < config.threshold_factor * config.cov_bound
+        if done:
+            return tuple(removed), mean, eigenvalues
+        scores = (centered @ vectors[:, -1]) ** 2
+        pick = rng.choice(alive.size, p=scores / scores.sum())
+        removed.append(int(alive[pick]))
+        alive = np.delete(alive, pick)
+
+
+class TestAgainstExactReference:
+    """The incremental statistics and the p = 1 loop remove the same points
+    as the exact per-round recomputation."""
+
+    def assert_matches(self, data, config, filt=filter_multivariate):
+        rep = filt(data, config)
+        removed, mean, eigenvalues = _reference_filter(data, config)
+        assert rep.removed_indices == removed
+        np.testing.assert_allclose(rep.estimate, mean, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(rep.diagnostics["eigenvalues"],
+                                   eigenvalues, rtol=1e-9)
+        return rep
+
+    def test_lognormal_fixed_steps(self):
+        for seed in range(5):
+            data = np.random.default_rng([30, seed]).lognormal(size=(500, 20))
+            self.assert_matches(data, FilterConfig(
+                stop_mode=STOP_FIXED_STEPS, steps=6, seed=seed))
+
+    def test_contaminated_threshold(self):
+        data = np.random.default_rng(31).standard_normal((1000, 20))
+        data[:100] = 0.0
+        data[:100, 0] = 50.0
+        rep = self.assert_matches(data, FilterConfig(
+            cov_bound=1.0, stop_mode=STOP_THRESHOLD, seed=2))
+        assert rep.iterations >= 90
+
+    @pytest.mark.parametrize("scale", [1e2, 1e6, 1e8, 1e12])
+    def test_far_outliers(self, scale):
+        # Without the drift guard, downdating rows at 1e6 and beyond leaves
+        # too few digits of the inliers' covariance and the removals differ.
+        for seed in range(10):
+            data = np.random.default_rng([32, seed]).standard_normal((303, 5))
+            data[:3] = 0.0
+            data[:3, 0] = scale
+            self.assert_matches(data, FilterConfig(
+                stop_mode=STOP_FIXED_STEPS, steps=8, seed=seed))
+
+    def test_univariate(self):
+        for seed in range(5):
+            rng = np.random.default_rng([33, seed])
+            self.assert_matches(rng.lognormal(size=500), FilterConfig(
+                stop_mode=STOP_FIXED_STEPS, steps=6, seed=seed),
+                filt=filter_univariate)
+            values = rng.standard_normal(400)
+            values[:40] = 20.0
+            self.assert_matches(values, FilterConfig(
+                cov_bound=1.0, threshold_factor=2.0, seed=seed),
+                filt=filter_univariate)
+
+
+class TestDiagnostics:
+    def test_stop_reason_and_eigenvalues(self):
+        rng = np.random.default_rng(9)
+        data = rng.standard_normal((300, 4))
+        data[:20] += 40.0
+        cases = [
+            (FilterConfig(stop_mode=STOP_FIXED_STEPS, steps=3), "budget"),
+            (FilterConfig(cov_bound=1e-9, stop_mode=STOP_CAPPED, steps=2),
+             "budget"),
+            (FilterConfig(cov_bound=1.0, stop_mode=STOP_THRESHOLD), "threshold"),
+        ]
+        for samples in (data, data[:, 0]):
+            for cfg, reason in cases:
+                filt = filter_multivariate if samples.ndim == 2 \
+                    else filter_univariate
+                rep = filt(samples, cfg)
+                lams = rep.diagnostics["eigenvalues"]
+                assert rep.diagnostics["stop_reason"] == reason
+                assert len(lams) == rep.iterations + 1
+                assert lams[-1] == rep.final_top_eigenvalue
+                if reason == "threshold":
+                    assert lams[-1] < 32.0 <= min(lams[:-1])
+        lams = filter_univariate(data[:, 0], cases[0][0]).diagnostics[
+            "eigenvalues"]
+        assert lams[0] == pytest.approx(np.var(data[:, 0]), rel=1e-12)
+
+    def test_zero_scatter(self):
+        rep = filter_multivariate(np.ones((10, 3)), FilterConfig(
+            cov_bound=0.0, stop_mode=STOP_THRESHOLD))
+        assert rep.diagnostics["stop_reason"] == "zero_scatter"
+        assert rep.diagnostics["eigenvalues"] == [0.0]
+        rep = filter_univariate(np.full(5, 2.0), FilterConfig(
+            cov_bound=0.0, stop_mode=STOP_THRESHOLD))
+        assert rep.diagnostics["stop_reason"] == "zero_scatter"
 
 
 class TestBudgets:
