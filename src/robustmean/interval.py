@@ -101,11 +101,14 @@ def interval_estimate(samples: Sequence[float], config: IntervalConfig) -> float
 
     The first n values select the interval; the estimate averages the last n
     values lying in it (closed membership).  The split follows the given
-    order; shuffle beforehand if the order is not exchangeable.
+    order; shuffle beforehand if the order is not exchangeable.  Non-finite
+    samples raise ``ConfigurationError``.
     """
     data = np.asarray(samples, dtype=float).ravel()
     if data.size < 4 or data.size % 2 != 0:
         raise ConfigurationError("need an even number of samples, at least 4")
+    if not np.all(np.isfinite(data)):
+        raise ConfigurationError("samples must be finite")
     n = data.size // 2
     check_precondition(n, config)
     z1, z2 = data[:n], data[n:]

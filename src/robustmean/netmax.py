@@ -102,18 +102,42 @@ class NetConfig:
         return base + penalty
 
 
-def _random_unit(rng: np.random.Generator, p: int, support_size: Optional[int]):
-    if support_size is None or support_size >= p:
-        v = rng.standard_normal(p)
-    else:
-        v = np.zeros(p)
-        support = rng.choice(p, size=support_size, replace=False)
-        v[support] = rng.standard_normal(support_size)
-    norm = np.linalg.norm(v)
-    while norm == 0.0:
-        v = rng.standard_normal(p)
-        norm = np.linalg.norm(v)
-    return v / norm
+def _draw_probes(
+    rng: np.random.Generator, batch: int, p: int, support_size: Optional[int]
+) -> np.ndarray:
+    """``batch`` random unit probes as rows, 2s-sparse when ``support_size``
+    (= 2s) is below ``p``.
+
+    The probes are exactly those of ``batch`` one-probe draws from the same
+    stream: dense rows come from one ``standard_normal((batch, p))`` call,
+    sparse rows from one support and one draw on it each.  A row whose norm
+    is exactly zero is drawn again, the same way and after the batch, until
+    it is not.
+    """
+
+    def draw(count: int) -> np.ndarray:
+        if support_size is None or support_size >= p:
+            return rng.standard_normal((count, p))
+        rows = np.zeros((count, p))
+        for row in rows:
+            support = rng.choice(p, size=support_size, replace=False)
+            row[support] = rng.standard_normal(support_size)
+        return rows
+
+    def row_norms(rows: np.ndarray) -> np.ndarray:
+        # One dot product per row, so each norm is bit-identical to
+        # np.linalg.norm(row); row sums (einsum, norm(axis=1)) can differ in
+        # the last ulp, and a probe that differs can change the cover.
+        return np.sqrt(np.matmul(rows[:, None, :], rows[:, :, None]).ravel())
+
+    probes = draw(batch)
+    norms = row_norms(probes)
+    zero = np.flatnonzero(norms == 0.0)
+    while zero.size:
+        probes[zero] = draw(zero.size)
+        norms[zero] = row_norms(probes[zero])
+        zero = zero[norms[zero] == 0.0]
+    return probes / norms[:, None]
 
 
 def build_half_cover(
@@ -144,9 +168,7 @@ def build_half_cover(
     covered_streak = 0
     batch = 2048
     while covered_streak < CONSECUTIVE_COVERED:
-        probes = np.stack(
-            [_random_unit(rng, p, support_size) for _ in range(batch)]
-        )
+        probes = _draw_probes(rng, batch, p, support_size)
         # squared distances probe x cover
         d2 = (
             np.sum(probes**2, axis=1)[:, None]
@@ -173,9 +195,7 @@ def certify_cover(
     worst = 0.0
     dirs = cover.directions
     for _ in range(probes // 2048 + 1):
-        qs = np.stack(
-            [_random_unit(rng, cover.p, cover.sparsity) for _ in range(2048)]
-        )
+        qs = _draw_probes(rng, 2048, cover.p, cover.sparsity)
         d2 = (
             np.sum(qs**2, axis=1)[:, None]
             - 2.0 * qs @ dirs.T
@@ -284,7 +304,9 @@ def net_estimate(samples, config: NetConfig, seed: int = 0):
     cover direction followed by minimax-center aggregation.
 
     Returns an ``EstimateReport`` whose diagnostics carry the minimax
-    objective, cover size, and inner-estimator settings.  Per-direction
+    objective, cover size, inner-estimator settings and ``targets``, the 1D
+    estimate along each cover direction in cover order.  Non-finite samples
+    raise ``ConfigurationError`` before the cover is built.  Per-direction
     failures propagate; there is no partial aggregation.
     """
     from .filtering import EstimateReport  # local to avoid cycle at import
@@ -292,6 +314,8 @@ def net_estimate(samples, config: NetConfig, seed: int = 0):
     data = np.asarray(getattr(samples, "data", samples), dtype=float)
     if data.ndim == 1:
         data = data[:, None]
+    if not np.all(np.isfinite(data)):
+        raise ConfigurationError("samples must be finite")
     p = data.shape[1]
     lid = config.log_inv_delta_inner(p)
     cover = build_half_cover(p, sparsity=config.sparsity, seed=seed)
@@ -318,7 +342,10 @@ def net_estimate(samples, config: NetConfig, seed: int = 0):
         cover, targets, constraint=config.sparsity, tol=1e-8 * scale
     )
     diag.update(
-        cover_size=cover.size, inner=config.inner, log_inv_delta_inner=lid
+        cover_size=cover.size,
+        inner=config.inner,
+        log_inv_delta_inner=lid,
+        targets=targets.tolist(),
     )
     return EstimateReport(
         estimate=theta,

@@ -68,6 +68,18 @@ class TestEstimate:
         assert code == 3
         assert "estimator failure" in err
 
+    @pytest.mark.parametrize("method", ["net", "interval"])
+    def test_non_finite_input_exits_2(self, tmp_path, capsys, method):
+        path = tmp_path / "nan.csv"
+        values = np.random.default_rng(2).standard_normal(400)
+        values[123] = np.nan
+        np.savetxt(path, values, delimiter=",")
+        code, _, err = run(
+            ["estimate", "--method", method, "--in", str(path),
+             "--epsilon", "0.02", "--delta", "0.05"], capsys)
+        assert code == 2
+        assert "configuration error" in err
+
     def test_net(self, data_csv, capsys):
         code, out, _ = run(
             ["estimate", "--method", "net", "--in", str(data_csv),

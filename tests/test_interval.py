@@ -109,6 +109,15 @@ class TestIntervalEstimate:
         with pytest.raises(ConfigurationError):
             interval_estimate(np.zeros(20), cfg)  # n=10 too small for eps=0.2
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite(self, bad):
+        # Unchecked, an inf far outside the window gives a finite estimate
+        # and a NaN ends in EmptySelectionError.
+        data = np.random.default_rng(2).standard_normal(400)
+        data[250] = bad
+        with pytest.raises(ConfigurationError):
+            interval_estimate(data, IntervalConfig(epsilon=0.02, delta=0.05))
+
     def test_requires_even_count(self):
         cfg = IntervalConfig(epsilon=0.0, delta=0.1)
         with pytest.raises(ConfigurationError):

@@ -15,7 +15,8 @@ from robustmean import (
     minimax_center,
     net_estimate,
 )
-from robustmean.netmax import minimax_objective
+from robustmean import netmax
+from robustmean.netmax import _draw_probes, minimax_objective
 
 
 def grid_minimax(directions, targets, grid):
@@ -25,6 +26,106 @@ def grid_minimax(directions, targets, grid):
     for theta in grid:
         best = min(best, minimax_objective(directions, targets, np.asarray(theta)))
     return best
+
+
+def reference_random_unit(rng, p, support_size):
+    """Reference probe: one unit vector per call, the draw that
+    ``_draw_probes`` batches."""
+    if support_size is None or support_size >= p:
+        v = rng.standard_normal(p)
+    else:
+        v = np.zeros(p)
+        support = rng.choice(p, size=support_size, replace=False)
+        v[support] = rng.standard_normal(support_size)
+    norm = np.linalg.norm(v)
+    while norm == 0.0:
+        v = rng.standard_normal(p)
+        norm = np.linalg.norm(v)
+    return v / norm
+
+
+def reference_half_cover(p, sparsity, seed):
+    """``build_half_cover`` with one ``reference_random_unit`` call per
+    probe; returns the directions."""
+    support_size = None if sparsity is None else 2 * sparsity
+    rng = np.random.default_rng(np.random.SeedSequence([seed, p, support_size or 0]))
+    eye = np.eye(p)
+    cover = np.array([e for pair in zip(eye, -eye) for e in pair])
+    covered_streak = 0
+    while covered_streak < netmax.CONSECUTIVE_COVERED:
+        probes = np.stack(
+            [reference_random_unit(rng, p, support_size) for _ in range(2048)])
+        d2 = (np.sum(probes**2, axis=1)[:, None] - 2.0 * probes @ cover.T
+              + np.sum(cover**2, axis=1)[None, :])
+        mindist = np.sqrt(np.maximum(d2.min(axis=1), 0.0))
+        uncovered = np.flatnonzero(mindist > netmax.COVER_RADIUS)
+        if uncovered.size == 0:
+            covered_streak += 2048
+            continue
+        covered_streak = 0
+        cover = np.vstack([cover, probes[uncovered[0]]])
+    return cover
+
+
+def reference_worst_distance(cover, probes=10_000, seed=123):
+    """``certify_cover``'s worst probe distance, one probe per call."""
+    rng = np.random.default_rng(np.random.SeedSequence([seed, cover.p]))
+    dirs = cover.directions
+    worst = 0.0
+    for _ in range(probes // 2048 + 1):
+        qs = np.stack([reference_random_unit(rng, cover.p, cover.sparsity)
+                       for _ in range(2048)])
+        d2 = (np.sum(qs**2, axis=1)[:, None] - 2.0 * qs @ dirs.T
+              + np.sum(dirs**2, axis=1)[None, :])
+        worst = max(worst, float(np.sqrt(np.maximum(d2.min(axis=1), 0.0)).max()))
+    return worst
+
+
+class ZeroFirstRow:
+    """Generator stand-in whose first ``standard_normal`` draw has an
+    all-zero first row (the whole draw, for a 1D sparse-support draw)."""
+
+    def __init__(self, seed):
+        self.rng = np.random.default_rng(seed)
+        self.zeroed = False
+
+    def choice(self, *args, **kwargs):
+        return self.rng.choice(*args, **kwargs)
+
+    def standard_normal(self, size):
+        out = self.rng.standard_normal(size)
+        if not self.zeroed:
+            np.atleast_2d(out)[0] = 0.0
+            self.zeroed = True
+        return out
+
+
+class TestBatchedProbes:
+    @pytest.mark.parametrize(
+        "p, sparsity, seed",
+        [(p, None, seed) for p in (2, 3, 4) for seed in (0, 1, 2)] + [(6, 1, 1)],
+    )
+    def test_same_cover_and_certificate_as_per_probe_draws(
+            self, p, sparsity, seed):
+        cover = build_half_cover(p, sparsity=sparsity, seed=seed)
+        np.testing.assert_array_equal(
+            cover.directions, reference_half_cover(p, sparsity, seed))
+        # An infinite slack returns the worst distance without judging it:
+        # the p=4, seed=2 cover has a probe at 0.506 in either form.
+        assert (certify_cover(cover, slack=math.inf)
+                == reference_worst_distance(cover))
+
+    @pytest.mark.parametrize("support_size", [None, 2])
+    def test_zero_norm_row_is_redrawn(self, support_size):
+        rng = ZeroFirstRow(seed=3)
+        with np.errstate(divide="raise", invalid="raise"):
+            probes = _draw_probes(rng, 16, 6, support_size)
+        assert rng.zeroed
+        assert probes.shape == (16, 6)
+        np.testing.assert_allclose(
+            np.linalg.norm(probes, axis=1), 1.0, rtol=0, atol=1e-12)
+        if support_size is not None:
+            assert np.count_nonzero(probes, axis=1).max() <= support_size
 
 
 class TestCoverConstruction:
@@ -150,7 +251,12 @@ class TestNetEstimate:
         cfg = NetConfig(epsilon=0.0, delta=0.1)
         rep = net_estimate(data, cfg, seed=0)
         assert np.linalg.norm(rep.estimate - mu) < 0.25
-        assert rep.diagnostics["cover_size"] >= 4
+        diag = rep.diagnostics
+        assert diag["cover_size"] >= 4
+        assert len(diag["targets"]) == diag["cover_size"]
+        dirs = build_half_cover(2, seed=0).directions
+        assert minimax_objective(dirs, np.array(diag["targets"]),
+                                 rep.estimate) == diag["objective"]
 
     def test_resists_point_mass_contamination(self):
         rng = np.random.default_rng(8)
@@ -161,6 +267,17 @@ class TestNetEstimate:
         cfg = NetConfig(epsilon=0.05, delta=0.1)
         rep = net_estimate(data, cfg, seed=1)
         assert np.linalg.norm(rep.estimate) < 0.5
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_before_cover(self, monkeypatch, bad):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("cover built for non-finite input")
+
+        monkeypatch.setattr(netmax, "build_half_cover", unreachable)
+        data = np.random.default_rng(11).standard_normal((400, 3))
+        data[17, 2] = bad
+        with pytest.raises(ConfigurationError):
+            net_estimate(data, NetConfig(epsilon=0.05, delta=0.1), seed=0)
 
     def test_filter_inner_runs(self):
         rng = np.random.default_rng(9)
