@@ -19,27 +19,14 @@ from .filtering import (
     filter_univariate,
     top_eigenpair,
 )
+from .model import as_finite_matrix
 
 SRM_MAX_N = 25
 
 
-def _as_matrix(samples) -> np.ndarray:
-    data = np.asarray(getattr(samples, "data", samples), dtype=float)
-    if data.ndim == 1:
-        data = data[:, None]
-    return data
-
-
-def _as_finite_matrix(samples) -> np.ndarray:
-    data = _as_matrix(samples)
-    if not np.all(np.isfinite(data)):
-        raise ConfigurationError("samples must be finite")
-    return data
-
-
 def sample_mean(samples) -> np.ndarray:
     """Plain arithmetic mean of the rows."""
-    return _as_matrix(samples).mean(axis=0)
+    return as_finite_matrix(samples).mean(axis=0)
 
 
 def geometric_median(points: np.ndarray, tol: float = 1e-10,
@@ -95,7 +82,7 @@ def geometric_median_of_means(
     samples, blocks: int, tol: float = 1e-10
 ) -> np.ndarray:
     """Geometric median of the means of contiguous near-equal blocks."""
-    data = _as_finite_matrix(samples)
+    data = as_finite_matrix(samples)
     if not 1 <= blocks <= data.shape[0]:
         raise ConfigurationError("blocks must lie in [1, n]")
     if tol <= 0:
@@ -109,7 +96,7 @@ def geometric_median_of_means(
 def coordinatewise_filter(samples, delta: float, seed: int = 0) -> np.ndarray:
     """Univariate filtering applied to each coordinate independently, with
     per-coordinate derived seeds and the fixed-steps benchmark budget."""
-    data = _as_matrix(samples)
+    data = as_finite_matrix(samples)
     steps = min(default_steps(delta), data.shape[0] - 2)
     out = np.empty(data.shape[1])
     for j in range(data.shape[1]):
@@ -186,7 +173,7 @@ class OracleConfig:
 
 
 def _oracle_survivors(samples, config: OracleConfig) -> np.ndarray:
-    data = _as_matrix(samples)
+    data = as_finite_matrix(samples)
     radius = config.radius_value()
     dists = np.linalg.norm(data - config.true_mean, axis=1)
     survivors = data[dists <= radius]  # closed ball
@@ -216,7 +203,7 @@ def srm_bruteforce(samples, epsilon: float) -> np.ndarray:
     Ties resolve to the lexicographically smallest index set, which is the
     enumeration order.
     """
-    data = _as_finite_matrix(samples)
+    data = as_finite_matrix(samples)
     n = data.shape[0]
     if n > SRM_MAX_N:
         raise ConfigurationError(

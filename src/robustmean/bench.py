@@ -3,7 +3,7 @@ quantile-error summaries, and CSV emission.
 
 Per-trial seeds are derived as SeedSequence([master_seed, cell_hash, trial])
 where cell_hash is a 64-bit BLAKE2b digest of "family|method|n|p"; results
-are therefore reproducible regardless of execution order or thread count.
+are therefore reproducible regardless of execution order.
 """
 
 from __future__ import annotations
@@ -11,8 +11,6 @@ from __future__ import annotations
 import csv
 import hashlib
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence
 
@@ -91,7 +89,7 @@ class TrialConfig:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TrialRecord:
     method: str
     family: str
@@ -257,22 +255,14 @@ def run_trial(
 
 def run_sweep(config: TrialConfig) -> List[TrialRecord]:
     """Execute every (method, n, p, trial) cell; deterministic given
-    master_seed regardless of execution order or pool size."""
-    tasks = [
-        (method, n, p, t)
+    master_seed regardless of execution order."""
+    records = [
+        run_trial(config, method, n, p, t)
         for method in config.methods
         for n in config.n_values
         for p in config.p_values
         for t in range(config.trials)
     ]
-    workers = int(os.environ.get("ROBUSTMEAN_THREADS", "1"))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            records = list(
-                pool.map(lambda args: run_trial(config, *args), tasks)
-            )
-    else:
-        records = [run_trial(config, *args) for args in tasks]
     records.sort(key=TrialRecord.sort_key)
     return records
 

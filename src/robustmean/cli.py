@@ -8,7 +8,6 @@ Subcommands::
     robustmean cover build --p 3 [--sparsity 1] --out cover.csv
 
 Exit codes: 0 success, 2 configuration error, 3 estimator failure.
-ROBUSTMEAN_THREADS caps the benchmark worker pool.
 """
 
 from __future__ import annotations

@@ -13,12 +13,15 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
+from scipy.linalg import lapack
 
 from .errors import (
     ConfigurationError,
+    ConvergenceError,
     DegenerateScoresError,
     FilterExhaustedError,
 )
+from .model import as_finite_matrix
 
 DEFAULT_THRESHOLD_FACTOR = 32.0
 
@@ -98,10 +101,11 @@ _DRIFT_RATIO = 2.0**10
 
 def top_eigenpair(matrix: np.ndarray) -> Tuple[float, np.ndarray]:
     """Leading eigenpair of a symmetric PSD matrix by an exact dense
-    eigensolve (LAPACK, through ``np.linalg.eigh``).
+    eigensolve that computes only that pair (LAPACK ``dsyevr``).
 
     Returns (0, e_1) for the zero matrix and (a, [1]) for the 1 x 1 matrix
-    [[a]].  The eigenvector has unit norm; its sign is LAPACK's.
+    [[a]].  The eigenvector has unit norm; its sign is LAPACK's.  Raises
+    ``ConvergenceError`` if LAPACK reports a failure.
     """
     p = matrix.shape[0]
     if p == 1:
@@ -110,8 +114,10 @@ def top_eigenpair(matrix: np.ndarray) -> Tuple[float, np.ndarray]:
         v = np.zeros(p)
         v[0] = 1.0
         return 0.0, v
-    values, vectors = np.linalg.eigh(matrix)
-    return float(values[-1]), vectors[:, -1]
+    values, vectors, _, _, info = lapack.dsyevr(matrix, range="I", il=p, iu=p)
+    if info != 0:
+        raise ConvergenceError(f"LAPACK dsyevr failed with info={info}")
+    return float(values[0]), vectors[:, 0]
 
 
 class _Univariate:
@@ -165,6 +171,15 @@ class _Multivariate:
         self.gram -= np.outer(x, x)
 
 
+def _weighted_pick(rng: np.random.Generator, p: np.ndarray) -> int:
+    """``rng.choice(p.size, p=p)`` without its checks of ``p``: the same
+    cumulative sum, uniform draw and search, so the same index and the same
+    generator state afterwards."""
+    cdf = np.cumsum(p)
+    cdf /= cdf[-1]
+    return int(cdf.searchsorted(rng.random(), side="right"))
+
+
 def _stop_reason(config: FilterConfig, lam: float, iterations: int) -> Optional[str]:
     """``threshold`` or ``budget`` when the stop rule holds, else None."""
     if config.stop_mode != STOP_FIXED_STEPS and \
@@ -179,8 +194,9 @@ def filter_multivariate(samples, config: FilterConfig) -> EstimateReport:
     """Run the iterative spectral filter on an n x p dataset.
 
     Accepts a ``SampleSet`` or a raw array.  Deterministic given
-    ``config.seed``: each round makes one ``rng.choice`` over the survivors,
-    in index order, with probabilities proportional to their scores.
+    ``config.seed``: each round draws one survivor, in index order, with
+    probability proportional to its score, exactly as ``rng.choice`` with
+    those probabilities would.
 
     For p > 1 each round takes the survivors' top eigenpair exactly with
     ``top_eigenpair``.  Its covariance comes from the rows shifted by a
@@ -197,13 +213,9 @@ def filter_multivariate(samples, config: FilterConfig) -> EstimateReport:
     ``zero_scatter``) and ``eigenvalues``, the top eigenvalue of every round,
     the last being the one the filter stopped on.
     """
-    data = np.asarray(getattr(samples, "data", samples), dtype=float)
-    if data.ndim == 1:
-        data = data[:, None]
+    data = as_finite_matrix(samples)
     if data.shape[0] < 2:
         raise FilterExhaustedError("need at least 2 points to filter")
-    if not np.all(np.isfinite(data)):
-        raise ConfigurationError("samples must be finite")
 
     stats = _Univariate(data[:, 0]) if data.shape[1] == 1 else _Multivariate(data)
     rng = np.random.default_rng(np.random.SeedSequence(config.seed))
@@ -231,7 +243,7 @@ def filter_multivariate(samples, config: FilterConfig) -> EstimateReport:
             raise DegenerateScoresError(
                 "all scores zero with positive top eigenvalue"
             )
-        pick = rng.choice(alive.size, p=scores / total)
+        pick = _weighted_pick(rng, scores / total)
         stats.remove(alive[pick])
         removed.append(int(alive[pick]))
         alive = np.concatenate((alive[:pick], alive[pick + 1:]))

@@ -51,6 +51,17 @@ class SampleSet:
         return self.data.shape[1]
 
 
+def as_finite_matrix(samples) -> np.ndarray:
+    """The rows of a ``SampleSet`` or an array as an n x p float matrix (1D
+    input is one column); non-finite values raise ``ConfigurationError``."""
+    data = np.asarray(getattr(samples, "data", samples), dtype=float)
+    if data.ndim == 1:
+        data = data[:, None]
+    if not np.all(np.isfinite(data)):
+        raise ConfigurationError("samples must be finite")
+    return data
+
+
 @dataclass(frozen=True)
 class ContaminationSpec:
     """How contaminated rows are drawn.

@@ -20,6 +20,7 @@ from scipy.optimize import linprog
 from .errors import ConfigurationError, EstimatorError
 from .filtering import FilterConfig, STOP_FIXED_STEPS, filter_univariate
 from .interval import IntervalConfig, interval_estimate
+from .model import as_finite_matrix
 
 COVER_RADIUS = 0.5
 DENSE_P_CAP = 12
@@ -165,25 +166,53 @@ def build_half_cover(
 
     rng = np.random.default_rng(np.random.SeedSequence([seed, p, support_size or 0]))
     cover = np.array(points)
+    cover_sq = np.sum(cover**2, axis=1)
     covered_streak = 0
     batch = 2048
     while covered_streak < CONSECUTIVE_COVERED:
         probes = _draw_probes(rng, batch, p, support_size)
-        # squared distances probe x cover
-        d2 = (
-            np.sum(probes**2, axis=1)[:, None]
-            - 2.0 * probes @ cover.T
-            + np.sum(cover**2, axis=1)[None, :]
-        )
-        mindist = np.sqrt(np.maximum(d2.min(axis=1), 0.0))
-        uncovered = np.flatnonzero(mindist > COVER_RADIUS)
-        if uncovered.size == 0:
+        first = _first_uncovered(probes, cover, cover_sq)
+        if first is None:
             covered_streak += batch
             continue
-        first = int(uncovered[0])
         covered_streak = 0  # probes before `first` were covered but a miss resets
         cover = np.vstack([cover, probes[first]])
+        # Summed over the whole cover, so bit for bit the norms that the full
+        # distance matrix uses.
+        cover_sq = np.sum(cover**2, axis=1)
     return CoverSet(cover, sparsity=support_size)
+
+
+# For unit rows q and c, the computed squared distance (|q|^2 - 2 q.c) + |c|^2
+# and any computed q.c are within about 1e-14 of 2 - 2 q.c and q.c (p <= 50).
+# So a probe with some q.c above 1 - (1/4 - 1e-12)/2 lies within distance 1/2
+# of the cover whatever the rounding.
+_SURELY_COVERED = 1.0 - (COVER_RADIUS**2 - 1e-12) / 2.0
+
+
+def _first_uncovered(
+    probes: np.ndarray, cover: np.ndarray, cover_sq: np.ndarray
+) -> Optional[int]:
+    """Index of the first unit probe farther than 1/2 from every cover row
+    (``cover_sq`` holds their squared norms), or None.
+
+    A cover x probe product screens out the probes that are surely covered;
+    its column maxima are far cheaper than the row maxima of the probe x
+    cover product.  Each remaining probe, in order, is judged by the full
+    squared-distance expression on the probe x cover product, so the answer
+    is the one the whole distance matrix gives, bit for bit.
+    """
+    inner = cover @ np.ascontiguousarray(probes.T)
+    near = np.flatnonzero(inner.max(axis=0) <= _SURELY_COVERED)
+    if near.size == 0:
+        return None
+    g = 2.0 * probes @ cover.T
+    probe_sq = np.sum(probes**2, axis=1)
+    for i in near:
+        d2 = (probe_sq[i] - g[i]) + cover_sq
+        if math.sqrt(max(float(d2.min()), 0.0)) > COVER_RADIUS:
+            return int(i)
+    return None
 
 
 def certify_cover(
@@ -311,11 +340,7 @@ def net_estimate(samples, config: NetConfig, seed: int = 0):
     """
     from .filtering import EstimateReport  # local to avoid cycle at import
 
-    data = np.asarray(getattr(samples, "data", samples), dtype=float)
-    if data.ndim == 1:
-        data = data[:, None]
-    if not np.all(np.isfinite(data)):
-        raise ConfigurationError("samples must be finite")
+    data = as_finite_matrix(samples)
     p = data.shape[1]
     lid = config.log_inv_delta_inner(p)
     cover = build_half_cover(p, sparsity=config.sparsity, seed=seed)

@@ -107,12 +107,29 @@ def test_sample_mean_matches_numpy():
     np.testing.assert_array_equal(sample_mean(data), data.mean(axis=0))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_sample_mean_rejects_non_finite(bad):
+    # Unchecked, the mean is NaN or inf.
+    data = np.random.default_rng(4).standard_normal((9, 4))
+    data[2, 3] = bad
+    with pytest.raises(ConfigurationError):
+        sample_mean(data)
+
+
 def test_coordinatewise_filter_trims_per_axis_outliers():
     rng = np.random.default_rng(5)
     data = rng.standard_normal((300, 3))
     data[0, 1] = 1e4  # single wild coordinate
     est = coordinatewise_filter(data, delta=0.05, seed=0)
     assert np.all(np.abs(est) < 1.0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, -np.inf])
+def test_coordinatewise_filter_rejects_non_finite(bad):
+    data = np.random.default_rng(5).standard_normal((300, 3))
+    data[10, 2] = bad
+    with pytest.raises(ConfigurationError):
+        coordinatewise_filter(data, delta=0.05, seed=0)
 
 
 class TestOracleTruncation:
@@ -127,6 +144,18 @@ class TestOracleTruncation:
         cfg = OracleConfig(true_mean=[100.0], radius=1.0)
         with pytest.raises(EmptySelectionError):
             oracle_truncated_mean(np.zeros((5, 1)), cfg)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite(self, bad):
+        # Unchecked, the row fails the ball test (NaN <= r is False) and the
+        # oracle returns the finite mean of the other rows.
+        data = np.random.default_rng(6).standard_normal((50, 2))
+        data[4, 0] = bad
+        cfg = OracleConfig(true_mean=np.zeros(2), radius=3.0)
+        with pytest.raises(ConfigurationError):
+            oracle_truncated_mean(data, cfg)
+        with pytest.raises(ConfigurationError):
+            oracle_survivor_covariance(data, cfg)
 
     def test_survivor_covariance_matches_direct(self):
         rng = np.random.default_rng(6)

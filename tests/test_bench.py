@@ -1,5 +1,4 @@
 import math
-import os
 
 import numpy as np
 import pytest
@@ -60,15 +59,6 @@ class TestSweep:
         b = run_sweep(cfg)
         assert [(r.method, r.trial_index, r.loss) for r in a] == \
                [(r.method, r.trial_index, r.loss) for r in b]
-
-    def test_thread_count_does_not_change_results(self, monkeypatch):
-        cfg = tiny_config()
-        monkeypatch.delenv("ROBUSTMEAN_THREADS", raising=False)
-        serial = run_sweep(cfg)
-        monkeypatch.setenv("ROBUSTMEAN_THREADS", "4")
-        threaded = run_sweep(cfg)
-        assert [(r.method, r.trial_index, r.loss) for r in serial] == \
-               [(r.method, r.trial_index, r.loss) for r in threaded]
 
     def test_record_count_and_ordering(self):
         cfg = tiny_config(n_values=[20, 30])

@@ -1,10 +1,12 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from robustmean import (
     ConfigurationError,
+    ConvergenceError,
     FilterConfig,
     FilterExhaustedError,
     MomentProfile,
@@ -15,6 +17,7 @@ from robustmean import (
     stopping_cap,
     top_eigenpair,
 )
+from robustmean import filtering
 from robustmean.filtering import STOP_CAPPED, STOP_FIXED_STEPS, STOP_THRESHOLD
 
 
@@ -41,6 +44,51 @@ class TestTopEigenpair:
         lam, v = top_eigenpair(np.array([[2.5]]))
         assert lam == 2.5
         assert v.shape == (1,)
+
+    def test_lapack_failure_raises(self, monkeypatch):
+        def failing(a, **kwargs):
+            p = a.shape[0]
+            return np.zeros(p), np.zeros((p, 1)), 0, np.zeros(2, np.int32), 3
+
+        monkeypatch.setattr(filtering, "lapack", SimpleNamespace(dsyevr=failing))
+        with pytest.raises(ConvergenceError):
+            top_eigenpair(np.diag([1.0, 2.0, 3.0]))
+
+
+class TestWeightedPick:
+    """The filter's draw is ``Generator.choice`` with ``p`` given, minus its
+    checks: same index, same generator state afterwards."""
+
+    def assert_same(self, p, seed):
+        ours, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        assert filtering._weighted_pick(ours, p) == ref.choice(p.size, p=p)
+        assert ours.random() == ref.random()
+
+    def test_matches_generator_choice(self):
+        rng = np.random.default_rng(40)
+        for case in range(2000):
+            n = int(rng.integers(2, 80))
+            scores = rng.standard_normal(n) ** 2 * 10.0 ** rng.uniform(-6, 6, n)
+            scores[rng.random(n) < 0.1] = 0.0
+            if scores.sum() == 0.0:
+                scores[0] = 1.0
+            self.assert_same(scores / scores.sum(), [41, case])
+
+    def test_two_points(self):
+        for case in range(200):
+            a = np.random.default_rng([42, case]).random()
+            scores = np.array([a, 1.0 - a])
+            self.assert_same(scores / scores.sum(), [43, case])
+
+    def test_single_nonzero_score(self):
+        for n in (2, 5, 50):
+            for where in range(n):
+                scores = np.zeros(n)
+                scores[where] = 3.7
+                p = scores / scores.sum()
+                self.assert_same(p, [44, n, where])
+                assert filtering._weighted_pick(
+                    np.random.default_rng([45, n, where]), p) == where
 
 
 class TestFilterMechanics:
@@ -126,6 +174,15 @@ class TestFilterMechanics:
         with pytest.raises(FilterExhaustedError):
             filter_multivariate(data, FilterConfig(
                 stop_mode=STOP_FIXED_STEPS, steps=3))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("p", [1, 4])
+    def test_rejects_non_finite(self, bad, p):
+        data = np.random.default_rng(8).standard_normal((50, p))
+        data[17, p - 1] = bad
+        with pytest.raises(ConfigurationError):
+            filter_multivariate(data, FilterConfig(
+                stop_mode=STOP_FIXED_STEPS, steps=3, seed=0))
 
     def test_univariate_wraps_column(self):
         vals = [0.0, 0.1, -0.1, 0.05, 30.0]

@@ -44,9 +44,20 @@ def reference_random_unit(rng, p, support_size):
     return v / norm
 
 
+def reference_first_uncovered(probes, cover):
+    """The first probe farther than 1/2 from every cover row, or None, from
+    the whole probe x cover distance matrix."""
+    d2 = (np.sum(probes**2, axis=1)[:, None] - 2.0 * probes @ cover.T
+          + np.sum(cover**2, axis=1)[None, :])
+    mindist = np.sqrt(np.maximum(d2.min(axis=1), 0.0))
+    uncovered = np.flatnonzero(mindist > netmax.COVER_RADIUS)
+    return int(uncovered[0]) if uncovered.size else None
+
+
 def reference_half_cover(p, sparsity, seed):
     """``build_half_cover`` with one ``reference_random_unit`` call per
-    probe; returns the directions."""
+    probe and the whole distance matrix per batch; returns the
+    directions."""
     support_size = None if sparsity is None else 2 * sparsity
     rng = np.random.default_rng(np.random.SeedSequence([seed, p, support_size or 0]))
     eye = np.eye(p)
@@ -55,15 +66,12 @@ def reference_half_cover(p, sparsity, seed):
     while covered_streak < netmax.CONSECUTIVE_COVERED:
         probes = np.stack(
             [reference_random_unit(rng, p, support_size) for _ in range(2048)])
-        d2 = (np.sum(probes**2, axis=1)[:, None] - 2.0 * probes @ cover.T
-              + np.sum(cover**2, axis=1)[None, :])
-        mindist = np.sqrt(np.maximum(d2.min(axis=1), 0.0))
-        uncovered = np.flatnonzero(mindist > netmax.COVER_RADIUS)
-        if uncovered.size == 0:
+        first = reference_first_uncovered(probes, cover)
+        if first is None:
             covered_streak += 2048
             continue
         covered_streak = 0
-        cover = np.vstack([cover, probes[uncovered[0]]])
+        cover = np.vstack([cover, probes[first]])
     return cover
 
 
@@ -126,6 +134,55 @@ class TestBatchedProbes:
             np.linalg.norm(probes, axis=1), 1.0, rtol=0, atol=1e-12)
         if support_size is not None:
             assert np.count_nonzero(probes, axis=1).max() <= support_size
+
+
+def boundary_probes(cover, row, rng, ulps=40):
+    """Unit probes whose inner product with ``cover[row]`` steps through the
+    floats around 7/8, so their distance to it is 1/2 to within a few ulps,
+    kept where every other cover row is clearly farther than 1/2."""
+    c = cover[row]
+    w = rng.standard_normal(c.size)
+    w -= (w @ c) * c
+    w /= np.linalg.norm(w)
+    a = 0.875 + np.arange(-ulps, ulps + 1) * np.spacing(0.875)
+    probes = a[:, None] * c + np.sqrt(1.0 - a * a)[:, None] * w
+    others = np.delete(cover, row, axis=0)
+    return probes[(probes @ others.T).max(axis=1) < 0.85]
+
+
+class TestFirstUncovered:
+    """The screened search returns the probe the whole distance matrix
+    picks, also where only the last ulps of a distance decide."""
+
+    def test_boundary_probes_match_full_matrix(self):
+        rng = np.random.default_rng(11)
+        # A partial cover, as in the middle of a build: the signed axes and
+        # the first probes that joined them.
+        cover = build_half_cover(3, seed=0).directions[:9]
+        cover_sq = np.sum(cover**2, axis=1)
+        probes = np.concatenate(
+            [boundary_probes(cover, row, rng) for row in range(cover.shape[0])])
+        verdicts = [reference_first_uncovered(q[None], cover) for q in probes]
+        # The crafted probes straddle the boundary: the screen cannot tell
+        # them apart, so the exact recheck decides each one.
+        assert verdicts.count(0) > 50 and verdicts.count(None) > 50
+        for i, q in enumerate(probes):
+            assert netmax._first_uncovered(q[None], cover, cover_sq) == verdicts[i]
+        covered = netmax._draw_probes(rng, 2048, 3, None)
+        covered = covered[(covered @ cover.T).max(axis=1) > 0.9]
+        for _ in range(50):
+            batch = np.concatenate(
+                [covered[:100], probes[rng.permutation(len(probes))[:60]]])
+            batch = batch[rng.permutation(len(batch))]
+            assert netmax._first_uncovered(batch, cover, cover_sq) == \
+                reference_first_uncovered(batch, cover)
+
+    def test_all_covered_batch(self):
+        cover = build_half_cover(3, seed=0).directions
+        probes = netmax._draw_probes(np.random.default_rng(5), 2048, 3, None)
+        assert reference_first_uncovered(probes, cover) is None
+        assert netmax._first_uncovered(
+            probes, cover, np.sum(cover**2, axis=1)) is None
 
 
 class TestCoverConstruction:
