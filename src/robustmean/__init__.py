@@ -64,7 +64,6 @@ from .baselines import (
     coordinatewise_filter,
     geometric_median,
     geometric_median_of_means,
-    gmom_blocks,
     oracle_truncated_mean,
     sample_mean,
     srm_bruteforce,
@@ -115,7 +114,6 @@ __all__ = [
     "coordinatewise_filter",
     "geometric_median",
     "geometric_median_of_means",
-    "gmom_blocks",
     "oracle_truncated_mean",
     "sample_mean",
     "srm_bruteforce",

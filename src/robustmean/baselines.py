@@ -71,13 +71,6 @@ def geometric_median(points: np.ndarray, tol: float = 1e-10,
     )
 
 
-def gmom_blocks(delta: float) -> int:
-    """Theory default block count ceil(3.5 * ln(1/delta))."""
-    if not 0.0 < delta < 1.0:
-        raise ConfigurationError("delta must lie in (0, 1)")
-    return math.ceil(3.5 * math.log(1.0 / delta))
-
-
 def geometric_median_of_means(
     samples, blocks: int, tol: float = 1e-10
 ) -> np.ndarray:
@@ -174,6 +167,10 @@ class OracleConfig:
 
 def _oracle_survivors(samples, config: OracleConfig) -> np.ndarray:
     data = as_finite_matrix(samples)
+    p = data.shape[1]
+    if config.true_mean.shape != (p,):
+        raise ConfigurationError(
+            f"true_mean has length {config.true_mean.size}; data has p={p}")
     radius = config.radius_value()
     dists = np.linalg.norm(data - config.true_mean, axis=1)
     survivors = data[dists <= radius]  # closed ball

@@ -1,5 +1,5 @@
-"""Synthetic benchmark harness: seeded trial sweeps over (method, n, p),
-quantile-error summaries, and CSV emission.
+"""Synthetic benchmark harness: the method table shared with the CLI, seeded
+trial sweeps over (method, n, p), quantile-error summaries, and CSV emission.
 
 Per-trial seeds are derived as SeedSequence([master_seed, cell_hash, trial])
 where cell_hash is a 64-bit BLAKE2b digest of "family|method|n|p"; results
@@ -12,7 +12,7 @@ import csv
 import hashlib
 import math
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -25,14 +25,21 @@ CSV_FIELDS = ("method", "family", "n", "p", "delta", "epsilon",
 
 @dataclass(frozen=True)
 class MethodSpec:
-    """One benchmark method: an identifier plus method-specific settings."""
+    """One benchmark method: a name in ``METHODS`` plus settings, which must
+    be keys that its runner reads."""
 
     name: str
     settings: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.name not in METHOD_NAMES:
+        if self.name not in METHODS:
             raise ConfigurationError(f"unknown method {self.name!r}")
+        accepted = METHODS[self.name].settings
+        unknown = sorted(set(self.settings) - set(accepted))
+        if unknown:
+            raise ConfigurationError(
+                f"method {self.name!r} does not read settings {unknown}; "
+                f"it accepts {list(accepted) or 'none'}")
 
 
 @dataclass(frozen=True)
@@ -140,91 +147,122 @@ def respec(spec: model.DistributionSpec, p: int) -> model.DistributionSpec:
     return replace(spec, p=p)
 
 
-def _clean_component(spec: model.DistributionSpec) -> model.DistributionSpec:
-    if spec.epsilon == 0:
-        return spec
-    return replace(spec, epsilon=0.0, q_spec=None)
+@dataclass(frozen=True)
+class RunContext:
+    """What a runner reads besides its settings: ``center`` is the oracle's
+    centre (zeros when ``None``); ``spec`` is the sampling law, ``None`` for
+    data from a file, which leaves no law to derive defaults from."""
+
+    delta: float
+    epsilon: float = 0.0
+    seed: int = 0
+    center: Optional[np.ndarray] = None
+    spec: Optional[model.DistributionSpec] = None
+
+    def moments(self, setting: str) -> model.MomentProfile:
+        """The clean law's moments, from which ``setting`` is derived."""
+        if self.spec is None:
+            raise ConfigurationError(f"{setting} is not set and there is no "
+                                     "distribution spec to derive it from")
+        clean = self.spec
+        if clean.epsilon > 0:
+            clean = replace(clean, epsilon=0.0, q_spec=None)
+        return model.population_moments(clean)
 
 
-def _run_method(
-    method: MethodSpec,
-    samples: model.SampleSet,
-    spec: model.DistributionSpec,
-    delta: float,
-    seed: int,
-) -> np.ndarray:
-    s = method.settings
-    name = method.name
-    if name == "mean":
-        return baselines.sample_mean(samples)
-    if name == "gmom":
-        blocks = int(s.get("blocks", filtering.default_steps(delta)))
-        return baselines.geometric_median_of_means(
-            samples, blocks=min(blocks, samples.n), tol=s.get("tol", 1e-10)
-        )
-    if name == "coord":
-        return baselines.coordinatewise_filter(samples, delta=delta, seed=seed)
-    if name == "filter":
-        stop_mode = s.get("stop_mode", filtering.STOP_FIXED_STEPS)
-        cov_bound = s.get("cov_bound")
-        if cov_bound is None and stop_mode != filtering.STOP_FIXED_STEPS:
-            moments = model.population_moments(_clean_component(spec))
-            setting = "huber" if spec.epsilon > 0 else "heavy_tail"
-            k = int(s.get("k", moments.k))
-            cov_bound = filtering.cov_bound_hint(
-                setting,
-                model.MomentProfile(k, moments.trace_sigma, moments.opnorm_sigma),
-                n=samples.n,
-                p=samples.p,
-                delta=delta,
-                epsilon=spec.epsilon,
-                C=float(s.get("C", 1.0)),
-            )
-        steps = s.get("steps")
-        if steps is None and stop_mode != filtering.STOP_THRESHOLD:
-            steps = min(filtering.default_steps(delta), samples.n - 2)
-        cfg = filtering.FilterConfig(
-            cov_bound=cov_bound or 0.0,
-            threshold_factor=float(
-                s.get("threshold_factor", filtering.DEFAULT_THRESHOLD_FACTOR)
-            ),
-            stop_mode=stop_mode,
-            steps=steps,
-            seed=seed,
-        )
-        return filtering.filter_multivariate(samples, cfg).estimate
-    if name == "oracle":
-        radius = s.get("radius")
-        if radius is None:
-            moments = model.population_moments(_clean_component(spec))
-            radius = baselines.RadiusRule(
-                k=int(s.get("k", moments.k)),
-                trace_sigma=moments.trace_sigma,
-                opnorm_sigma=moments.opnorm_sigma,
-                n=samples.n,
-                delta=delta,
-                epsilon=spec.epsilon,
-            )
-        cfg = baselines.OracleConfig(
-            true_mean=np.zeros(samples.p), radius=radius
-        )
-        return baselines.oracle_truncated_mean(samples, cfg)
-    if name == "interval":
-        if samples.p != 1:
-            raise EstimatorError("interval method is univariate")
-        cfg = interval.IntervalConfig(epsilon=spec.epsilon, delta=delta)
-        return np.array([interval.interval_estimate(samples.data[:, 0], cfg)])
-    if name == "net":
-        cfg = netmax.NetConfig(
-            epsilon=spec.epsilon,
-            delta=delta,
-            inner=s.get("inner", "interval1d"),
-            sparsity=s.get("sparsity"),
-        )
-        return netmax.net_estimate(samples, cfg, seed=seed).estimate
-    if name == "srm":
-        return baselines.srm_bruteforce(samples, epsilon=spec.epsilon)
-    raise ConfigurationError(f"unknown method {name!r}")
+# name -> runner(samples, settings, ctx) -> estimate; a runner's ``settings``
+# are the keys it reads.  Runners look library functions up on their modules
+# at call time, so a patched module attribute sees every call.
+METHODS: Dict[str, Callable] = {}
+
+
+def _method(name: str, *settings: str):
+    def register(runner):
+        runner.settings = settings
+        METHODS[name] = runner
+        return runner
+    return register
+
+
+@_method("mean")
+def _mean(samples, s, ctx):
+    return baselines.sample_mean(samples)
+
+
+@_method("gmom", "blocks")
+def _gmom(samples, s, ctx):
+    blocks = int(s.get("blocks", filtering.default_steps(ctx.delta)))
+    return baselines.geometric_median_of_means(
+        samples, blocks=min(blocks, samples.n))
+
+
+@_method("coord")
+def _coord(samples, s, ctx):
+    return baselines.coordinatewise_filter(
+        samples, delta=ctx.delta, seed=ctx.seed)
+
+
+@_method("filter", "stop_mode", "cov_bound", "steps", "threshold_factor")
+def _filter(samples, s, ctx):
+    cov_bound = s.get("cov_bound")
+    stop_mode = s.get("stop_mode", filtering.STOP_FIXED_STEPS
+                      if cov_bound is None else filtering.STOP_THRESHOLD)
+    if cov_bound is None and stop_mode != filtering.STOP_FIXED_STEPS:
+        cov_bound = filtering.cov_bound_hint(
+            "huber" if ctx.epsilon > 0 else "heavy_tail",
+            ctx.moments("cov_bound"), n=samples.n, p=samples.p,
+            delta=ctx.delta, epsilon=ctx.epsilon)
+    steps = s.get("steps")
+    if steps is None and stop_mode != filtering.STOP_THRESHOLD:
+        steps = min(filtering.default_steps(ctx.delta), samples.n - 2)
+    cfg = filtering.FilterConfig(
+        cov_bound=cov_bound or 0.0,
+        threshold_factor=float(
+            s.get("threshold_factor", filtering.DEFAULT_THRESHOLD_FACTOR)),
+        stop_mode=stop_mode,
+        steps=steps,
+        seed=ctx.seed,
+    )
+    return filtering.filter_multivariate(samples, cfg).estimate
+
+
+@_method("oracle", "radius")
+def _oracle(samples, s, ctx):
+    radius = s.get("radius")
+    if radius is None:
+        moments = ctx.moments("radius")
+        radius = baselines.RadiusRule(
+            k=moments.k, trace_sigma=moments.trace_sigma,
+            opnorm_sigma=moments.opnorm_sigma, n=samples.n, delta=ctx.delta,
+            epsilon=ctx.epsilon)
+    center = np.zeros(samples.p) if ctx.center is None else ctx.center
+    cfg = baselines.OracleConfig(true_mean=center, radius=radius)
+    return baselines.oracle_truncated_mean(samples, cfg)
+
+
+@_method("interval")
+def _interval(samples, s, ctx):
+    if samples.p != 1:
+        raise ConfigurationError(
+            f"interval method is univariate; data has p={samples.p}")
+    cfg = interval.IntervalConfig(epsilon=ctx.epsilon, delta=ctx.delta)
+    return np.array([interval.interval_estimate(samples.data[:, 0], cfg)])
+
+
+@_method("net", "inner", "sparsity")
+def _net(samples, s, ctx):
+    cfg = netmax.NetConfig(epsilon=ctx.epsilon, delta=ctx.delta,
+                           inner=s.get("inner", "interval1d"),
+                           sparsity=s.get("sparsity"))
+    return netmax.net_estimate(samples, cfg, seed=ctx.seed).estimate
+
+
+@_method("srm")
+def _srm(samples, s, ctx):
+    return baselines.srm_bruteforce(samples, epsilon=ctx.epsilon)
+
+
+METHOD_NAMES = tuple(METHODS)
 
 
 def run_trial(
@@ -236,8 +274,10 @@ def run_trial(
     samples = model.sample_dataset(spec, n, seed)
     truth = np.zeros(p)  # synthetic families are centered; truth is the
     # clean-component mean under contamination as well
+    ctx = RunContext(delta=config.delta, epsilon=spec.epsilon, seed=seed,
+                     center=truth, spec=spec)
     try:
-        estimate = _run_method(method, samples, spec, config.delta, seed)
+        estimate = METHODS[method.name](samples, method.settings, ctx)
         loss = metrics.l2_loss(estimate, truth)
     except EstimatorError:
         loss = math.inf
@@ -356,5 +396,3 @@ def emit_summary_csv(rows, path) -> None:
             )
 
 
-METHOD_NAMES = ("mean", "gmom", "coord", "filter", "oracle", "interval",
-                "net", "srm")

@@ -7,6 +7,15 @@ Subcommands::
     robustmean estimate --method filter --in data.csv [flags]
     robustmean cover build --p 3 [--sparsity 1] --out cover.csv
 
+``estimate`` runs the benchmark's own runner, ``bench.METHODS[method]``, on
+the rows of a CSV file.  ``--delta``, ``--epsilon``, ``--seed`` and
+``--true-mean`` (the oracle's centre) form its ``bench.RunContext``.  Every
+other flag is the method setting of the same name and is passed on only when
+given, so the method's defaults apply and a flag the method does not read
+(``--blocks`` with ``--method filter``) is a configuration error.  File data
+has no distribution spec, so a threshold or capped filter stop needs
+``--cov-bound`` and the oracle needs ``--radius``.
+
 Exit codes: 0 success, 2 configuration error, 3 estimator failure.
 """
 
@@ -18,12 +27,15 @@ import sys
 
 import numpy as np
 
-from . import baselines, bench, filtering, interval, metrics, model, netmax
+from . import bench, filtering, model, netmax
 from .errors import ConfigurationError, EstimatorError
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_ESTIMATOR = 3
+
+_SETTING_FLAGS = sorted({key for runner in bench.METHODS.values()
+                         for key in runner.settings})
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -52,15 +64,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p_est.add_argument("--delta", type=float, default=0.05)
     p_est.add_argument("--seed", type=int, default=0)
     p_est.add_argument("--cov-bound", type=float, default=None)
-    p_est.add_argument("--threshold-factor", type=float,
-                       default=filtering.DEFAULT_THRESHOLD_FACTOR)
+    p_est.add_argument("--threshold-factor", type=float, default=None)
     p_est.add_argument("--steps", type=int, default=None)
     p_est.add_argument("--stop-mode", default=None,
                        choices=(filtering.STOP_THRESHOLD,
                                 filtering.STOP_FIXED_STEPS,
                                 filtering.STOP_CAPPED))
     p_est.add_argument("--blocks", type=int, default=None, help="gmom blocks")
-    p_est.add_argument("--inner", default="interval1d",
+    p_est.add_argument("--inner", default=None,
                        choices=("interval1d", "filter1d"))
     p_est.add_argument("--sparsity", type=int, default=None)
     p_est.add_argument("--radius", type=float, default=None,
@@ -78,72 +89,18 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_data(path) -> np.ndarray:
-    data = np.loadtxt(path, delimiter=",", ndmin=2)
-    if data.size == 0:
-        raise ConfigurationError(f"no data in {path}")
-    return data
-
-
 def _cmd_estimate(args) -> int:
-    data = _load_data(args.infile)
-    n, p = data.shape
-    method = args.method
-    if method == "mean":
-        estimate = baselines.sample_mean(data)
-    elif method == "gmom":
-        blocks = args.blocks or filtering.default_steps(args.delta)
-        estimate = baselines.geometric_median_of_means(data, blocks=min(blocks, n))
-    elif method == "coord":
-        estimate = baselines.coordinatewise_filter(
-            data, delta=args.delta, seed=args.seed
-        )
-    elif method == "filter":
-        stop_mode = args.stop_mode
-        if stop_mode is None:
-            stop_mode = (
-                filtering.STOP_THRESHOLD
-                if args.cov_bound is not None
-                else filtering.STOP_FIXED_STEPS
-            )
-        steps = args.steps
-        if steps is None and stop_mode != filtering.STOP_THRESHOLD:
-            steps = min(filtering.default_steps(args.delta), n - 2)
-        cfg = filtering.FilterConfig(
-            cov_bound=args.cov_bound or 0.0,
-            threshold_factor=args.threshold_factor,
-            stop_mode=stop_mode,
-            steps=steps,
-            seed=args.seed,
-        )
-        estimate = filtering.filter_multivariate(data, cfg).estimate
-    elif method == "interval":
-        if p != 1:
-            raise ConfigurationError("interval method expects a one-column CSV")
-        cfg = interval.IntervalConfig(epsilon=args.epsilon, delta=args.delta)
-        estimate = np.array([interval.interval_estimate(data[:, 0], cfg)])
-    elif method == "net":
-        cfg = netmax.NetConfig(
-            epsilon=args.epsilon,
-            delta=args.delta,
-            inner=args.inner,
-            sparsity=args.sparsity,
-        )
-        estimate = netmax.net_estimate(data, cfg, seed=args.seed).estimate
-    elif method == "oracle":
-        if args.radius is None:
-            raise ConfigurationError("oracle method requires --radius")
-        center = (
-            np.array([float(x) for x in args.true_mean.split(",")])
-            if args.true_mean
-            else np.zeros(p)
-        )
-        cfg = baselines.OracleConfig(true_mean=center, radius=args.radius)
-        estimate = baselines.oracle_truncated_mean(data, cfg)
-    elif method == "srm":
-        estimate = baselines.srm_bruteforce(data, epsilon=args.epsilon)
-    else:  # pragma: no cover - argparse restricts choices
-        raise ConfigurationError(f"unknown method {method!r}")
+    samples = model.SampleSet(np.loadtxt(args.infile, delimiter=",", ndmin=2))
+    spec = bench.MethodSpec(args.method, {
+        key: getattr(args, key) for key in _SETTING_FLAGS
+        if getattr(args, key) is not None
+    })
+    center = None
+    if args.true_mean is not None:
+        center = np.array([float(x) for x in args.true_mean.split(",")])
+    ctx = bench.RunContext(delta=args.delta, epsilon=args.epsilon,
+                           seed=args.seed, center=center)
+    estimate = bench.METHODS[spec.name](samples, spec.settings, ctx)
     print(",".join(f"{x:.17g}" for x in np.atleast_1d(estimate)))
     return EXIT_OK
 

@@ -12,7 +12,6 @@ from robustmean import (
     coordinatewise_filter,
     geometric_median,
     geometric_median_of_means,
-    gmom_blocks,
     oracle_truncated_mean,
     sample_mean,
     srm_bruteforce,
@@ -72,11 +71,6 @@ class TestGmom:
         # 3 blocks: [0..3], [4..6], [7..9] -> means 1.5, 5, 8 -> median 5
         est = geometric_median_of_means(data, blocks=3)
         assert est[0] == pytest.approx(5.0, abs=1e-8)
-
-    def test_theory_block_count(self):
-        assert gmom_blocks(0.05) == math.ceil(3.5 * math.log(20))
-        with pytest.raises(ConfigurationError):
-            gmom_blocks(1.5)
 
     def test_block_count_validation(self):
         with pytest.raises(ConfigurationError):
@@ -155,6 +149,16 @@ class TestOracleTruncation:
         with pytest.raises(ConfigurationError):
             oracle_truncated_mean(data, cfg)
         with pytest.raises(ConfigurationError):
+            oracle_survivor_covariance(data, cfg)
+
+    @pytest.mark.parametrize("center", [[5.0], [0.0, 0.0, 0.0]])
+    def test_rejects_center_of_wrong_length(self, center):
+        # Unchecked, a 1-entry centre broadcasts to (5, 5).
+        data = np.random.default_rng(6).standard_normal((50, 2))
+        cfg = OracleConfig(true_mean=center, radius=10.0)
+        with pytest.raises(ConfigurationError, match="true_mean"):
+            oracle_truncated_mean(data, cfg)
+        with pytest.raises(ConfigurationError, match="true_mean"):
             oracle_survivor_covariance(data, cfg)
 
     def test_survivor_covariance_matches_direct(self):

@@ -8,12 +8,16 @@ from robustmean import (
     ContaminationSpec,
     DistributionSpec,
     MethodSpec,
+    SampleSet,
     TrialConfig,
     TrialRecord,
     run_sweep,
     summarize,
 )
 from robustmean.bench import (
+    METHOD_NAMES,
+    METHODS,
+    RunContext,
     cell_hash,
     emit_csv,
     emit_summary_csv,
@@ -68,11 +72,17 @@ class TestSweep:
         assert keys == sorted(keys)
 
     def test_failed_trial_has_infinite_loss(self):
-        # interval method on p=2 data cannot run
-        cfg = tiny_config(methods=[MethodSpec("interval")], trials=1)
+        # a ball of radius 1e-9 around the origin holds no sample
+        cfg = tiny_config(methods=[MethodSpec("oracle", {"radius": 1e-9})],
+                          trials=1)
         rec = run_sweep(cfg)[0]
         assert rec.failed
         assert math.isinf(rec.loss)
+
+    def test_interval_on_two_columns_is_a_configuration_error(self):
+        cfg = tiny_config(methods=[MethodSpec("interval")], trials=1)
+        with pytest.raises(ConfigurationError, match="univariate"):
+            run_sweep(cfg)
 
     def test_filter_and_oracle_methods_run(self):
         cfg = tiny_config(
@@ -93,6 +103,57 @@ class TestSweep:
                           n_values=[100], trials=2)
         records = run_sweep(cfg)
         assert all(r.loss < 3.0 for r in records)
+
+
+class TestMethods:
+    def test_lone_cov_bound_runs_the_threshold_rule(self):
+        cfg = tiny_config(n_values=[60])
+
+        def loss(settings):
+            return run_trial(cfg, MethodSpec("filter", settings), 60, 2, 0).loss
+
+        lone = loss({"cov_bound": 0.5})
+        assert lone == loss({"cov_bound": 0.5, "stop_mode": "threshold"})
+        assert lone != loss({"cov_bound": 0.5, "stop_mode": "fixed_steps"})
+
+    @pytest.mark.parametrize("stop_mode", ["threshold", "capped"])
+    def test_threshold_stop_without_bound_or_spec_rejected(self, stop_mode):
+        samples = SampleSet(np.random.default_rng(0).standard_normal((50, 2)))
+        settings = {"stop_mode": stop_mode, "steps": 5}
+        with pytest.raises(ConfigurationError, match="cov_bound"):
+            METHODS["filter"](samples, settings, RunContext(delta=0.1))
+
+    def test_oracle_without_radius_or_spec_rejected(self):
+        samples = SampleSet(np.zeros((5, 2)))
+        with pytest.raises(ConfigurationError, match="radius"):
+            METHODS["oracle"](samples, {}, RunContext(delta=0.1))
+
+    @pytest.mark.parametrize("name, settings", [
+        ("filter", {"stop_mod": "threshold"}),
+        ("gmom", {"tol": 1e-8}),
+        ("filter", {"k": 1}),
+        ("filter", {"C": 2.0}),
+        ("oracle", {"k": 1}),
+        ("mean", {"blocks": 3}),
+    ])
+    def test_unread_settings_rejected(self, name, settings):
+        with pytest.raises(ConfigurationError, match="does not read") as err:
+            MethodSpec(name, settings)
+        for key in METHODS[name].settings:
+            assert repr(key) in str(err.value)
+
+    def test_settings_surface(self):
+        assert METHOD_NAMES == tuple(METHODS)
+        assert {name: METHODS[name].settings for name in METHOD_NAMES} == {
+            "mean": (),
+            "gmom": ("blocks",),
+            "coord": (),
+            "filter": ("stop_mode", "cov_bound", "steps", "threshold_factor"),
+            "oracle": ("radius",),
+            "interval": (),
+            "net": ("inner", "sparsity"),
+            "srm": (),
+        }
 
 
 class TestRespec:
@@ -141,7 +202,8 @@ class TestSummaries:
 
     def test_csv_round_trip(self, tmp_path):
         cfg = tiny_config(methods=[MethodSpec("mean"),
-                                   MethodSpec("interval")], trials=2)
+                                   MethodSpec("oracle", {"radius": 1e-9})],
+                          trials=2)
         records = run_sweep(cfg)
         path = tmp_path / "records.csv"
         emit_csv(records, path)

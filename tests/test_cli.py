@@ -3,7 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from robustmean import cli
+from robustmean import SampleSet, cli
+from robustmean.bench import METHODS, RunContext
 
 
 @pytest.fixture
@@ -80,6 +81,36 @@ class TestEstimate:
         assert code == 2
         assert "configuration error" in err
 
+    @pytest.mark.parametrize("stop_mode", ["threshold", "capped"])
+    def test_threshold_stop_without_bound_exits_2(self, data_csv, capsys,
+                                                  stop_mode):
+        code, _, err = run(
+            ["estimate", "--method", "filter", "--in", str(data_csv),
+             "--stop-mode", stop_mode, "--steps", "5"], capsys)
+        assert code == 2
+        assert "cov_bound" in err
+
+    def test_zero_blocks_exits_2(self, data_csv, capsys):
+        code, _, err = run(
+            ["estimate", "--method", "gmom", "--in", str(data_csv),
+             "--blocks", "0"], capsys)
+        assert code == 2
+        assert "blocks must lie in [1, n]" in err
+
+    def test_flag_the_method_does_not_read_exits_2(self, data_csv, capsys):
+        code, _, err = run(
+            ["estimate", "--method", "filter", "--in", str(data_csv),
+             "--blocks", "4"], capsys)
+        assert code == 2
+        assert "'blocks'" in err
+
+    def test_oracle_center_of_wrong_length_exits_2(self, data_csv, capsys):
+        code, _, err = run(
+            ["estimate", "--method", "oracle", "--in", str(data_csv),
+             "--radius", "3", "--true-mean", "5"], capsys)
+        assert code == 2
+        assert "true_mean" in err
+
     def test_net(self, data_csv, capsys):
         code, out, _ = run(
             ["estimate", "--method", "net", "--in", str(data_csv),
@@ -87,6 +118,54 @@ class TestEstimate:
         assert code == 0
         vals = np.array([float(x) for x in out.strip().split(",")])
         assert np.linalg.norm(vals - [1.0, -1.0]) < 1.5
+
+
+# (method, rows, columns, settings, context) for the parity test; each
+# setting is passed as the flag of the same name.
+PARITY_CASES = [
+    ("mean", 100, 2, {}, {}),
+    ("gmom", 100, 2, {"blocks": 7}, {}),
+    ("coord", 100, 2, {}, {"seed": 4}),
+    ("filter", 100, 2, {"stop_mode": "capped", "cov_bound": 0.5,
+                        "steps": 10, "threshold_factor": 2.0}, {"seed": 4}),
+    ("oracle", 100, 2, {"radius": 2.5}, {"center": [1.0, -1.0]}),
+    ("interval", 400, 1, {}, {"epsilon": 0.02}),
+    ("net", 100, 2, {"inner": "filter1d"}, {"epsilon": 0.05, "seed": 4}),
+    ("srm", 20, 2, {}, {"epsilon": 0.1}),
+]
+
+
+class TestParity:
+    def test_method_choices_are_the_table(self):
+        parser = cli._build_parser()
+        estimate = parser._subparsers._group_actions[0].choices["estimate"]
+        method = next(a for a in estimate._actions if a.dest == "method")
+        assert tuple(method.choices) == tuple(METHODS)
+
+    def test_cases_cover_every_method(self):
+        assert [case[0] for case in PARITY_CASES] == list(METHODS)
+
+    @pytest.mark.parametrize("name, n, p, settings, context", PARITY_CASES,
+                             ids=[case[0] for case in PARITY_CASES])
+    def test_cli_prints_the_runner_estimate(self, tmp_path, capsys, name, n,
+                                            p, settings, context):
+        path = tmp_path / "data.csv"
+        rng = np.random.default_rng(6)
+        np.savetxt(path, rng.standard_t(3, size=(n, p)) + 1.0, delimiter=",")
+        ctx = RunContext(delta=0.1, **context)
+        argv = ["estimate", "--method", name, "--in", str(path),
+                "--delta", str(ctx.delta), "--epsilon", str(ctx.epsilon),
+                "--seed", str(ctx.seed)]
+        if ctx.center is not None:
+            argv += ["--true-mean", ",".join(map(str, ctx.center))]
+        for key, value in settings.items():
+            argv += ["--" + key.replace("_", "-"), str(value)]
+        code, out, _ = run(argv, capsys)
+        assert code == 0
+
+        data = SampleSet(np.loadtxt(path, delimiter=",", ndmin=2))
+        expected = METHODS[name](data, settings, ctx)
+        assert out.strip() == ",".join(f"{x:.17g}" for x in expected)
 
 
 class TestCover:
