@@ -29,8 +29,7 @@ from robustmean import (
 # --- oracle truncation on a heavy tail --------------------------------------
 spec = DistributionSpec("lognormal", p=20)
 mom = population_moments(spec)
-rule = RadiusRule(k=2, trace_sigma=mom.trace_sigma,
-                  opnorm_sigma=mom.opnorm_sigma, n=500, delta=0.05)
+rule = RadiusRule(mom, n=500, delta=0.05)
 cfg = OracleConfig(true_mean=np.zeros(20), radius=rule)
 print(f"analytic truncation radius: {rule.radius():.2f}")
 

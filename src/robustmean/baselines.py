@@ -19,7 +19,7 @@ from .filtering import (
     filter_univariate,
     top_eigenpair,
 )
-from .model import as_finite_matrix
+from .model import MomentProfile, as_finite_matrix
 
 SRM_MAX_N = 25
 
@@ -71,19 +71,15 @@ def geometric_median(points: np.ndarray, tol: float = 1e-10,
     )
 
 
-def geometric_median_of_means(
-    samples, blocks: int, tol: float = 1e-10
-) -> np.ndarray:
+def geometric_median_of_means(samples, blocks: int) -> np.ndarray:
     """Geometric median of the means of contiguous near-equal blocks."""
     data = as_finite_matrix(samples)
     if not 1 <= blocks <= data.shape[0]:
         raise ConfigurationError("blocks must lie in [1, n]")
-    if tol <= 0:
-        raise ConfigurationError("tol must be > 0")
     block_means = np.stack(
         [chunk.mean(axis=0) for chunk in np.array_split(data, blocks)]
     )
-    return geometric_median(block_means, tol=tol)
+    return geometric_median(block_means)
 
 
 def coordinatewise_filter(samples, delta: float, seed: int = 0) -> np.ndarray:
@@ -112,34 +108,32 @@ class RadiusRule:
     Contaminated (epsilon > 0):
       k=1: sqrt(tr) / (eps + ln(1/d)/n)^{1/2}
       k=2: sqrt(tr) / (eps + ln(1/d)/n)^{1/4}
-    where r = tr / opnorm is the effective rank.
+    where k, tr and r = tr / opnorm (the effective rank) come from
+    ``moments``, the clean law's ``MomentProfile``.
     """
 
-    k: int
-    trace_sigma: float
-    opnorm_sigma: float
+    moments: MomentProfile
     n: int
     delta: float
     epsilon: float = 0.0
 
     def __post_init__(self):
-        if self.k not in (1, 2):
-            raise ConfigurationError("k must be 1 or 2")
         if not 0.0 < self.delta < 1.0:
             raise ConfigurationError("delta must lie in (0, 1)")
         if not 0.0 <= self.epsilon < 0.5:
             raise ConfigurationError("epsilon must lie in [0, 0.5)")
-        if self.opnorm_sigma <= 0 or self.trace_sigma < self.opnorm_sigma:
-            raise ConfigurationError("need 0 < opnorm_sigma <= trace_sigma")
+        if self.moments.opnorm_sigma <= 0:
+            raise ConfigurationError("need opnorm_sigma > 0")
 
     def radius(self) -> float:
-        sqrt_tr = math.sqrt(self.trace_sigma)
+        k = self.moments.k
+        sqrt_tr = math.sqrt(self.moments.trace_sigma)
         rate = math.log(1.0 / self.delta) / self.n
         if self.epsilon > 0:
-            power = 0.5 if self.k == 1 else 0.25
+            power = 0.5 if k == 1 else 0.25
             return sqrt_tr / (self.epsilon + rate) ** power
-        eff_rank = self.trace_sigma / self.opnorm_sigma
-        if self.k == 2:
+        eff_rank = self.moments.effective_rank
+        if k == 2:
             return sqrt_tr / (eff_rank ** 0.125 * rate ** 0.25)
         return sqrt_tr / (eff_rank ** 0.25 * rate ** 0.5)
 

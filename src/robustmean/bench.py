@@ -11,8 +11,8 @@ from __future__ import annotations
 import csv
 import hashlib
 import math
-from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, List, Optional, Sequence
+from dataclasses import dataclass, field, fields, replace
+from typing import IO, Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -21,6 +21,15 @@ from .errors import ConfigurationError, EstimatorError
 
 CSV_FIELDS = ("method", "family", "n", "p", "delta", "epsilon",
               "trial_index", "loss", "failed")
+
+
+def _reject_unknown(given, accepted, what: str) -> None:
+    """Raise ``ConfigurationError`` naming the keys of ``given`` that are not
+    in ``accepted``, and the accepted ones."""
+    unknown = sorted(set(given) - set(accepted))
+    if unknown:
+        raise ConfigurationError(
+            f"{what} does not read {unknown}; it accepts {list(accepted) or 'none'}")
 
 
 @dataclass(frozen=True)
@@ -34,12 +43,8 @@ class MethodSpec:
     def __post_init__(self):
         if self.name not in METHODS:
             raise ConfigurationError(f"unknown method {self.name!r}")
-        accepted = METHODS[self.name].settings
-        unknown = sorted(set(self.settings) - set(accepted))
-        if unknown:
-            raise ConfigurationError(
-                f"method {self.name!r} does not read settings {unknown}; "
-                f"it accepts {list(accepted) or 'none'}")
+        _reject_unknown(self.settings, METHODS[self.name].settings,
+                        f"method {self.name!r}")
 
 
 @dataclass(frozen=True)
@@ -82,6 +87,12 @@ class TrialConfig:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "TrialConfig":
+        """The config of a JSON document whose keys are the field names;
+        an unknown key, top-level or in a method entry, is rejected."""
+        _reject_unknown(doc, [f.name for f in fields(cls)], "a sweep config")
+        for m in doc["methods"]:
+            _reject_unknown(m, [f.name for f in fields(MethodSpec)],
+                            "a method entry")
         return cls(
             distribution=model.DistributionSpec.from_json_dict(doc["distribution"]),
             methods=[
@@ -171,14 +182,17 @@ class RunContext:
 
 
 # name -> runner(samples, settings, ctx) -> estimate; a runner's ``settings``
-# are the keys it reads.  Runners look library functions up on their modules
-# at call time, so a patched module attribute sees every call.
+# are the keys it reads, and its ``context`` the ``RunContext`` fields besides
+# delta and seed that it reads on data with no spec (deriving a setting from
+# the spec reads epsilon too).  Runners look library functions up on their
+# modules at call time, so a patched module attribute sees every call.
 METHODS: Dict[str, Callable] = {}
 
 
-def _method(name: str, *settings: str):
+def _method(name: str, *settings: str, context: Sequence[str] = ()):
     def register(runner):
         runner.settings = settings
+        runner.context = context
         METHODS[name] = runner
         return runner
     return register
@@ -226,21 +240,19 @@ def _filter(samples, s, ctx):
     return filtering.filter_multivariate(samples, cfg).estimate
 
 
-@_method("oracle", "radius")
+@_method("oracle", "radius", context=("center",))
 def _oracle(samples, s, ctx):
     radius = s.get("radius")
     if radius is None:
-        moments = ctx.moments("radius")
         radius = baselines.RadiusRule(
-            k=moments.k, trace_sigma=moments.trace_sigma,
-            opnorm_sigma=moments.opnorm_sigma, n=samples.n, delta=ctx.delta,
+            ctx.moments("radius"), n=samples.n, delta=ctx.delta,
             epsilon=ctx.epsilon)
     center = np.zeros(samples.p) if ctx.center is None else ctx.center
     cfg = baselines.OracleConfig(true_mean=center, radius=radius)
     return baselines.oracle_truncated_mean(samples, cfg)
 
 
-@_method("interval")
+@_method("interval", context=("epsilon",))
 def _interval(samples, s, ctx):
     if samples.p != 1:
         raise ConfigurationError(
@@ -249,7 +261,7 @@ def _interval(samples, s, ctx):
     return np.array([interval.interval_estimate(samples.data[:, 0], cfg)])
 
 
-@_method("net", "inner", "sparsity")
+@_method("net", "inner", "sparsity", context=("epsilon",))
 def _net(samples, s, ctx):
     cfg = netmax.NetConfig(epsilon=ctx.epsilon, delta=ctx.delta,
                            inner=s.get("inner", "interval1d"),
@@ -257,7 +269,7 @@ def _net(samples, s, ctx):
     return netmax.net_estimate(samples, cfg, seed=ctx.seed).estimate
 
 
-@_method("srm")
+@_method("srm", context=("epsilon",))
 def _srm(samples, s, ctx):
     return baselines.srm_bruteforce(samples, epsilon=ctx.epsilon)
 
@@ -377,22 +389,21 @@ def read_csv(path) -> List[TrialRecord]:
     return records
 
 
-def emit_summary_csv(rows, path) -> None:
-    fields = ("method", "n", "p", "q_delta", "mean_loss", "failure_rate", "trials")
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(fields)
-        for row in rows:
-            writer.writerow(
-                [
-                    row["method"],
-                    row["n"],
-                    row["p"],
-                    f"{row['q_delta']:.17g}",
-                    f"{row['mean_loss']:.17g}",
-                    f"{row['failure_rate']:.17g}",
-                    row["trials"],
-                ]
-            )
-
-
+def emit_summary_csv(rows, fh: IO[str]) -> None:
+    """Write ``summarize`` rows to the open text file ``fh`` (opened with
+    ``newline=""``), values to 17 significant digits."""
+    writer = csv.writer(fh)
+    writer.writerow(
+        ("method", "n", "p", "q_delta", "mean_loss", "failure_rate", "trials"))
+    for row in rows:
+        writer.writerow(
+            [
+                row["method"],
+                row["n"],
+                row["p"],
+                f"{row['q_delta']:.17g}",
+                f"{row['mean_loss']:.17g}",
+                f"{row['failure_rate']:.17g}",
+                row["trials"],
+            ]
+        )

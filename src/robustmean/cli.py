@@ -8,13 +8,15 @@ Subcommands::
     robustmean cover build --p 3 [--sparsity 1] --out cover.csv
 
 ``estimate`` runs the benchmark's own runner, ``bench.METHODS[method]``, on
-the rows of a CSV file.  ``--delta``, ``--epsilon``, ``--seed`` and
-``--true-mean`` (the oracle's centre) form its ``bench.RunContext``.  Every
-other flag is the method setting of the same name and is passed on only when
-given, so the method's defaults apply and a flag the method does not read
-(``--blocks`` with ``--method filter``) is a configuration error.  File data
-has no distribution spec, so a threshold or capped filter stop needs
-``--cov-bound`` and the oracle needs ``--radius``.
+the rows of a CSV file.  ``--delta``, ``--epsilon`` (0 when absent),
+``--seed`` and ``--true-mean`` (the oracle's centre) form its
+``bench.RunContext``.  Every other flag is the method setting of the same
+name.  A setting flag or a context flag (``--epsilon``, ``--true-mean``) is
+passed on only when given, so the method's defaults apply, and giving one
+the method does not read (``--blocks`` or ``--epsilon`` with ``--method
+filter``) is a configuration error.  File data has no distribution spec, so
+a threshold or capped filter stop needs ``--cov-bound`` and the oracle needs
+``--radius``.
 
 Exit codes: 0 success, 2 configuration error, 3 estimator failure.
 """
@@ -36,6 +38,8 @@ EXIT_ESTIMATOR = 3
 
 _SETTING_FLAGS = sorted({key for runner in bench.METHODS.values()
                          for key in runner.settings})
+# RunContext field -> the flag that sets it, for the fields a runner declares.
+_CONTEXT_FLAGS = {"epsilon": "--epsilon", "center": "--true-mean"}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -60,7 +64,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_est.add_argument("--method", required=True, choices=bench.METHOD_NAMES)
     p_est.add_argument("--in", dest="infile", required=True,
                        help="CSV with one observation per row")
-    p_est.add_argument("--epsilon", type=float, default=0.0)
+    p_est.add_argument("--epsilon", type=float, default=None)
     p_est.add_argument("--delta", type=float, default=0.05)
     p_est.add_argument("--seed", type=int, default=0)
     p_est.add_argument("--cov-bound", type=float, default=None)
@@ -95,12 +99,18 @@ def _cmd_estimate(args) -> int:
         key: getattr(args, key) for key in _SETTING_FLAGS
         if getattr(args, key) is not None
     })
-    center = None
+    runner = bench.METHODS[spec.name]
+    context = {}
+    if args.epsilon is not None:
+        context["epsilon"] = args.epsilon
     if args.true_mean is not None:
-        center = np.array([float(x) for x in args.true_mean.split(",")])
-    ctx = bench.RunContext(delta=args.delta, epsilon=args.epsilon,
-                           seed=args.seed, center=center)
-    estimate = bench.METHODS[spec.name](samples, spec.settings, ctx)
+        context["center"] = np.array([float(x) for x in args.true_mean.split(",")])
+    unread = [_CONTEXT_FLAGS[key] for key in context if key not in runner.context]
+    if unread:
+        raise ConfigurationError(
+            f"method {spec.name!r} does not read {unread}")
+    ctx = bench.RunContext(delta=args.delta, seed=args.seed, **context)
+    estimate = runner(samples, spec.settings, ctx)
     print(",".join(f"{x:.17g}" for x in np.atleast_1d(estimate)))
     return EXIT_OK
 
@@ -114,17 +124,12 @@ def _cmd_bench_run(args) -> int:
 
 
 def _cmd_bench_summarize(args) -> int:
-    records = bench.read_csv(args.infile)
-    rows = bench.summarize(records, args.delta)
+    rows = bench.summarize(bench.read_csv(args.infile), args.delta)
     if args.out:
-        bench.emit_summary_csv(rows, args.out)
+        with open(args.out, "w", newline="") as fh:
+            bench.emit_summary_csv(rows, fh)
     else:
-        print("method,n,p,q_delta,mean_loss,failure_rate,trials")
-        for row in rows:
-            print(
-                f"{row['method']},{row['n']},{row['p']},{row['q_delta']:.6g},"
-                f"{row['mean_loss']:.6g},{row['failure_rate']:.6g},{row['trials']}"
-            )
+        bench.emit_summary_csv(rows, sys.stdout)
     return EXIT_OK
 
 

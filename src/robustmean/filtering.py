@@ -58,36 +58,14 @@ class FilterConfig:
             if self.steps is None or self.steps < 0:
                 raise ConfigurationError(f"{self.stop_mode} needs steps >= 0")
 
-    def to_json_dict(self) -> dict:
-        return {
-            "cov_bound": self.cov_bound,
-            "threshold_factor": self.threshold_factor,
-            "stop_mode": self.stop_mode,
-            "steps": self.steps,
-            "seed": self.seed,
-        }
-
-    @classmethod
-    def from_json_dict(cls, doc: dict) -> "FilterConfig":
-        return cls(
-            cov_bound=float(doc.get("cov_bound", 0.0)),
-            threshold_factor=float(
-                doc.get("threshold_factor", DEFAULT_THRESHOLD_FACTOR)
-            ),
-            stop_mode=doc.get("stop_mode", STOP_THRESHOLD),
-            steps=doc.get("steps"),
-            seed=int(doc.get("seed", 0)),
-        )
-
 
 @dataclass(frozen=True)
 class EstimateReport:
-    """Estimator output: the estimate plus removal diagnostics."""
+    """Estimator output: the estimate, the rows the estimator removed (the
+    filter's, in removal order) and what it did, in ``diagnostics``."""
 
     estimate: np.ndarray
-    removed_indices: Tuple[int, ...]
-    iterations: int
-    final_top_eigenvalue: float
+    removed_indices: Tuple[int, ...] = ()
     diagnostics: dict = field(default_factory=dict)
 
 
@@ -211,7 +189,8 @@ def filter_multivariate(samples, config: FilterConfig) -> EstimateReport:
 
     ``diagnostics`` holds ``stop_reason`` (``threshold``, ``budget`` or
     ``zero_scatter``) and ``eigenvalues``, the top eigenvalue of every round,
-    the last being the one the filter stopped on.
+    the last being the one the filter stopped on (clipped to 0.0 on a
+    ``zero_scatter`` stop).
     """
     data = as_finite_matrix(samples)
     if data.shape[0] < 2:
@@ -224,18 +203,16 @@ def filter_multivariate(samples, config: FilterConfig) -> EstimateReport:
     eigenvalues: List[float] = []
     while True:
         lam, scores = stats.round(alive)
-        eigenvalues.append(lam)
         reason = _stop_reason(config, lam, len(removed))
         if reason is None and lam <= 0.0:
             # Zero scatter: no point can be scored, so stop regardless of the
             # unmet stop rule.
             reason, lam = "zero_scatter", 0.0
+        eigenvalues.append(lam)
         if reason is not None:
             return EstimateReport(
                 estimate=data[alive].mean(axis=0),
                 removed_indices=tuple(removed),
-                iterations=len(removed),
-                final_top_eigenvalue=lam,
                 diagnostics={"stop_reason": reason, "eigenvalues": eigenvalues},
             )
         total = scores.sum()
@@ -285,29 +262,26 @@ def cov_bound_hint(
     p: int,
     delta: float,
     epsilon: float = 0.0,
-    C: float = 1.0,
 ) -> float:
     """Covariance upper-bound hint used to instantiate the filter.
 
     ``setting`` is ``heavy_tail`` or ``huber``; the formula is selected by
     ``(setting, moments.k)``:
 
-      - heavy_tail, k=2:  C * opnorm
-      - heavy_tail, k=1:  C * opnorm + trace * ln(p/delta) / ln(1/delta)
-      - huber,      k=1:  C * opnorm + trace * ln(p/delta) / (n*eps + ln(1/delta))
-      - huber,      k=2:  C * opnorm + trace * ln(p/delta) / sqrt(n^2*eps + n*ln(1/delta))
+      - heavy_tail, k=2:  opnorm
+      - heavy_tail, k=1:  opnorm + trace * ln(p/delta) / ln(1/delta)
+      - huber,      k=1:  opnorm + trace * ln(p/delta) / (n*eps + ln(1/delta))
+      - huber,      k=2:  opnorm + trace * ln(p/delta) / sqrt(n^2*eps + n*ln(1/delta))
     """
     if not 0.0 < delta < 1.0:
         raise ConfigurationError("delta must lie in (0, 1)")
-    if C <= 0:
-        raise ConfigurationError("C must be > 0")
     if setting not in ("heavy_tail", "huber"):
         raise ConfigurationError(f"unknown setting {setting!r}")
     if setting == "huber" and not 0.0 <= epsilon < 0.5:
         raise ConfigurationError("epsilon must lie in [0, 0.5)")
     log_pd = math.log(p / delta)
     log_1d = math.log(1.0 / delta)
-    base = C * moments.opnorm_sigma
+    base = moments.opnorm_sigma
     if setting == "heavy_tail":
         if moments.k == 2:
             return base

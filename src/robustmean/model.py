@@ -33,13 +33,9 @@ class SampleSet:
     data: np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.data, dtype=float)
-        if arr.ndim == 1:
-            arr = arr[:, None]
+        arr = as_finite_matrix(self.data)
         if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
             raise ConfigurationError("sample data must be a non-empty n x p matrix")
-        if not np.all(np.isfinite(arr)):
-            raise ConfigurationError("sample data must be finite")
         object.__setattr__(self, "data", arr)
 
     @property

@@ -18,7 +18,12 @@ import numpy as np
 from scipy.optimize import linprog
 
 from .errors import ConfigurationError, EstimatorError
-from .filtering import FilterConfig, STOP_FIXED_STEPS, filter_univariate
+from .filtering import (
+    EstimateReport,
+    FilterConfig,
+    STOP_FIXED_STEPS,
+    filter_univariate,
+)
 from .interval import IntervalConfig, interval_estimate
 from .model import as_finite_matrix
 
@@ -34,7 +39,6 @@ class CoverSet:
     """Unit directions forming a half-cover, optionally 2s-sparse."""
 
     directions: np.ndarray
-    covering_radius: float = COVER_RADIUS
     sparsity: Optional[int] = None  # max nonzeros per direction (2s)
 
     def __post_init__(self):
@@ -231,7 +235,7 @@ def certify_cover(
             + np.sum(dirs**2, axis=1)[None, :]
         )
         worst = max(worst, float(np.sqrt(np.maximum(d2.min(axis=1), 0.0)).max()))
-    if worst > cover.covering_radius + slack:
+    if worst > COVER_RADIUS + slack:
         raise EstimatorError(
             f"cover certification failed: worst probe distance {worst:.6f}"
         )
@@ -275,7 +279,6 @@ def minimax_center(
     directions,
     targets: Sequence[float],
     constraint: Optional[int] = None,
-    tol: float = 1e-8,
 ):
     """Point minimizing the max absolute gap between its projections and the
     per-direction targets, optionally over s-sparse points.
@@ -293,8 +296,6 @@ def minimax_center(
         raise ValueError("empty cover")
     if m.size != dirs.shape[0]:
         raise ValueError("one target per direction required")
-    if tol <= 0:
-        raise ValueError("tol must be > 0")
     p = dirs.shape[1]
 
     if constraint is None or constraint >= p:
@@ -338,8 +339,6 @@ def net_estimate(samples, config: NetConfig, seed: int = 0):
     raise ``ConfigurationError`` before the cover is built.  Per-direction
     failures propagate; there is no partial aggregation.
     """
-    from .filtering import EstimateReport  # local to avoid cycle at import
-
     data = as_finite_matrix(samples)
     p = data.shape[1]
     lid = config.log_inv_delta_inner(p)
@@ -362,20 +361,11 @@ def net_estimate(samples, config: NetConfig, seed: int = 0):
             )
             targets[j] = float(filter_univariate(data @ u, cfg).estimate[0])
 
-    scale = max(1.0, float(np.abs(targets).max()))
-    theta, diag = minimax_center(
-        cover, targets, constraint=config.sparsity, tol=1e-8 * scale
-    )
+    theta, diag = minimax_center(cover, targets, constraint=config.sparsity)
     diag.update(
         cover_size=cover.size,
         inner=config.inner,
         log_inv_delta_inner=lid,
         targets=targets.tolist(),
     )
-    return EstimateReport(
-        estimate=theta,
-        removed_indices=(),
-        iterations=0,
-        final_top_eigenvalue=0.0,
-        diagnostics=diag,
-    )
+    return EstimateReport(estimate=theta, diagnostics=diag)

@@ -220,8 +220,7 @@ def test_06_oracle_truncation_beats_mean():
     # the sample mean over 500 trials.
     spec = DistributionSpec("lognormal", p=20)
     mom = population_moments(spec)
-    rule = RadiusRule(k=2, trace_sigma=mom.trace_sigma,
-                      opnorm_sigma=mom.opnorm_sigma, n=500, delta=DELTA)
+    rule = RadiusRule(mom, n=500, delta=DELTA)
     cfg = OracleConfig(true_mean=np.zeros(20), radius=rule)
     losses = _loss_sweep(spec, 500, {
         "oracle": lambda s, _: oracle_truncated_mean(s, cfg),
@@ -265,7 +264,7 @@ def test_07_exact_primitive_oracles():
         dirs = rng.standard_normal((8, 2))
         dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
         targets = dirs @ rng.standard_normal(2) + 0.1 * rng.standard_normal(8)
-        theta, diag = minimax_center(dirs, targets, tol=1e-8)
+        theta, diag = minimax_center(dirs, targets)
         gx, gy = np.meshgrid(np.linspace(-3, 3, 121), np.linspace(-3, 3, 121))
         grid = np.column_stack([gx.ravel(), gy.ravel()])
         grid_best = np.abs(grid @ dirs.T - targets).max(axis=1).min()
@@ -305,7 +304,7 @@ def test_08_filter_removal_distribution_and_invariants():
         survivors = np.delete(pts, list(rep.removed_indices), axis=0)
         np.testing.assert_allclose(rep.estimate, survivors.mean(axis=0),
                                    rtol=1e-12, atol=1e-12)
-        if rep.iterations < n - 2:  # threshold (not the cap) stopped it
+        if len(rep.removed_indices) < n - 2:  # threshold (not the cap) stopped it
             smean = survivors.mean(axis=0)
             scov = (survivors - smean).T @ (survivors - smean) / len(survivors)
             top = np.linalg.eigvalsh(np.atleast_2d(scov))[-1]

@@ -7,6 +7,7 @@ import pytest
 from robustmean import (
     ConfigurationError,
     EmptySelectionError,
+    MomentProfile,
     OracleConfig,
     RadiusRule,
     coordinatewise_filter,
@@ -176,28 +177,29 @@ class TestRadiusRule:
         tr, op, n, d = 20.0, 1.0, 500, 0.05
         rate = math.log(1 / d) / n
         r = tr / op
-        rule2 = RadiusRule(k=2, trace_sigma=tr, opnorm_sigma=op, n=n, delta=d)
+        rule2 = RadiusRule(MomentProfile(2, tr, op), n=n, delta=d)
         assert rule2.radius() == pytest.approx(
             math.sqrt(tr) / (r ** 0.125 * rate ** 0.25))
-        rule1 = RadiusRule(k=1, trace_sigma=tr, opnorm_sigma=op, n=n, delta=d)
+        rule1 = RadiusRule(MomentProfile(1, tr, op), n=n, delta=d)
         assert rule1.radius() == pytest.approx(
             math.sqrt(tr) / (r ** 0.25 * rate ** 0.5))
 
     def test_contaminated_formulas(self):
         tr, op, n, d, e = 20.0, 1.0, 1000, 0.05, 0.1
         rate = math.log(1 / d) / n
-        rule1 = RadiusRule(k=1, trace_sigma=tr, opnorm_sigma=op, n=n,
-                           delta=d, epsilon=e)
+        rule1 = RadiusRule(MomentProfile(1, tr, op), n=n, delta=d, epsilon=e)
         assert rule1.radius() == pytest.approx(math.sqrt(tr) / (e + rate) ** 0.5)
-        rule2 = RadiusRule(k=2, trace_sigma=tr, opnorm_sigma=op, n=n,
-                           delta=d, epsilon=e)
+        rule2 = RadiusRule(MomentProfile(2, tr, op), n=n, delta=d, epsilon=e)
         assert rule2.radius() == pytest.approx(math.sqrt(tr) / (e + rate) ** 0.25)
 
     def test_validation(self):
+        # k and opnorm <= trace are checked by the moment summary.
         with pytest.raises(ConfigurationError):
-            RadiusRule(k=3, trace_sigma=1.0, opnorm_sigma=1.0, n=10, delta=0.1)
+            RadiusRule(MomentProfile(3, 1.0, 1.0), n=10, delta=0.1)
         with pytest.raises(ConfigurationError):
-            RadiusRule(k=1, trace_sigma=1.0, opnorm_sigma=2.0, n=10, delta=0.1)
+            RadiusRule(MomentProfile(1, 1.0, 2.0), n=10, delta=0.1)
+        with pytest.raises(ConfigurationError):
+            RadiusRule(MomentProfile(1, 1.0, 0.0), n=10, delta=0.1)
 
 
 def brute_srm(data, epsilon):

@@ -213,7 +213,8 @@ class TestSummaries:
     def test_summary_csv(self, tmp_path):
         recs = [TrialRecord("mean", "lognormal", 10, 2, 0.1, 0.0, 0, 1.5)]
         path = tmp_path / "summary.csv"
-        emit_summary_csv(summarize(recs, 0.1), path)
+        with open(path, "w", newline="") as fh:
+            emit_summary_csv(summarize(recs, 0.1), fh)
         text = path.read_text()
         assert text.splitlines()[0] == \
             "method,n,p,q_delta,mean_loss,failure_rate,trials"
@@ -232,6 +233,19 @@ class TestConfig:
         assert back.methods[0].settings == {"steps": 3}
         assert back.n_values == cfg.n_values
         assert back.delta == cfg.delta
+
+    @pytest.mark.parametrize("where", ["top", "method"])
+    def test_json_unknown_key_rejected(self, where):
+        doc = tiny_config().to_json_dict()
+        if where == "top":
+            doc["trails"] = 2
+        else:
+            doc["methods"][0]["setting"] = doc["methods"][0].pop("settings")
+        with pytest.raises(ConfigurationError) as info:
+            TrialConfig.from_json_dict(doc)
+        misspelt, accepted = ("'trails'", "'trials'") if where == "top" \
+            else ("'setting'", "'settings'")
+        assert misspelt in str(info.value) and accepted in str(info.value)
 
     def test_validation(self):
         with pytest.raises(ConfigurationError):

@@ -104,6 +104,19 @@ class TestEstimate:
         assert code == 2
         assert "'blocks'" in err
 
+    @pytest.mark.parametrize("method, flag, value", [
+        ("mean", "--epsilon", "0.3"),
+        ("mean", "--true-mean", "5,5"),
+        ("filter", "--epsilon", "0.3"),
+    ])
+    def test_context_flag_the_method_does_not_read_exits_2(
+            self, data_csv, capsys, method, flag, value):
+        code, _, err = run(
+            ["estimate", "--method", method, "--in", str(data_csv),
+             flag, value], capsys)
+        assert code == 2
+        assert flag in err
+
     def test_oracle_center_of_wrong_length_exits_2(self, data_csv, capsys):
         code, _, err = run(
             ["estimate", "--method", "oracle", "--in", str(data_csv),
@@ -154,8 +167,9 @@ class TestParity:
         np.savetxt(path, rng.standard_t(3, size=(n, p)) + 1.0, delimiter=",")
         ctx = RunContext(delta=0.1, **context)
         argv = ["estimate", "--method", name, "--in", str(path),
-                "--delta", str(ctx.delta), "--epsilon", str(ctx.epsilon),
-                "--seed", str(ctx.seed)]
+                "--delta", str(ctx.delta), "--seed", str(ctx.seed)]
+        if "epsilon" in context:
+            argv += ["--epsilon", str(ctx.epsilon)]
         if ctx.center is not None:
             argv += ["--true-mean", ",".join(map(str, ctx.center))]
         for key, value in settings.items():
@@ -214,6 +228,29 @@ class TestBench:
         lines = out.strip().splitlines()
         assert lines[0].startswith("method,n,p,q_delta")
         assert lines[1].startswith("mean,30,2,")
+
+        sum_path = tmp_path / "summary.csv"
+        code, _, _ = run(
+            ["bench", "summarize", "--in", str(rec_path), "--delta", "0.1",
+             "--out", str(sum_path)], capsys)
+        assert code == 0
+        assert sum_path.read_bytes() == out.encode()
+
+    def test_misspelt_config_keys_exit_2(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({
+            "distribution": {"family": "lognormal", "p": 2},
+            "methods": [{"name": "filter",
+                         "setting": {"stop_mode": "threshold"}}],
+            "n_values": [30], "p_values": [2], "delta": 0.1, "trails": 2,
+        }))
+        rec_path = tmp_path / "r.csv"
+        code, _, err = run(
+            ["bench", "run", "--config", str(cfg_path),
+             "--out", str(rec_path)], capsys)
+        assert code == 2
+        assert "'trails'" in err and "'trials'" in err
+        assert not rec_path.exists()
 
     def test_bad_config_exits_2(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
