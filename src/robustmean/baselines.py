@@ -7,7 +7,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Optional, Sequence, Tuple, Union
+from typing import Union
 
 import numpy as np
 

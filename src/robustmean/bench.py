@@ -11,7 +11,8 @@ from __future__ import annotations
 import csv
 import hashlib
 import math
-from dataclasses import dataclass, field, fields, replace
+import numbers
+from dataclasses import MISSING, dataclass, field, fields, replace
 from typing import IO, Callable, Dict, List, Optional, Sequence
 
 import numpy as np
@@ -23,19 +24,33 @@ CSV_FIELDS = ("method", "family", "n", "p", "delta", "epsilon",
               "trial_index", "loss", "failed")
 
 
-def _reject_unknown(given, accepted, what: str) -> None:
-    """Raise ``ConfigurationError`` naming the keys of ``given`` that are not
-    in ``accepted``, and the accepted ones."""
-    unknown = sorted(set(given) - set(accepted))
-    if unknown:
-        raise ConfigurationError(
-            f"{what} does not read {unknown}; it accepts {list(accepted) or 'none'}")
+def _json_keys(cls):
+    """The (required, optional) JSON keys of a dataclass: its fields without
+    and with a default."""
+    required = tuple(f.name for f in fields(cls)
+                     if f.default is MISSING and f.default_factory is MISSING)
+    return required, tuple(f.name for f in fields(cls) if f.name not in required)
+
+
+def _check_type(what: str, value, kind) -> None:
+    """Raise ``ConfigurationError`` unless ``value`` has the type ``kind``:
+    ``int``, ``float`` (which takes an int too) or the tuple of strings that
+    ``what`` accepts.  A bool is neither an int nor a float."""
+    if isinstance(kind, tuple):
+        ok = isinstance(value, str) and value in kind
+        expected = f"one of {list(kind)}"
+    else:
+        number = numbers.Integral if kind is int else numbers.Real
+        ok = isinstance(value, number) and not isinstance(value, bool)
+        expected = kind.__name__
+    if not ok:
+        raise ConfigurationError(f"{what} must be {expected}, got {value!r}")
 
 
 @dataclass(frozen=True)
 class MethodSpec:
     """One benchmark method: a name in ``METHODS`` plus settings, which must
-    be keys that its runner reads."""
+    be keys that its runner reads, each with a value of the declared type."""
 
     name: str
     settings: dict = field(default_factory=dict)
@@ -43,8 +58,11 @@ class MethodSpec:
     def __post_init__(self):
         if self.name not in METHODS:
             raise ConfigurationError(f"unknown method {self.name!r}")
-        _reject_unknown(self.settings, METHODS[self.name].settings,
-                        f"method {self.name!r}")
+        declared = METHODS[self.name].settings
+        model.read_object(self.settings, (), declared, f"method {self.name!r}")
+        for key, value in self.settings.items():
+            _check_type(f"method {self.name!r} setting {key!r}", value,
+                        declared[key])
 
 
 @dataclass(frozen=True)
@@ -58,6 +76,8 @@ class TrialConfig:
     master_seed: int = 0
 
     def __post_init__(self):
+        for key, kind in (("delta", float), ("trials", int), ("master_seed", int)):
+            _check_type(repr(key), getattr(self, key), kind)
         if self.trials < 1:
             raise ConfigurationError("trials must be >= 1")
         if not 0.0 < self.delta < 1.0:
@@ -65,46 +85,22 @@ class TrialConfig:
         if not self.n_values or not self.p_values:
             raise ConfigurationError("n_values and p_values must be nonempty")
         methods = tuple(
-            m if isinstance(m, MethodSpec) else MethodSpec(**m)
+            m if isinstance(m, MethodSpec) else MethodSpec(
+                **model.read_object(m, *_json_keys(MethodSpec), "a method entry"))
             for m in self.methods
         )
         object.__setattr__(self, "methods", methods)
         object.__setattr__(self, "n_values", tuple(int(n) for n in self.n_values))
         object.__setattr__(self, "p_values", tuple(int(p) for p in self.p_values))
 
-    def to_json_dict(self) -> dict:
-        return {
-            "distribution": self.distribution.to_json_dict(),
-            "methods": [
-                {"name": m.name, "settings": dict(m.settings)} for m in self.methods
-            ],
-            "n_values": list(self.n_values),
-            "p_values": list(self.p_values),
-            "delta": self.delta,
-            "trials": self.trials,
-            "master_seed": self.master_seed,
-        }
-
     @classmethod
-    def from_json_dict(cls, doc: dict) -> "TrialConfig":
-        """The config of a JSON document whose keys are the field names;
-        an unknown key, top-level or in a method entry, is rejected."""
-        _reject_unknown(doc, [f.name for f in fields(cls)], "a sweep config")
-        for m in doc["methods"]:
-            _reject_unknown(m, [f.name for f in fields(MethodSpec)],
-                            "a method entry")
-        return cls(
-            distribution=model.DistributionSpec.from_json_dict(doc["distribution"]),
-            methods=[
-                MethodSpec(m["name"], m.get("settings", {}))
-                for m in doc["methods"]
-            ],
-            n_values=doc["n_values"],
-            p_values=doc["p_values"],
-            delta=float(doc["delta"]),
-            trials=int(doc.get("trials", 2000)),
-            master_seed=int(doc.get("master_seed", 0)),
-        )
+    def from_json_dict(cls, doc) -> "TrialConfig":
+        """The config of a JSON object whose keys are the field names, and
+        whose method entries are objects with the keys of ``MethodSpec``; a
+        missing required key or an unknown key is a ``ConfigurationError``."""
+        doc = model.read_object(doc, *_json_keys(cls), "a sweep config")
+        return cls(**dict(doc, distribution=model.DistributionSpec.from_json_dict(
+            doc["distribution"])))
 
 
 @dataclass(frozen=True, slots=True)
@@ -182,14 +178,16 @@ class RunContext:
 
 
 # name -> runner(samples, settings, ctx) -> estimate; a runner's ``settings``
-# are the keys it reads, and its ``context`` the ``RunContext`` fields besides
-# delta and seed that it reads on data with no spec (deriving a setting from
-# the spec reads epsilon too).  Runners look library functions up on their
-# modules at call time, so a patched module attribute sees every call.
+# map the keys it reads to their types (``int``, ``float`` or the tuple of
+# strings a key accepts), and its ``context`` names the ``RunContext`` fields
+# besides delta and seed that it reads on data with no spec (deriving a
+# setting from the spec reads epsilon too).  Runners look library functions
+# up on their modules at call time, so a patched module attribute sees every
+# call.
 METHODS: Dict[str, Callable] = {}
 
 
-def _method(name: str, *settings: str, context: Sequence[str] = ()):
+def _method(name: str, context: Sequence[str] = (), **settings):
     def register(runner):
         runner.settings = settings
         runner.context = context
@@ -203,9 +201,9 @@ def _mean(samples, s, ctx):
     return baselines.sample_mean(samples)
 
 
-@_method("gmom", "blocks")
+@_method("gmom", blocks=int)
 def _gmom(samples, s, ctx):
-    blocks = int(s.get("blocks", filtering.default_steps(ctx.delta)))
+    blocks = s.get("blocks", filtering.default_steps(ctx.delta))
     return baselines.geometric_median_of_means(
         samples, blocks=min(blocks, samples.n))
 
@@ -216,7 +214,8 @@ def _coord(samples, s, ctx):
         samples, delta=ctx.delta, seed=ctx.seed)
 
 
-@_method("filter", "stop_mode", "cov_bound", "steps", "threshold_factor")
+@_method("filter", stop_mode=filtering.STOP_MODES, cov_bound=float, steps=int,
+         threshold_factor=float)
 def _filter(samples, s, ctx):
     cov_bound = s.get("cov_bound")
     stop_mode = s.get("stop_mode", filtering.STOP_FIXED_STEPS
@@ -231,8 +230,8 @@ def _filter(samples, s, ctx):
         steps = min(filtering.default_steps(ctx.delta), samples.n - 2)
     cfg = filtering.FilterConfig(
         cov_bound=cov_bound or 0.0,
-        threshold_factor=float(
-            s.get("threshold_factor", filtering.DEFAULT_THRESHOLD_FACTOR)),
+        threshold_factor=s.get("threshold_factor",
+                               filtering.DEFAULT_THRESHOLD_FACTOR),
         stop_mode=stop_mode,
         steps=steps,
         seed=ctx.seed,
@@ -240,7 +239,7 @@ def _filter(samples, s, ctx):
     return filtering.filter_multivariate(samples, cfg).estimate
 
 
-@_method("oracle", "radius", context=("center",))
+@_method("oracle", radius=float, context=("center",))
 def _oracle(samples, s, ctx):
     radius = s.get("radius")
     if radius is None:
@@ -261,7 +260,8 @@ def _interval(samples, s, ctx):
     return np.array([interval.interval_estimate(samples.data[:, 0], cfg)])
 
 
-@_method("net", "inner", "sparsity", context=("epsilon",))
+@_method("net", inner=netmax.INNER_ESTIMATORS, sparsity=int,
+         context=("epsilon",))
 def _net(samples, s, ctx):
     cfg = netmax.NetConfig(epsilon=ctx.epsilon, delta=ctx.delta,
                            inner=s.get("inner", "interval1d"),

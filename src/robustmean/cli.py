@@ -11,12 +11,13 @@ Subcommands::
 the rows of a CSV file.  ``--delta``, ``--epsilon`` (0 when absent),
 ``--seed`` and ``--true-mean`` (the oracle's centre) form its
 ``bench.RunContext``.  Every other flag is the method setting of the same
-name.  A setting flag or a context flag (``--epsilon``, ``--true-mean``) is
-passed on only when given, so the method's defaults apply, and giving one
-the method does not read (``--blocks`` or ``--epsilon`` with ``--method
-filter``) is a configuration error.  File data has no distribution spec, so
-a threshold or capped filter stop needs ``--cov-bound`` and the oracle needs
-``--radius``.
+name, generated from the table: ``--cov-bound`` from ``cov_bound``, with
+the type or the choices that the table declares.  A setting flag or a
+context flag (``--epsilon``, ``--true-mean``) is passed on only when given,
+so the method's defaults apply, and giving one the method does not read
+(``--blocks`` or ``--epsilon`` with ``--method filter``) is a configuration
+error.  File data has no distribution spec, so a threshold or capped
+filter stop needs ``--cov-bound`` and the oracle needs ``--radius``.
 
 Exit codes: 0 success, 2 configuration error, 3 estimator failure.
 """
@@ -29,17 +30,25 @@ import sys
 
 import numpy as np
 
-from . import bench, filtering, model, netmax
+from . import bench, model, netmax
 from .errors import ConfigurationError, EstimatorError
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_ESTIMATOR = 3
 
-_SETTING_FLAGS = sorted({key for runner in bench.METHODS.values()
-                         for key in runner.settings})
 # RunContext field -> the flag that sets it, for the fields a runner declares.
 _CONTEXT_FLAGS = {"epsilon": "--epsilon", "center": "--true-mean"}
+
+
+def _settings() -> dict:
+    """Method setting -> (its type, the methods that read it), from
+    ``bench.METHODS``; each setting is the ``estimate`` flag of that name."""
+    table: dict = {}
+    for name, runner in bench.METHODS.items():
+        for key, kind in runner.settings.items():
+            table.setdefault(key, (kind, []))[1].append(name)
+    return table
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -67,19 +76,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p_est.add_argument("--epsilon", type=float, default=None)
     p_est.add_argument("--delta", type=float, default=0.05)
     p_est.add_argument("--seed", type=int, default=0)
-    p_est.add_argument("--cov-bound", type=float, default=None)
-    p_est.add_argument("--threshold-factor", type=float, default=None)
-    p_est.add_argument("--steps", type=int, default=None)
-    p_est.add_argument("--stop-mode", default=None,
-                       choices=(filtering.STOP_THRESHOLD,
-                                filtering.STOP_FIXED_STEPS,
-                                filtering.STOP_CAPPED))
-    p_est.add_argument("--blocks", type=int, default=None, help="gmom blocks")
-    p_est.add_argument("--inner", default=None,
-                       choices=("interval1d", "filter1d"))
-    p_est.add_argument("--sparsity", type=int, default=None)
-    p_est.add_argument("--radius", type=float, default=None,
-                       help="oracle truncation radius")
+    for key, (kind, readers) in _settings().items():
+        typed = {"choices": kind} if isinstance(kind, tuple) else {"type": kind}
+        p_est.add_argument("--" + key.replace("_", "-"), default=None,
+                           help=f"read by {', '.join(readers)}", **typed)
     p_est.add_argument("--true-mean", default=None,
                        help="comma-separated oracle center (default zeros)")
 
@@ -96,7 +96,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def _cmd_estimate(args) -> int:
     samples = model.SampleSet(np.loadtxt(args.infile, delimiter=",", ndmin=2))
     spec = bench.MethodSpec(args.method, {
-        key: getattr(args, key) for key in _SETTING_FLAGS
+        key: getattr(args, key) for key in _settings()
         if getattr(args, key) is not None
     })
     runner = bench.METHODS[spec.name]

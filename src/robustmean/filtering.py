@@ -28,6 +28,7 @@ DEFAULT_THRESHOLD_FACTOR = 32.0
 STOP_THRESHOLD = "threshold"
 STOP_FIXED_STEPS = "fixed_steps"
 STOP_CAPPED = "capped"
+STOP_MODES = (STOP_THRESHOLD, STOP_FIXED_STEPS, STOP_CAPPED)
 
 
 @dataclass(frozen=True)
@@ -52,7 +53,7 @@ class FilterConfig:
             raise ConfigurationError("cov_bound must be >= 0")
         if self.threshold_factor <= 0:
             raise ConfigurationError("threshold_factor must be > 0")
-        if self.stop_mode not in (STOP_THRESHOLD, STOP_FIXED_STEPS, STOP_CAPPED):
+        if self.stop_mode not in STOP_MODES:
             raise ConfigurationError(f"unknown stop_mode {self.stop_mode!r}")
         if self.stop_mode in (STOP_FIXED_STEPS, STOP_CAPPED):
             if self.steps is None or self.steps < 0:

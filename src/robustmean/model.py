@@ -7,9 +7,8 @@ produce identical datasets on any platform.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -145,53 +144,48 @@ class DistributionSpec:
         if self.q_spec is not None and self.q_spec.center().shape != (self.p,):
             raise ConfigurationError("contamination center dimension must equal p")
 
-    # -- JSON interface (schema: schemas/distribution_spec.schema.json) ------
-
-    def to_json_dict(self) -> dict:
-        doc: dict = {"family": self.family, "p": self.p}
-        if self.family == "gaussian":
-            doc["covariance"] = np.asarray(self.covariance).tolist()
-        if self.family == "pareto":
-            doc["tail_beta"] = self.tail_beta
-        if self.q_spec is not None:
-            q: dict = {"kind": self.q_spec.kind}
-            if self.q_spec.kind == "point_mass":
-                q["location"] = self.q_spec.location.tolist()
-            else:
-                q["shift"] = self.q_spec.shift.tolist()
-                q["scale"] = self.q_spec.scale
-            doc["contamination"] = {"epsilon": self.epsilon, "q_spec": q}
-        return doc
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2)
-
     @classmethod
-    def from_json_dict(cls, doc: dict) -> "DistributionSpec":
-        epsilon = 0.0
-        q_spec = None
-        if "contamination" in doc and doc["contamination"] is not None:
-            cont = doc["contamination"]
+    def from_json_dict(cls, doc) -> "DistributionSpec":
+        """The spec of a JSON object in the form of
+        ``schemas/distribution_spec.schema.json``; a missing required key or
+        an unknown key at any level is a ``ConfigurationError``."""
+        doc = read_object(doc, *SPEC_KEYS["spec"], "distribution")
+        epsilon, q_spec = 0.0, None
+        if "contamination" in doc:
+            cont = read_object(doc["contamination"], *SPEC_KEYS["contamination"],
+                               "distribution.contamination")
+            q = read_object(cont["q_spec"], *SPEC_KEYS["q_spec"],
+                            "distribution.contamination.q_spec")
             epsilon = float(cont["epsilon"])
-            q = cont["q_spec"]
-            q_spec = ContaminationSpec(
-                kind=q["kind"],
-                location=q.get("location"),
-                shift=q.get("shift"),
-                scale=float(q.get("scale", 1.0)),
-            )
-        return cls(
-            family=doc["family"],
-            p=int(doc["p"]),
-            covariance=doc.get("covariance"),
-            tail_beta=doc.get("tail_beta"),
-            epsilon=epsilon,
-            q_spec=q_spec,
-        )
+            q_spec = ContaminationSpec(**{**q, "scale": float(q.get("scale", 1.0))})
+        return cls(family=doc["family"], p=int(doc["p"]),
+                   covariance=doc.get("covariance"), tail_beta=doc.get("tail_beta"),
+                   epsilon=epsilon, q_spec=q_spec)
 
-    @classmethod
-    def from_json(cls, text: str) -> "DistributionSpec":
-        return cls.from_json_dict(json.loads(text))
+
+# (required, optional) keys per level, as in schemas/distribution_spec.schema.json.
+SPEC_KEYS = {
+    "spec": (("family", "p"), ("covariance", "tail_beta", "contamination")),
+    "contamination": (("epsilon", "q_spec"), ()),
+    "q_spec": (("kind",), ("location", "shift", "scale")),
+}
+
+
+def read_object(doc, required, optional, name: str) -> dict:
+    """``doc`` if it is a JSON object with every ``required`` key and no key
+    outside ``required`` and ``optional``, else a ``ConfigurationError``."""
+    accepted = (*required, *optional)
+    if not isinstance(doc, dict):
+        raise ConfigurationError(
+            f"{name} must be a JSON object, not {type(doc).__name__}")
+    missing = [key for key in required if key not in doc]
+    if missing:
+        raise ConfigurationError(f"{name} is missing {missing}")
+    unknown = sorted(set(doc) - set(accepted))
+    if unknown:
+        raise ConfigurationError(
+            f"{name} does not read {unknown}; it accepts {list(accepted) or 'none'}")
+    return doc
 
 
 @dataclass(frozen=True)

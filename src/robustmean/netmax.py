@@ -10,9 +10,9 @@ those per-direction estimates.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Sequence
 
 import numpy as np
 from scipy.optimize import linprog
@@ -32,6 +32,7 @@ DENSE_P_CAP = 12
 SPARSE_BUDGET = 20.0  # cap on s * ln(6 e p / s) so inner confidences stay sane
 CONSECUTIVE_COVERED = 100_000
 SUPPORT_ENUM_CAP = 10_000
+INNER_ESTIMATORS = ("interval1d", "filter1d")
 
 
 @dataclass(frozen=True)
@@ -84,7 +85,7 @@ class NetConfig:
             raise ConfigurationError("epsilon must lie in [0, 0.5)")
         if not 0.0 < self.delta < 1.0:
             raise ConfigurationError("delta must lie in (0, 1)")
-        if self.inner not in ("interval1d", "filter1d"):
+        if self.inner not in INNER_ESTIMATORS:
             raise ConfigurationError(f"unknown inner estimator {self.inner!r}")
         if self.sparsity is not None and self.sparsity < 1:
             raise ConfigurationError("sparsity s must be >= 1")
@@ -160,7 +161,7 @@ def build_half_cover(
     support_size = None
     if sparsity is not None:
         if sparsity > p / 2:
-            raise ValueError("sparsity s must satisfy s <= p/2")
+            raise ConfigurationError("sparsity s must satisfy s <= p/2")
         support_size = 2 * sparsity
     eye = np.eye(p)
     points = [e for pair in zip(eye, -eye) for e in pair]

@@ -43,7 +43,6 @@ from robustmean import (
     top_eigenpair,
 )
 from robustmean.bench import cell_hash, trial_seed
-from robustmean.netmax import minimax_objective
 
 DELTA = 0.05
 

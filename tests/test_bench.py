@@ -11,6 +11,8 @@ from robustmean import (
     SampleSet,
     TrialConfig,
     TrialRecord,
+    filtering,
+    netmax,
     run_sweep,
     summarize,
 )
@@ -26,6 +28,15 @@ from robustmean.bench import (
     run_trial,
     trial_seed,
 )
+
+
+JSON_CONFIG = {
+    "distribution": {"family": "lognormal", "p": 2},
+    "methods": [{"name": "mean"}],
+    "n_values": [30],
+    "p_values": [2],
+    "delta": 0.1,
+}
 
 
 def tiny_config(**overrides):
@@ -144,16 +155,45 @@ class TestMethods:
 
     def test_settings_surface(self):
         assert METHOD_NAMES == tuple(METHODS)
-        assert {name: METHODS[name].settings for name in METHOD_NAMES} == {
+        assert {name: tuple(METHODS[name].settings.items())
+                for name in METHOD_NAMES} == {
             "mean": (),
-            "gmom": ("blocks",),
+            "gmom": (("blocks", int),),
             "coord": (),
-            "filter": ("stop_mode", "cov_bound", "steps", "threshold_factor"),
-            "oracle": ("radius",),
+            "filter": (("stop_mode", filtering.STOP_MODES),
+                       ("cov_bound", float), ("steps", int),
+                       ("threshold_factor", float)),
+            "oracle": (("radius", float),),
             "interval": (),
-            "net": ("inner", "sparsity"),
+            "net": (("inner", netmax.INNER_ESTIMATORS), ("sparsity", int)),
             "srm": (),
         }
+
+    @pytest.mark.parametrize("name, key, value, expected", [
+        ("filter", "cov_bound", "0.5", "float"),
+        ("filter", "threshold_factor", "2", "float"),
+        ("filter", "steps", 3.0, "int"),
+        ("filter", "steps", True, "int"),
+        ("filter", "cov_bound", False, "float"),
+        ("filter", "stop_mode", "thresh", "one of ['threshold'"),
+        ("net", "inner", 1, "one of ['interval1d'"),
+        ("net", "sparsity", None, "int"),
+        ("gmom", "blocks", "5", "int"),
+    ])
+    def test_setting_of_wrong_type_rejected(self, name, key, value, expected):
+        with pytest.raises(ConfigurationError) as err:
+            MethodSpec(name, {key: value})
+        assert repr(key) in str(err.value)
+        assert f"must be {expected}" in str(err.value)
+
+    def test_int_accepted_for_float_setting(self):
+        cfg = tiny_config(n_values=[60])
+
+        def loss(settings):
+            return run_trial(cfg, MethodSpec("filter", settings), 60, 2, 0).loss
+
+        assert loss({"cov_bound": 1, "threshold_factor": 2}) == \
+            loss({"cov_bound": 1.0, "threshold_factor": 2.0})
 
 
 class TestRespec:
@@ -226,17 +266,22 @@ class TestConfig:
         with pytest.raises(ConfigurationError):
             MethodSpec("bogus")
 
-    def test_json_round_trip(self):
-        cfg = tiny_config(methods=[MethodSpec("filter", {"steps": 3})])
-        back = TrialConfig.from_json_dict(cfg.to_json_dict())
-        assert back.methods[0].name == "filter"
-        assert back.methods[0].settings == {"steps": 3}
-        assert back.n_values == cfg.n_values
-        assert back.delta == cfg.delta
+    def test_json_decode(self):
+        cfg = TrialConfig.from_json_dict({
+            "distribution": {"family": "lognormal", "p": 2},
+            "methods": [{"name": "filter", "settings": {"steps": 3}},
+                        {"name": "mean"}],
+            "n_values": [30], "p_values": [2], "delta": 0.1,
+        })
+        assert cfg.distribution == DistributionSpec("lognormal", p=2)
+        assert cfg.methods == (MethodSpec("filter", {"steps": 3}),
+                               MethodSpec("mean"))
+        assert (cfg.n_values, cfg.p_values, cfg.delta) == ((30,), (2,), 0.1)
+        assert (cfg.trials, cfg.master_seed) == (2000, 0)
 
     @pytest.mark.parametrize("where", ["top", "method"])
     def test_json_unknown_key_rejected(self, where):
-        doc = tiny_config().to_json_dict()
+        doc = dict(JSON_CONFIG, methods=[{"name": "mean", "settings": {}}])
         if where == "top":
             doc["trails"] = 2
         else:
@@ -246,6 +291,29 @@ class TestConfig:
         misspelt, accepted = ("'trails'", "'trials'") if where == "top" \
             else ("'setting'", "'settings'")
         assert misspelt in str(info.value) and accepted in str(info.value)
+
+    @pytest.mark.parametrize("key", ["distribution", "methods", "n_values",
+                                     "p_values", "delta"])
+    def test_json_missing_key_rejected(self, key):
+        doc = {k: v for k, v in JSON_CONFIG.items() if k != key}
+        with pytest.raises(ConfigurationError, match=f"missing \\['{key}'\\]"):
+            TrialConfig.from_json_dict(doc)
+
+    @pytest.mark.parametrize("key, value", [
+        ("delta", "0.1"), ("trials", "3"), ("trials", True),
+        ("master_seed", 1.0)])
+    def test_json_value_of_wrong_type_rejected(self, key, value):
+        with pytest.raises(ConfigurationError, match=f"'{key}' must be"):
+            TrialConfig.from_json_dict(dict(JSON_CONFIG, **{key: value}))
+
+    @pytest.mark.parametrize("doc", [
+        [JSON_CONFIG],
+        dict(JSON_CONFIG, methods=["mean"]),
+        dict(JSON_CONFIG, methods=[{"settings": {}}]),
+    ], ids=["config", "method-entry", "method-name"])
+    def test_json_malformed_entry_rejected(self, doc):
+        with pytest.raises(ConfigurationError):
+            TrialConfig.from_json_dict(doc)
 
     def test_validation(self):
         with pytest.raises(ConfigurationError):

@@ -155,6 +155,24 @@ class TestParity:
         method = next(a for a in estimate._actions if a.dest == "method")
         assert tuple(method.choices) == tuple(METHODS)
 
+    def test_setting_flags_are_the_table(self):
+        parser = cli._build_parser()
+        estimate = parser._subparsers._group_actions[0].choices["estimate"]
+        flags = {a.option_strings[0]: a for a in estimate._actions}
+        for name, runner in METHODS.items():
+            for key, kind in runner.settings.items():
+                action = flags["--" + key.replace("_", "-")]
+                assert action.default is None and name in action.help
+                if isinstance(kind, tuple):
+                    assert tuple(action.choices) == kind
+                else:
+                    assert action.type is kind
+        assert sorted(flags) == sorted(
+            ["-h", "--method", "--in", "--epsilon", "--delta", "--seed",
+             "--true-mean", "--blocks", "--stop-mode", "--cov-bound",
+             "--steps", "--threshold-factor", "--radius", "--inner",
+             "--sparsity"])
+
     def test_cases_cover_every_method(self):
         assert [case[0] for case in PARITY_CASES] == list(METHODS)
 
@@ -250,6 +268,31 @@ class TestBench:
              "--out", str(rec_path)], capsys)
         assert code == 2
         assert "'trails'" in err and "'trials'" in err
+        assert not rec_path.exists()
+
+    @pytest.mark.parametrize("change, named", [
+        ({"distribution": {"family": "lognormal", "p": 2,
+                           "contamnation": {"epsilon": 0.3}}}, "'contamnation'"),
+        ({"delta": None}, "'delta'"),
+        ({"methods": [{"name": "filter",
+                       "settings": {"cov_bound": "0.5"}}]}, "'cov_bound'"),
+    ], ids=["misspelt-contamination", "missing-delta", "string-cov-bound"])
+    def test_malformed_config_exits_2(self, tmp_path, capsys, change, named):
+        config = {
+            "distribution": {"family": "lognormal", "p": 2},
+            "methods": [{"name": "mean"}],
+            "n_values": [30], "p_values": [2], "delta": 0.1, "trials": 2,
+        }
+        config.update(change)  # a None value drops the key
+        config = {k: v for k, v in config.items() if v is not None}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(config))
+        rec_path = tmp_path / "r.csv"
+        code, _, err = run(
+            ["bench", "run", "--config", str(cfg_path),
+             "--out", str(rec_path)], capsys)
+        assert code == 2
+        assert err.startswith("configuration error") and named in err
         assert not rec_path.exists()
 
     def test_bad_config_exits_2(self, tmp_path, capsys):

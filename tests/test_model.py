@@ -1,4 +1,7 @@
+import copy
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,7 +14,7 @@ from robustmean import (
     population_moments,
     sample_dataset,
 )
-from robustmean.model import LOGNORMAL_SHIFT, LOGNORMAL_VAR
+from robustmean.model import LOGNORMAL_SHIFT, LOGNORMAL_VAR, SPEC_KEYS
 
 
 def test_sampling_is_deterministic_given_seed():
@@ -106,17 +109,80 @@ def test_spec_validation():
         MomentProfile(k=3, trace_sigma=1.0, opnorm_sigma=1.0)
 
 
-def test_json_round_trip():
-    q = ContaminationSpec("point_mass", location=[5.0, 0.0])
-    spec = DistributionSpec(
-        "gaussian", p=2, covariance=np.eye(2), epsilon=0.1, q_spec=q
-    )
-    back = DistributionSpec.from_json(spec.to_json())
-    assert back.family == spec.family
-    assert back.epsilon == spec.epsilon
-    np.testing.assert_array_equal(back.covariance, spec.covariance)
-    np.testing.assert_array_equal(back.q_spec.location, q.location)
+CONTAMINATED_JSON = {
+    "family": "gaussian", "p": 2, "covariance": [[1.0, 0.0], [0.0, 1.0]],
+    "contamination": {"epsilon": 0.1,
+                      "q_spec": {"kind": "point_mass", "location": [5.0, 0.0]}},
+}
+
+
+def test_json_decode():
+    spec = DistributionSpec.from_json_dict(CONTAMINATED_JSON)
+    assert spec.family == "gaussian"
+    assert spec.epsilon == 0.1
+    np.testing.assert_array_equal(spec.covariance, np.eye(2))
+    np.testing.assert_array_equal(spec.q_spec.location, [5.0, 0.0])
+
+    shifted = DistributionSpec.from_json_dict({
+        "family": "lognormal", "p": 1,
+        "contamination": {"epsilon": 0.2, "q_spec": {
+            "kind": "shifted_gaussian", "shift": [3.0], "scale": 2}}})
+    assert shifted.q_spec.kind == "shifted_gaussian"
+    assert shifted.q_spec.shift.tolist() == [3.0]
+    assert shifted.q_spec.scale == 2.0
 
     plain = DistributionSpec("pareto", p=3, tail_beta=3.0)
-    again = DistributionSpec.from_json(plain.to_json())
-    assert again == plain
+    doc = {"family": "pareto", "p": 3, "tail_beta": 3.0}
+    assert DistributionSpec.from_json_dict(doc) == plain
+
+
+def _level(doc, level):
+    """The object at ``level`` of a distribution document."""
+    if level == "spec":
+        return doc
+    cont = doc["contamination"]
+    return cont if level == "contamination" else cont["q_spec"]
+
+
+def _schema_level(schema, level):
+    if level == "spec":
+        return schema
+    cont = schema["properties"]["contamination"]
+    return cont if level == "contamination" else cont["properties"]["q_spec"]
+
+
+SCHEMA = json.loads((Path(__file__).resolve().parents[1] / "schemas"
+                     / "distribution_spec.schema.json").read_text())
+LEVELS = ["spec", "contamination", "q_spec"]
+
+
+@pytest.mark.parametrize("level", LEVELS)
+def test_json_reader_keys_are_the_schema(level):
+    required, optional = SPEC_KEYS[level]
+    schema = _schema_level(SCHEMA, level)
+    assert set(required) | set(optional) == set(schema["properties"])
+    assert set(required) == set(schema["required"])
+
+
+@pytest.mark.parametrize("level", LEVELS)
+def test_json_unknown_key_rejected(level):
+    doc = copy.deepcopy(CONTAMINATED_JSON)
+    _level(doc, level)["contamnation"] = {}
+    with pytest.raises(ConfigurationError, match="'contamnation'"):
+        DistributionSpec.from_json_dict(doc)
+
+
+@pytest.mark.parametrize("level, key", [
+    (level, key) for level in LEVELS for key in SPEC_KEYS[level][0]])
+def test_json_missing_key_rejected(level, key):
+    doc = copy.deepcopy(CONTAMINATED_JSON)
+    del _level(doc, level)[key]
+    with pytest.raises(ConfigurationError, match=f"missing \\['{key}'\\]"):
+        DistributionSpec.from_json_dict(doc)
+
+
+@pytest.mark.parametrize("contamination", [None, [0.1], "point_mass"])
+def test_json_non_object_rejected(contamination):
+    doc = dict(CONTAMINATED_JSON, contamination=contamination)
+    with pytest.raises(ConfigurationError, match="must be a JSON object"):
+        DistributionSpec.from_json_dict(doc)

@@ -204,7 +204,7 @@ class TestCoverConstruction:
         certify_cover(cover, probes=20_000)
 
     def test_sparsity_over_half_dimension_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigurationError):
             build_half_cover(3, sparsity=2)
 
     def test_deterministic_given_seed(self):
@@ -277,6 +277,20 @@ class TestMinimaxCenter:
         _, dense = minimax_center(dirs, targets)
         _, sparse = minimax_center(dirs, targets, constraint=2)
         assert dense["objective"] <= sparse["objective"] + 1e-9
+
+    def test_sparse_heuristic_above_enumeration_cap(self):
+        # C(30, 4) = 27405 supports exceed the cap, so the dense solution's
+        # top-4 support is re-solved instead of enumerating.
+        rng = np.random.default_rng(8)
+        dirs = rng.standard_normal((120, 30))
+        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+        targets = dirs @ rng.standard_normal(30)
+        theta, diag = minimax_center(dirs, targets, constraint=4)
+        _, dense = minimax_center(dirs, targets)
+        assert diag["mode"] == "heuristic"
+        assert np.count_nonzero(theta) <= 4
+        assert diag["objective"] == minimax_objective(dirs, targets, theta)
+        assert diag["objective"] >= dense["objective"]
 
     def test_input_validation(self):
         with pytest.raises(ValueError):

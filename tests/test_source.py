@@ -1,0 +1,37 @@
+"""Static checks of the package source."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SOURCE = Path(__file__).resolve().parents[1] / "src" / "robustmean"
+
+
+def imported_names(tree):
+    """The names bound by the module's imports, ``__future__`` aside."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.update((a.asname or a.name).split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            names.update(a.asname or a.name for a in node.names)
+    return names
+
+
+def referenced_names(tree):
+    """Every name the module reads, plus the strings in its ``__all__``."""
+    names = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__"
+                for t in node.targets):
+            names.update(ast.literal_eval(node.value))
+    return names
+
+
+@pytest.mark.parametrize("path", sorted(SOURCE.glob("*.py")),
+                         ids=lambda path: path.name)
+def test_no_unused_imports(path):
+    tree = ast.parse(path.read_text())
+    assert imported_names(tree) - referenced_names(tree) == set()
