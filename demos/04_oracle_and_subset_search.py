@@ -14,10 +14,9 @@ import numpy as np
 
 from robustmean import (
     DistributionSpec,
-    OracleConfig,
-    RadiusRule,
     l2_loss,
     population_moments,
+    oracle_radius,
     oracle_truncated_mean,
     quantile_error,
     sample_dataset,
@@ -29,15 +28,14 @@ from robustmean import (
 # --- oracle truncation on a heavy tail --------------------------------------
 spec = DistributionSpec("lognormal", p=20)
 mom = population_moments(spec)
-rule = RadiusRule(mom, n=500, delta=0.05)
-cfg = OracleConfig(true_mean=np.zeros(20), radius=rule)
-print(f"analytic truncation radius: {rule.radius():.2f}")
+radius = oracle_radius(mom, n=500, delta=0.05)
+print(f"analytic truncation radius: {radius:.2f}")
 
 oracle_losses, mean_losses = [], []
 for t in range(200):
     samples = sample_dataset(spec, 500, seed=t)
-    oracle_losses.append(l2_loss(oracle_truncated_mean(samples, cfg),
-                                 np.zeros(20)))
+    oracle_losses.append(l2_loss(
+        oracle_truncated_mean(samples, np.zeros(20), radius), np.zeros(20)))
     mean_losses.append(l2_loss(sample_mean(samples), np.zeros(20)))
 print(f"q_0.05 loss: oracle {quantile_error(oracle_losses, 0.05):.4f}  "
       f"vs sample mean {quantile_error(mean_losses, 0.05):.4f}\n")

@@ -59,11 +59,10 @@ from .netmax import (
     net_estimate,
 )
 from .baselines import (
-    OracleConfig,
-    RadiusRule,
     coordinatewise_filter,
     geometric_median,
     geometric_median_of_means,
+    oracle_radius,
     oracle_truncated_mean,
     sample_mean,
     srm_bruteforce,
@@ -109,11 +108,10 @@ __all__ = [
     "cover_to_csv",
     "minimax_center",
     "net_estimate",
-    "OracleConfig",
-    "RadiusRule",
     "coordinatewise_filter",
     "geometric_median",
     "geometric_median_of_means",
+    "oracle_radius",
     "oracle_truncated_mean",
     "sample_mean",
     "srm_bruteforce",

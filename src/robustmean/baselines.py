@@ -5,9 +5,7 @@ brute-force subset-search estimator with its population bias."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import combinations
-from typing import Union
 
 import numpy as np
 
@@ -17,11 +15,14 @@ from .filtering import (
     STOP_FIXED_STEPS,
     default_steps,
     filter_univariate,
-    top_eigenpair,
 )
 from .model import MomentProfile, as_finite_matrix
 
 SRM_MAX_N = 25
+# Weiszfeld stops once a step is at most WEISZFELD_TOL times the new iterate's
+# norm, and raises ConvergenceError after WEISZFELD_MAX_ITER steps.
+WEISZFELD_TOL = 1e-10
+WEISZFELD_MAX_ITER = 10_000
 
 
 def sample_mean(samples) -> np.ndarray:
@@ -29,8 +30,7 @@ def sample_mean(samples) -> np.ndarray:
     return as_finite_matrix(samples).mean(axis=0)
 
 
-def geometric_median(points: np.ndarray, tol: float = 1e-10,
-                     max_iter: int = 10_000) -> np.ndarray:
+def geometric_median(points: np.ndarray) -> np.ndarray:
     """Geometric median of row vectors by Weiszfeld iteration.
 
     Uses the standard modified step when the iterate lands on a data point
@@ -40,7 +40,7 @@ def geometric_median(points: np.ndarray, tol: float = 1e-10,
     if pts.shape[0] == 1:
         return pts[0].copy()
     theta = pts.mean(axis=0)
-    for _ in range(max_iter):
+    for _ in range(WEISZFELD_MAX_ITER):
         dists = np.linalg.norm(pts - theta, axis=1)
         at_point = dists < 1e-12
         if at_point.any():
@@ -64,7 +64,7 @@ def geometric_median(points: np.ndarray, tol: float = 1e-10,
         step = np.linalg.norm(new_theta - theta)
         denom = max(np.linalg.norm(new_theta), 1e-300)
         theta = new_theta
-        if step <= tol * denom:
+        if step <= WEISZFELD_TOL * denom:
             return theta
     raise ConvergenceError(
         "Weiszfeld iteration hit its iteration cap", last_iterate=theta
@@ -75,7 +75,8 @@ def geometric_median_of_means(samples, blocks: int) -> np.ndarray:
     """Geometric median of the means of contiguous near-equal blocks."""
     data = as_finite_matrix(samples)
     if not 1 <= blocks <= data.shape[0]:
-        raise ConfigurationError("blocks must lie in [1, n]")
+        raise ConfigurationError(
+            f"blocks must lie in [1, n], got {blocks} with n={data.shape[0]}")
     block_means = np.stack(
         [chunk.mean(axis=0) for chunk in np.array_split(data, blocks)]
     )
@@ -98,9 +99,10 @@ def coordinatewise_filter(samples, delta: float, seed: int = 0) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class RadiusRule:
-    """Analytic truncation radius selected by the moment order and setting.
+def oracle_radius(moments: MomentProfile, n: int, delta: float,
+                  epsilon: float = 0.0) -> float:
+    """Analytic truncation radius for ``oracle_truncated_mean``.  The model
+    is read from epsilon: 0 is the heavy-tailed model, > 0 Huber's.
 
     Heavy-tail (epsilon = 0):
       k=2: sqrt(tr) / (r^{1/8} * (ln(1/d)/n)^{1/4})
@@ -111,80 +113,38 @@ class RadiusRule:
     where k, tr and r = tr / opnorm (the effective rank) come from
     ``moments``, the clean law's ``MomentProfile``.
     """
-
-    moments: MomentProfile
-    n: int
-    delta: float
-    epsilon: float = 0.0
-
-    def __post_init__(self):
-        if not 0.0 < self.delta < 1.0:
-            raise ConfigurationError("delta must lie in (0, 1)")
-        if not 0.0 <= self.epsilon < 0.5:
-            raise ConfigurationError("epsilon must lie in [0, 0.5)")
-        if self.moments.opnorm_sigma <= 0:
-            raise ConfigurationError("need opnorm_sigma > 0")
-
-    def radius(self) -> float:
-        k = self.moments.k
-        sqrt_tr = math.sqrt(self.moments.trace_sigma)
-        rate = math.log(1.0 / self.delta) / self.n
-        if self.epsilon > 0:
-            power = 0.5 if k == 1 else 0.25
-            return sqrt_tr / (self.epsilon + rate) ** power
-        eff_rank = self.moments.effective_rank
-        if k == 2:
-            return sqrt_tr / (eff_rank ** 0.125 * rate ** 0.25)
-        return sqrt_tr / (eff_rank ** 0.25 * rate ** 0.5)
+    if not 0.0 < delta < 1.0:
+        raise ConfigurationError("delta must lie in (0, 1)")
+    if not 0.0 <= epsilon < 0.5:
+        raise ConfigurationError("epsilon must lie in [0, 0.5)")
+    if moments.opnorm_sigma <= 0:
+        raise ConfigurationError("need opnorm_sigma > 0")
+    k = moments.k
+    sqrt_tr = math.sqrt(moments.trace_sigma)
+    rate = math.log(1.0 / delta) / n
+    if epsilon > 0:
+        return sqrt_tr / (epsilon + rate) ** (0.5 if k == 1 else 0.25)
+    eff_rank = moments.effective_rank
+    if k == 2:
+        return sqrt_tr / (eff_rank ** 0.125 * rate ** 0.25)
+    return sqrt_tr / (eff_rank ** 0.25 * rate ** 0.5)
 
 
-@dataclass(frozen=True)
-class OracleConfig:
-    """Side information for ball truncation: the true mean and a radius
-    (a literal positive real or a ``RadiusRule``)."""
-
-    true_mean: np.ndarray
-    radius: Union[float, RadiusRule]
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "true_mean", np.asarray(self.true_mean, dtype=float).ravel()
-        )
-        if not isinstance(self.radius, RadiusRule) and self.radius <= 0:
-            raise ConfigurationError("literal radius must be > 0")
-
-    def radius_value(self) -> float:
-        if isinstance(self.radius, RadiusRule):
-            return self.radius.radius()
-        return float(self.radius)
-
-
-def _oracle_survivors(samples, config: OracleConfig) -> np.ndarray:
+def oracle_truncated_mean(samples, center, radius: float) -> np.ndarray:
+    """Mean of the rows within the closed ball of ``radius`` around
+    ``center``, the true mean given as side information."""
     data = as_finite_matrix(samples)
     p = data.shape[1]
-    if config.true_mean.shape != (p,):
+    center = np.asarray(center, dtype=float).ravel()
+    if center.shape != (p,):
         raise ConfigurationError(
-            f"true_mean has length {config.true_mean.size}; data has p={p}")
-    radius = config.radius_value()
-    dists = np.linalg.norm(data - config.true_mean, axis=1)
-    survivors = data[dists <= radius]  # closed ball
+            f"center has length {center.size}; data has p={p}")
+    if not radius > 0:
+        raise ConfigurationError(f"radius must be > 0, got {radius!r}")
+    survivors = data[np.linalg.norm(data - center, axis=1) <= radius]
     if survivors.shape[0] == 0:
         raise EmptySelectionError("all rows lie outside the truncation ball")
-    return survivors
-
-
-def oracle_truncated_mean(samples, config: OracleConfig) -> np.ndarray:
-    """Mean of the rows within the closed ball around the true mean."""
-    return _oracle_survivors(samples, config).mean(axis=0)
-
-
-def oracle_survivor_covariance(samples, config: OracleConfig) -> float:
-    """Operator norm (top eigenvalue) of the survivors' sample covariance."""
-    survivors = _oracle_survivors(samples, config)
-    centered = survivors - survivors.mean(axis=0)
-    cov = centered.T @ centered / survivors.shape[0]
-    lam, _ = top_eigenpair(cov)
-    return float(lam)
+    return survivors.mean(axis=0)
 
 
 def srm_bruteforce(samples, epsilon: float) -> np.ndarray:
@@ -223,8 +183,8 @@ def srm_bruteforce(samples, epsilon: float) -> np.ndarray:
 
 def srm_population_bias(epsilon: float, trace_sigma: float) -> float:
     """Worst case, over the contamination gap, of the bias of the winner of
-    the two-candidate comparison in `srm_keeps_contamination` on an isotropic
-    base law: eps / sqrt((1-eps)(1-2eps)) * sqrt(trace).
+    the comparison between the clean law and the untrimmed eps/(1-eps)-mixture
+    on an isotropic base law: eps / sqrt((1-eps)(1-2eps)) * sqrt(trace).
 
     It is not a bound on subset search, which also trims inliers and so
     keeps contamination past that rule's threshold.  For N(0,1) inliers,
@@ -242,37 +202,3 @@ def srm_population_bias(epsilon: float, trace_sigma: float) -> float:
         trace_sigma
     )
 
-
-def srm_mixture_risk(
-    eta: float,
-    trace_p: float,
-    trace_q: float,
-    mean_gap: float,
-) -> float:
-    """Population squared-loss risk of the untrimmed eta-mixture (the whole
-    base law plus the contamination) at its own mean:
-    (1-eta) trP + eta trQ + eta (1-eta) gap^2."""
-    return (
-        (1.0 - eta) * trace_p
-        + eta * trace_q
-        + eta * (1.0 - eta) * mean_gap**2
-    )
-
-
-def srm_keeps_contamination(
-    epsilon: float, mean_gap: float, trace_p: float, trace_q: float = 0.0
-) -> bool:
-    """Whether the untrimmed eps/(1-eps)-mixture has no more risk than the
-    clean law: gap^2 <= ((1-eps)/(1-2eps)) * (trP - trQ).
-
-    `True` is enough for subset search to prefer keeping the contamination
-    over the clean law.  `False` does not predict that the search drops it:
-    the search also trims inliers on the far side.  For N(0,1) inliers at
-    eps=1/6, the population search keeps all of a point mass up to about
-    1.85x this threshold and part of it beyond; keeping all of it beats the
-    clean law up to about 1.97x.
-    """
-    if not 0.0 <= epsilon < 0.5:
-        raise ConfigurationError("epsilon must lie in [0, 0.5)")
-    threshold = (1.0 - epsilon) / (1.0 - 2.0 * epsilon) * (trace_p - trace_q)
-    return mean_gap**2 <= threshold

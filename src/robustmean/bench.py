@@ -11,7 +11,6 @@ from __future__ import annotations
 import csv
 import hashlib
 import math
-import numbers
 from dataclasses import MISSING, dataclass, field, fields, replace
 from typing import IO, Callable, Dict, List, Optional, Sequence
 
@@ -32,21 +31,6 @@ def _json_keys(cls):
     return required, tuple(f.name for f in fields(cls) if f.name not in required)
 
 
-def _check_type(what: str, value, kind) -> None:
-    """Raise ``ConfigurationError`` unless ``value`` has the type ``kind``:
-    ``int``, ``float`` (which takes an int too) or the tuple of strings that
-    ``what`` accepts.  A bool is neither an int nor a float."""
-    if isinstance(kind, tuple):
-        ok = isinstance(value, str) and value in kind
-        expected = f"one of {list(kind)}"
-    else:
-        number = numbers.Integral if kind is int else numbers.Real
-        ok = isinstance(value, number) and not isinstance(value, bool)
-        expected = kind.__name__
-    if not ok:
-        raise ConfigurationError(f"{what} must be {expected}, got {value!r}")
-
-
 @dataclass(frozen=True)
 class MethodSpec:
     """One benchmark method: a name in ``METHODS`` plus settings, which must
@@ -59,10 +43,8 @@ class MethodSpec:
         if self.name not in METHODS:
             raise ConfigurationError(f"unknown method {self.name!r}")
         declared = METHODS[self.name].settings
-        model.read_object(self.settings, (), declared, f"method {self.name!r}")
-        for key, value in self.settings.items():
-            _check_type(f"method {self.name!r} setting {key!r}", value,
-                        declared[key])
+        model.read_object(self.settings, (), declared, f"method {self.name!r}",
+                          declared)
 
 
 @dataclass(frozen=True)
@@ -77,21 +59,25 @@ class TrialConfig:
 
     def __post_init__(self):
         for key, kind in (("delta", float), ("trials", int), ("master_seed", int)):
-            _check_type(repr(key), getattr(self, key), kind)
+            model.check_type(repr(key), getattr(self, key), kind)
         if self.trials < 1:
             raise ConfigurationError("trials must be >= 1")
         if not 0.0 < self.delta < 1.0:
             raise ConfigurationError("delta must lie in (0, 1)")
-        if not self.n_values or not self.p_values:
-            raise ConfigurationError("n_values and p_values must be nonempty")
+        for key in ("n_values", "p_values"):
+            values = getattr(self, key)
+            if not isinstance(values, (list, tuple)) or not values:
+                raise ConfigurationError(
+                    f"{key!r} must be a nonempty list of int, got {values!r}")
+            for value in values:
+                model.check_type(f"each of {key!r}", value, int)
+            object.__setattr__(self, key, tuple(values))
         methods = tuple(
             m if isinstance(m, MethodSpec) else MethodSpec(
                 **model.read_object(m, *_json_keys(MethodSpec), "a method entry"))
             for m in self.methods
         )
         object.__setattr__(self, "methods", methods)
-        object.__setattr__(self, "n_values", tuple(int(n) for n in self.n_values))
-        object.__setattr__(self, "p_values", tuple(int(p) for p in self.p_values))
 
     @classmethod
     def from_json_dict(cls, doc) -> "TrialConfig":
@@ -203,9 +189,10 @@ def _mean(samples, s, ctx):
 
 @_method("gmom", blocks=int)
 def _gmom(samples, s, ctx):
-    blocks = s.get("blocks", filtering.default_steps(ctx.delta))
-    return baselines.geometric_median_of_means(
-        samples, blocks=min(blocks, samples.n))
+    blocks = s.get("blocks")
+    if blocks is None:
+        blocks = min(filtering.default_steps(ctx.delta), samples.n)
+    return baselines.geometric_median_of_means(samples, blocks=blocks)
 
 
 @_method("coord")
@@ -222,7 +209,6 @@ def _filter(samples, s, ctx):
                       if cov_bound is None else filtering.STOP_THRESHOLD)
     if cov_bound is None and stop_mode != filtering.STOP_FIXED_STEPS:
         cov_bound = filtering.cov_bound_hint(
-            "huber" if ctx.epsilon > 0 else "heavy_tail",
             ctx.moments("cov_bound"), n=samples.n, p=samples.p,
             delta=ctx.delta, epsilon=ctx.epsilon)
     steps = s.get("steps")
@@ -243,12 +229,11 @@ def _filter(samples, s, ctx):
 def _oracle(samples, s, ctx):
     radius = s.get("radius")
     if radius is None:
-        radius = baselines.RadiusRule(
+        radius = baselines.oracle_radius(
             ctx.moments("radius"), n=samples.n, delta=ctx.delta,
             epsilon=ctx.epsilon)
     center = np.zeros(samples.p) if ctx.center is None else ctx.center
-    cfg = baselines.OracleConfig(true_mean=center, radius=radius)
-    return baselines.oracle_truncated_mean(samples, cfg)
+    return baselines.oracle_truncated_mean(samples, center, radius)
 
 
 @_method("interval", context=("epsilon",))

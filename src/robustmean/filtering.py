@@ -257,33 +257,30 @@ def stopping_cap(n: int, n_good: int, delta: float) -> int:
 
 
 def cov_bound_hint(
-    setting: str,
     moments,
     n: int,
     p: int,
     delta: float,
     epsilon: float = 0.0,
 ) -> float:
-    """Covariance upper-bound hint used to instantiate the filter.
+    """Covariance upper-bound hint used to instantiate the filter, from the
+    clean law's ``moments``.  The model is read from epsilon: 0 is the
+    heavy-tailed model, > 0 Huber's; the formula is selected by that and
+    ``moments.k``:
 
-    ``setting`` is ``heavy_tail`` or ``huber``; the formula is selected by
-    ``(setting, moments.k)``:
-
-      - heavy_tail, k=2:  opnorm
-      - heavy_tail, k=1:  opnorm + trace * ln(p/delta) / ln(1/delta)
-      - huber,      k=1:  opnorm + trace * ln(p/delta) / (n*eps + ln(1/delta))
-      - huber,      k=2:  opnorm + trace * ln(p/delta) / sqrt(n^2*eps + n*ln(1/delta))
+      - epsilon = 0, k=2:  opnorm
+      - epsilon = 0, k=1:  opnorm + trace * ln(p/delta) / ln(1/delta)
+      - epsilon > 0, k=1:  opnorm + trace * ln(p/delta) / (n*eps + ln(1/delta))
+      - epsilon > 0, k=2:  opnorm + trace * ln(p/delta) / sqrt(n^2*eps + n*ln(1/delta))
     """
     if not 0.0 < delta < 1.0:
         raise ConfigurationError("delta must lie in (0, 1)")
-    if setting not in ("heavy_tail", "huber"):
-        raise ConfigurationError(f"unknown setting {setting!r}")
-    if setting == "huber" and not 0.0 <= epsilon < 0.5:
+    if not 0.0 <= epsilon < 0.5:
         raise ConfigurationError("epsilon must lie in [0, 0.5)")
     log_pd = math.log(p / delta)
     log_1d = math.log(1.0 / delta)
     base = moments.opnorm_sigma
-    if setting == "heavy_tail":
+    if epsilon == 0.0:
         if moments.k == 2:
             return base
         return base + moments.trace_sigma * log_pd / log_1d

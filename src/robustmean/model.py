@@ -8,6 +8,7 @@ produce identical datasets on any platform.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Optional
 
@@ -149,16 +150,16 @@ class DistributionSpec:
         """The spec of a JSON object in the form of
         ``schemas/distribution_spec.schema.json``; a missing required key or
         an unknown key at any level is a ``ConfigurationError``."""
-        doc = read_object(doc, *SPEC_KEYS["spec"], "distribution")
+        doc = read_object(doc, *SPEC_KEYS["spec"], "distribution", SPEC_NUMBERS)
         epsilon, q_spec = 0.0, None
         if "contamination" in doc:
             cont = read_object(doc["contamination"], *SPEC_KEYS["contamination"],
-                               "distribution.contamination")
+                               "distribution.contamination", SPEC_NUMBERS)
             q = read_object(cont["q_spec"], *SPEC_KEYS["q_spec"],
-                            "distribution.contamination.q_spec")
+                            "distribution.contamination.q_spec", SPEC_NUMBERS)
             epsilon = float(cont["epsilon"])
             q_spec = ContaminationSpec(**{**q, "scale": float(q.get("scale", 1.0))})
-        return cls(family=doc["family"], p=int(doc["p"]),
+        return cls(family=doc["family"], p=doc["p"],
                    covariance=doc.get("covariance"), tail_beta=doc.get("tail_beta"),
                    epsilon=epsilon, q_spec=q_spec)
 
@@ -170,10 +171,30 @@ SPEC_KEYS = {
     "q_spec": (("kind",), ("location", "shift", "scale")),
 }
 
+# The numeric keys of the spec levels, each with the type it must have.
+SPEC_NUMBERS = {"p": int, "tail_beta": float, "epsilon": float, "scale": float}
 
-def read_object(doc, required, optional, name: str) -> dict:
-    """``doc`` if it is a JSON object with every ``required`` key and no key
-    outside ``required`` and ``optional``, else a ``ConfigurationError``."""
+
+def check_type(what: str, value, kind) -> None:
+    """Raise ``ConfigurationError`` unless ``value`` has the type ``kind``:
+    ``int``, ``float`` (which takes an int too) or the tuple of strings that
+    ``what`` accepts.  A bool is neither an int nor a float."""
+    if isinstance(kind, tuple):
+        ok = isinstance(value, str) and value in kind
+        expected = f"one of {list(kind)}"
+    else:
+        number = numbers.Integral if kind is int else numbers.Real
+        ok = isinstance(value, number) and not isinstance(value, bool)
+        expected = kind.__name__
+    if not ok:
+        raise ConfigurationError(f"{what} must be {expected}, got {value!r}")
+
+
+def read_object(doc, required, optional, name: str, kinds=None) -> dict:
+    """``doc`` if it is a JSON object with every ``required`` key, no key
+    outside ``required`` and ``optional``, and a value of the type that
+    ``kinds`` gives (see ``check_type``) for each key there, else a
+    ``ConfigurationError``."""
     accepted = (*required, *optional)
     if not isinstance(doc, dict):
         raise ConfigurationError(
@@ -185,6 +206,9 @@ def read_object(doc, required, optional, name: str) -> dict:
     if unknown:
         raise ConfigurationError(
             f"{name} does not read {unknown}; it accepts {list(accepted) or 'none'}")
+    for key, kind in (kinds or {}).items():
+        if key in doc:
+            check_type(f"{name} key {key!r}", doc[key], kind)
     return doc
 
 

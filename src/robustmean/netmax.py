@@ -160,8 +160,9 @@ def build_half_cover(
         raise ConfigurationError("p must be >= 1")
     support_size = None
     if sparsity is not None:
-        if sparsity > p / 2:
-            raise ConfigurationError("sparsity s must satisfy s <= p/2")
+        if not 1 <= sparsity <= p / 2:
+            raise ConfigurationError(
+                f"sparsity s must satisfy 1 <= s <= p/2, got s={sparsity}, p={p}")
         support_size = 2 * sparsity
     eye = np.eye(p)
     points = [e for pair in zip(eye, -eye) for e in pair]

@@ -19,8 +19,6 @@ from robustmean import (
     FilterConfig,
     IntervalConfig,
     MomentProfile,
-    OracleConfig,
-    RadiusRule,
     build_half_cover,
     certify_cover,
     cov_bound_hint,
@@ -31,6 +29,7 @@ from robustmean import (
     l2_loss,
     minimax_center,
     opt_bound,
+    oracle_radius,
     oracle_truncated_mean,
     population_moments,
     quantile_error,
@@ -104,7 +103,7 @@ def test_03_contamination_bias_filter_vs_mean():
     q = ContaminationSpec("point_mass", location=[50.0] + [0.0] * (p - 1))
     spec = DistributionSpec("gaussian", p=p, covariance=np.eye(p),
                             epsilon=eps, q_spec=q)
-    cb = cov_bound_hint("huber", MomentProfile(2, float(p), 1.0),
+    cb = cov_bound_hint(MomentProfile(2, float(p), 1.0),
                         n=n, p=p, delta=DELTA, epsilon=eps)
     cap = stopping_cap(n, round((1 - eps) * n), DELTA)
 
@@ -219,10 +218,9 @@ def test_06_oracle_truncation_beats_mean():
     # the sample mean over 500 trials.
     spec = DistributionSpec("lognormal", p=20)
     mom = population_moments(spec)
-    rule = RadiusRule(mom, n=500, delta=DELTA)
-    cfg = OracleConfig(true_mean=np.zeros(20), radius=rule)
+    radius = oracle_radius(mom, n=500, delta=DELTA)
     losses = _loss_sweep(spec, 500, {
-        "oracle": lambda s, _: oracle_truncated_mean(s, cfg),
+        "oracle": lambda s, _: oracle_truncated_mean(s, np.zeros(20), radius),
         "mean": lambda s, _: sample_mean(s),
     }, trials=500)
     assert quantile_error(losses["oracle"], DELTA) < \

@@ -6,24 +6,19 @@ import pytest
 
 from robustmean import (
     ConfigurationError,
+    ConvergenceError,
     EmptySelectionError,
     MomentProfile,
-    OracleConfig,
-    RadiusRule,
     coordinatewise_filter,
     geometric_median,
     geometric_median_of_means,
+    oracle_radius,
     oracle_truncated_mean,
     sample_mean,
     srm_bruteforce,
     srm_population_bias,
 )
 from robustmean import baselines
-from robustmean.baselines import (
-    oracle_survivor_covariance,
-    srm_keeps_contamination,
-    srm_mixture_risk,
-)
 
 
 class TestGeometricMedian:
@@ -53,6 +48,16 @@ class TestGeometricMedian:
     def test_single_point(self):
         np.testing.assert_array_equal(
             geometric_median(np.array([[3.0, 4.0]])), [3.0, 4.0])
+
+    def test_iteration_cap_raises_with_last_iterate(self, monkeypatch):
+        # Three points off a line need many Weiszfeld steps; two are not
+        # enough to meet the tolerance.
+        monkeypatch.setattr(baselines, "WEISZFELD_MAX_ITER", 2)
+        pts = np.array([[0.0, 0.0], [4.0, 0.0], [1.0, 3.0]])
+        with pytest.raises(ConvergenceError) as info:
+            geometric_median(pts)
+        last = info.value.last_iterate
+        assert last.shape == (2,) and np.all(np.isfinite(last))
 
 
 class TestGmom:
@@ -130,15 +135,13 @@ def test_coordinatewise_filter_rejects_non_finite(bad):
 class TestOracleTruncation:
     def test_keeps_only_ball(self):
         data = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 3.0], [10.0, 0.0]])
-        cfg = OracleConfig(true_mean=[0.0, 0.0], radius=3.0)
-        est = oracle_truncated_mean(data, cfg)
+        est = oracle_truncated_mean(data, [0.0, 0.0], 3.0)
         # boundary point [0,3] is inside (closed ball); [10,0] is not
         np.testing.assert_allclose(est, [1.0 / 3.0, 1.0])
 
     def test_empty_ball_raises(self):
-        cfg = OracleConfig(true_mean=[100.0], radius=1.0)
         with pytest.raises(EmptySelectionError):
-            oracle_truncated_mean(np.zeros((5, 1)), cfg)
+            oracle_truncated_mean(np.zeros((5, 1)), [100.0], 1.0)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_rejects_non_finite(self, bad):
@@ -146,30 +149,22 @@ class TestOracleTruncation:
         # oracle returns the finite mean of the other rows.
         data = np.random.default_rng(6).standard_normal((50, 2))
         data[4, 0] = bad
-        cfg = OracleConfig(true_mean=np.zeros(2), radius=3.0)
         with pytest.raises(ConfigurationError):
-            oracle_truncated_mean(data, cfg)
-        with pytest.raises(ConfigurationError):
-            oracle_survivor_covariance(data, cfg)
+            oracle_truncated_mean(data, np.zeros(2), 3.0)
 
     @pytest.mark.parametrize("center", [[5.0], [0.0, 0.0, 0.0]])
     def test_rejects_center_of_wrong_length(self, center):
         # Unchecked, a 1-entry centre broadcasts to (5, 5).
         data = np.random.default_rng(6).standard_normal((50, 2))
-        cfg = OracleConfig(true_mean=center, radius=10.0)
-        with pytest.raises(ConfigurationError, match="true_mean"):
-            oracle_truncated_mean(data, cfg)
-        with pytest.raises(ConfigurationError, match="true_mean"):
-            oracle_survivor_covariance(data, cfg)
+        with pytest.raises(ConfigurationError, match="center"):
+            oracle_truncated_mean(data, center, 10.0)
 
-    def test_survivor_covariance_matches_direct(self):
-        rng = np.random.default_rng(6)
-        data = rng.standard_normal((200, 3))
-        cfg = OracleConfig(true_mean=np.zeros(3), radius=2.0)
-        val = oracle_survivor_covariance(data, cfg)
-        keep = data[np.linalg.norm(data, axis=1) <= 2.0]
-        cov = np.cov(keep, rowvar=False, bias=True)
-        assert val == pytest.approx(np.linalg.eigvalsh(cov)[-1], rel=1e-8)
+    @pytest.mark.parametrize("radius", [0.0, -1.0, np.nan])
+    def test_rejects_radius_not_positive(self, radius):
+        # Unchecked, a NaN radius keeps no row and raises EmptySelectionError.
+        data = np.random.default_rng(6).standard_normal((50, 2))
+        with pytest.raises(ConfigurationError, match="radius"):
+            oracle_truncated_mean(data, np.zeros(2), radius)
 
 
 class TestRadiusRule:
@@ -177,29 +172,34 @@ class TestRadiusRule:
         tr, op, n, d = 20.0, 1.0, 500, 0.05
         rate = math.log(1 / d) / n
         r = tr / op
-        rule2 = RadiusRule(MomentProfile(2, tr, op), n=n, delta=d)
-        assert rule2.radius() == pytest.approx(
-            math.sqrt(tr) / (r ** 0.125 * rate ** 0.25))
-        rule1 = RadiusRule(MomentProfile(1, tr, op), n=n, delta=d)
-        assert rule1.radius() == pytest.approx(
-            math.sqrt(tr) / (r ** 0.25 * rate ** 0.5))
+        assert oracle_radius(MomentProfile(2, tr, op), n=n, delta=d) == \
+            pytest.approx(math.sqrt(tr) / (r ** 0.125 * rate ** 0.25))
+        assert oracle_radius(MomentProfile(1, tr, op), n=n, delta=d) == \
+            pytest.approx(math.sqrt(tr) / (r ** 0.25 * rate ** 0.5))
 
     def test_contaminated_formulas(self):
         tr, op, n, d, e = 20.0, 1.0, 1000, 0.05, 0.1
         rate = math.log(1 / d) / n
-        rule1 = RadiusRule(MomentProfile(1, tr, op), n=n, delta=d, epsilon=e)
-        assert rule1.radius() == pytest.approx(math.sqrt(tr) / (e + rate) ** 0.5)
-        rule2 = RadiusRule(MomentProfile(2, tr, op), n=n, delta=d, epsilon=e)
-        assert rule2.radius() == pytest.approx(math.sqrt(tr) / (e + rate) ** 0.25)
+        assert oracle_radius(MomentProfile(1, tr, op), n=n, delta=d,
+                             epsilon=e) == \
+            pytest.approx(math.sqrt(tr) / (e + rate) ** 0.5)
+        assert oracle_radius(MomentProfile(2, tr, op), n=n, delta=d,
+                             epsilon=e) == \
+            pytest.approx(math.sqrt(tr) / (e + rate) ** 0.25)
 
     def test_validation(self):
         # k and opnorm <= trace are checked by the moment summary.
         with pytest.raises(ConfigurationError):
-            RadiusRule(MomentProfile(3, 1.0, 1.0), n=10, delta=0.1)
+            oracle_radius(MomentProfile(3, 1.0, 1.0), n=10, delta=0.1)
         with pytest.raises(ConfigurationError):
-            RadiusRule(MomentProfile(1, 1.0, 2.0), n=10, delta=0.1)
+            oracle_radius(MomentProfile(1, 1.0, 2.0), n=10, delta=0.1)
         with pytest.raises(ConfigurationError):
-            RadiusRule(MomentProfile(1, 1.0, 0.0), n=10, delta=0.1)
+            oracle_radius(MomentProfile(1, 1.0, 0.0), n=10, delta=0.1)
+        for delta, epsilon in ((0.0, 0.0), (1.0, 0.0), (0.1, -0.1),
+                               (0.1, 0.5)):
+            with pytest.raises(ConfigurationError):
+                oracle_radius(MomentProfile(2, 1.0, 1.0), n=10, delta=delta,
+                              epsilon=epsilon)
 
 
 def brute_srm(data, epsilon):
@@ -257,18 +257,3 @@ class TestSubsetSearch:
         e = 0.1
         assert srm_population_bias(e, 20.0) == pytest.approx(
             e / math.sqrt(0.9 * 0.8) * math.sqrt(20.0))
-
-    def test_mixture_risk_closed_form(self):
-        # (1-eta) trP + eta trQ + eta(1-eta) gap^2
-        assert srm_mixture_risk(0.25, 4.0, 1.0, 2.0) == pytest.approx(
-            0.75 * 4.0 + 0.25 * 1.0 + 0.25 * 0.75 * 4.0)
-
-    def test_decision_rule(self):
-        # gap^2 <= ((1-e)/(1-2e)) (trP - trQ)
-        assert srm_keeps_contamination(0.1, mean_gap=1.0, trace_p=2.0,
-                                       trace_q=0.0)
-        assert not srm_keeps_contamination(0.1, mean_gap=10.0, trace_p=2.0,
-                                           trace_q=0.0)
-        boundary = math.sqrt(0.9 / 0.8 * 2.0)
-        assert srm_keeps_contamination(0.1, boundary, 2.0, 0.0)
-        assert not srm_keeps_contamination(0.1, boundary + 1e-9, 2.0, 0.0)

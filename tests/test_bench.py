@@ -8,11 +8,14 @@ from robustmean import (
     ContaminationSpec,
     DistributionSpec,
     MethodSpec,
+    MomentProfile,
     SampleSet,
     TrialConfig,
     TrialRecord,
     filtering,
     netmax,
+    oracle_radius,
+    oracle_truncated_mean,
     run_sweep,
     summarize,
 )
@@ -138,6 +141,37 @@ class TestMethods:
         samples = SampleSet(np.zeros((5, 2)))
         with pytest.raises(ConfigurationError, match="radius"):
             METHODS["oracle"](samples, {}, RunContext(delta=0.1))
+
+    @pytest.mark.parametrize("epsilon", [0.0, 0.1])
+    def test_derived_bound_and_radius_follow_epsilon(self, epsilon):
+        # The runners derive cov_bound and the radius from the clean law's
+        # moments and epsilon alone, which selects the model.
+        q = ContaminationSpec("point_mass", location=[30.0, 0.0])
+        spec = DistributionSpec("gaussian", p=2, covariance=np.eye(2),
+                                epsilon=epsilon, q_spec=q if epsilon else None)
+        samples = SampleSet(np.random.default_rng(1).standard_normal((80, 2)))
+        ctx = RunContext(delta=0.1, epsilon=epsilon, seed=3, spec=spec)
+        moments = MomentProfile(2, 2.0, 1.0)
+        radius = oracle_radius(moments, n=80, delta=0.1, epsilon=epsilon)
+        np.testing.assert_array_equal(
+            METHODS["oracle"](samples, {}, ctx),
+            oracle_truncated_mean(samples, np.zeros(2), radius))
+        bound = filtering.cov_bound_hint(moments, n=80, p=2, delta=0.1,
+                                         epsilon=epsilon)
+        settings = {"stop_mode": "threshold"}
+        np.testing.assert_array_equal(
+            METHODS["filter"](samples, settings, ctx),
+            METHODS["filter"](samples, dict(settings, cov_bound=bound), ctx))
+
+    def test_gmom_clamps_only_the_default_blocks(self):
+        samples = SampleSet(np.random.default_rng(2).standard_normal((3, 2)))
+        ctx = RunContext(delta=0.01)  # default blocks ceil(2 ln 100) = 10
+        np.testing.assert_array_equal(
+            METHODS["gmom"](samples, {}, ctx),
+            METHODS["gmom"](samples, {"blocks": 3}, ctx))
+        for blocks in (0, 4):
+            with pytest.raises(ConfigurationError, match="blocks"):
+                METHODS["gmom"](samples, {"blocks": blocks}, ctx)
 
     @pytest.mark.parametrize("name, settings", [
         ("filter", {"stop_mod": "threshold"}),
@@ -305,6 +339,35 @@ class TestConfig:
     def test_json_value_of_wrong_type_rejected(self, key, value):
         with pytest.raises(ConfigurationError, match=f"'{key}' must be"):
             TrialConfig.from_json_dict(dict(JSON_CONFIG, **{key: value}))
+
+    @pytest.mark.parametrize("change, named", [
+        ({"n_values": 30}, "'n_values'"),
+        ({"n_values": ["30"]}, "'n_values'"),
+        ({"n_values": [True]}, "'n_values'"),
+        ({"p_values": [1.7]}, "'p_values'"),
+        ({"p_values": []}, "'p_values'"),
+        ({"distribution": {"family": "lognormal", "p": "2"}}, "'p'"),
+        ({"distribution": {"family": "pareto", "p": 2, "tail_beta": "3"}},
+         "'tail_beta'"),
+        ({"distribution": {"family": "lognormal", "p": 2, "contamination": {
+            "epsilon": "0.1",
+            "q_spec": {"kind": "point_mass", "location": [5.0, 0.0]}}}},
+         "'epsilon'"),
+        ({"distribution": {"family": "lognormal", "p": 2, "contamination": {
+            "epsilon": 0.1,
+            "q_spec": {"kind": "shifted_gaussian", "shift": [5.0, 0.0],
+                       "scale": "1"}}}}, "'scale'"),
+    ])
+    def test_json_number_of_wrong_type_rejected(self, change, named):
+        with pytest.raises(ConfigurationError, match=named):
+            TrialConfig.from_json_dict(dict(JSON_CONFIG, **change))
+
+    def test_json_int_accepted_for_float_spec_keys(self):
+        doc = dict(JSON_CONFIG, distribution={
+            "family": "lognormal", "p": 2, "contamination": {
+                "epsilon": 0, "q_spec": {"kind": "point_mass",
+                                         "location": [5, 0]}}})
+        assert TrialConfig.from_json_dict(doc).distribution.epsilon == 0.0
 
     @pytest.mark.parametrize("doc", [
         [JSON_CONFIG],

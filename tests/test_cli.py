@@ -122,7 +122,21 @@ class TestEstimate:
             ["estimate", "--method", "oracle", "--in", str(data_csv),
              "--radius", "3", "--true-mean", "5"], capsys)
         assert code == 2
-        assert "true_mean" in err
+        assert "center" in err
+
+    def test_oracle_nan_radius_exits_2(self, data_csv, capsys):
+        code, _, err = run(
+            ["estimate", "--method", "oracle", "--in", str(data_csv),
+             "--radius", "nan"], capsys)
+        assert code == 2
+        assert "radius" in err
+
+    def test_blocks_over_n_exits_2(self, data_csv, capsys):
+        code, _, err = run(
+            ["estimate", "--method", "gmom", "--in", str(data_csv),
+             "--blocks", "1000"], capsys)
+        assert code == 2
+        assert "blocks must lie in [1, n]" in err
 
     def test_net(self, data_csv, capsys):
         code, out, _ = run(
@@ -209,6 +223,16 @@ class TestCover:
         dirs = np.loadtxt(out_path, delimiter=",")
         np.testing.assert_allclose(np.linalg.norm(dirs, axis=1), 1.0)
 
+    @pytest.mark.parametrize("sparsity", ["0", "-1"])
+    def test_sparsity_below_one_exits_2(self, tmp_path, capsys, sparsity):
+        out_path = tmp_path / "cover.csv"
+        code, _, err = run(
+            ["cover", "build", "--p", "3", "--sparsity", sparsity,
+             "--out", str(out_path)], capsys)
+        assert code == 2
+        assert "sparsity" in err
+        assert not out_path.exists()
+
     def test_sparse_build(self, tmp_path, capsys):
         out_path = tmp_path / "cover.csv"
         code, _, _ = run(
@@ -276,7 +300,17 @@ class TestBench:
         ({"delta": None}, "'delta'"),
         ({"methods": [{"name": "filter",
                        "settings": {"cov_bound": "0.5"}}]}, "'cov_bound'"),
-    ], ids=["misspelt-contamination", "missing-delta", "string-cov-bound"])
+        ({"n_values": 30}, "'n_values'"),
+        ({"n_values": ["30"]}, "'n_values'"),
+        ({"p_values": [1.7]}, "'p_values'"),
+        ({"distribution": {"family": "lognormal", "p": "2"}}, "'p'"),
+        ({"distribution": {"family": "lognormal", "p": 2, "contamination": {
+            "epsilon": "0.1",
+            "q_spec": {"kind": "point_mass", "location": [5.0, 0.0]}}}},
+         "'epsilon'"),
+    ], ids=["misspelt-contamination", "missing-delta", "string-cov-bound",
+            "scalar-n-values", "string-n-value", "float-p-value", "string-p",
+            "string-epsilon"])
     def test_malformed_config_exits_2(self, tmp_path, capsys, change, named):
         config = {
             "distribution": {"family": "lognormal", "p": 2},

@@ -327,33 +327,34 @@ class TestBudgets:
 class TestCovBoundHint:
     def test_heavy_tail_k2_is_opnorm(self):
         m = MomentProfile(2, trace_sigma=20.0, opnorm_sigma=1.0)
-        assert cov_bound_hint("heavy_tail", m, n=100, p=20, delta=0.05) == 1.0
+        assert cov_bound_hint(m, n=100, p=20, delta=0.05) == 1.0
 
     def test_heavy_tail_k1_worked_example(self):
         # opnorm 1, trace 20, p=20, delta=0.05:
         # 1 + 20 * ln(400) / ln(20) = 41.0000...
         m = MomentProfile(1, trace_sigma=20.0, opnorm_sigma=1.0)
-        val = cov_bound_hint("heavy_tail", m, n=100, p=20, delta=0.05)
+        val = cov_bound_hint(m, n=100, p=20, delta=0.05)
         assert val == pytest.approx(
             1.0 + 20.0 * math.log(400) / math.log(20))
         assert val == pytest.approx(41.0, abs=0.01)
 
     def test_huber_formulas(self):
         m1 = MomentProfile(1, trace_sigma=20.0, opnorm_sigma=1.0)
-        v1 = cov_bound_hint("huber", m1, n=1000, p=20, delta=0.05,
-                            epsilon=0.1)
+        v1 = cov_bound_hint(m1, n=1000, p=20, delta=0.05, epsilon=0.1)
         assert v1 == pytest.approx(
             1.0 + 20.0 * math.log(400) / (100.0 + math.log(20)))
         m2 = MomentProfile(2, trace_sigma=20.0, opnorm_sigma=1.0)
-        v2 = cov_bound_hint("huber", m2, n=1000, p=20, delta=0.05,
-                            epsilon=0.1)
+        v2 = cov_bound_hint(m2, n=1000, p=20, delta=0.05, epsilon=0.1)
         assert v2 == pytest.approx(
             1.0 + 20.0 * math.log(400)
             / math.sqrt(1e6 * 0.1 + 1000 * math.log(20)))
 
     def test_rejects_bad_settings(self):
-        m = MomentProfile(1, trace_sigma=1.0, opnorm_sigma=1.0)
-        with pytest.raises(ConfigurationError):
-            cov_bound_hint("weird", m, n=10, p=2, delta=0.05)
-        with pytest.raises(ConfigurationError):
-            cov_bound_hint("huber", m, n=10, p=2, delta=0.05, epsilon=0.7)
+        # The epsilon range is checked for either moment order.
+        for k in (1, 2):
+            m = MomentProfile(k, trace_sigma=1.0, opnorm_sigma=1.0)
+            for epsilon in (0.7, -0.1, math.nan):
+                with pytest.raises(ConfigurationError, match="epsilon"):
+                    cov_bound_hint(m, n=10, p=2, delta=0.05, epsilon=epsilon)
+            with pytest.raises(ConfigurationError, match="delta"):
+                cov_bound_hint(m, n=10, p=2, delta=1.0)

@@ -207,6 +207,17 @@ class TestCoverConstruction:
         with pytest.raises(ConfigurationError):
             build_half_cover(3, sparsity=2)
 
+    @pytest.mark.parametrize("sparsity", [0, -1])
+    def test_sparsity_below_one_rejected_before_any_draw(self, monkeypatch,
+                                                         sparsity):
+        # Unchecked, s = 0 redraws all-zero probes forever.
+        def unreachable(*args):
+            raise AssertionError("a probe was drawn")
+
+        monkeypatch.setattr(netmax, "_draw_probes", unreachable)
+        with pytest.raises(ConfigurationError, match="sparsity"):
+            build_half_cover(3, sparsity=sparsity)
+
     def test_deterministic_given_seed(self):
         a = build_half_cover(3, seed=5)
         b = build_half_cover(3, seed=5)
