@@ -10,12 +10,7 @@ from itertools import combinations
 import numpy as np
 
 from .errors import ConfigurationError, ConvergenceError, EmptySelectionError
-from .filtering import (
-    FilterConfig,
-    STOP_FIXED_STEPS,
-    default_steps,
-    filter_univariate,
-)
+from .filtering import default_steps, filter_columns
 from .model import MomentProfile, as_finite_matrix
 
 SRM_MAX_N = 25
@@ -85,18 +80,13 @@ def geometric_median_of_means(samples, blocks: int) -> np.ndarray:
 
 def coordinatewise_filter(samples, delta: float, seed: int = 0) -> np.ndarray:
     """Univariate filtering applied to each coordinate independently, with
-    per-coordinate derived seeds and the fixed-steps benchmark budget."""
+    per-coordinate derived seeds and the fixed-steps benchmark budget.  The
+    p filters run in lockstep (``filter_columns``), with the removals of p
+    separate ``filter_univariate`` calls."""
     data = as_finite_matrix(samples)
-    steps = min(default_steps(delta), data.shape[0] - 2)
-    out = np.empty(data.shape[1])
-    for j in range(data.shape[1]):
-        cfg = FilterConfig(
-            stop_mode=STOP_FIXED_STEPS,
-            steps=steps,
-            seed=int(np.random.SeedSequence([seed, j]).generate_state(1)[0]),
-        )
-        out[j] = filter_univariate(data[:, j], cfg).estimate[0]
-    return out
+    return filter_columns(data, default_steps(delta), [
+        int(np.random.SeedSequence([seed, j]).generate_state(1)[0])
+        for j in range(data.shape[1])])
 
 
 def oracle_radius(moments: MomentProfile, n: int, delta: float,

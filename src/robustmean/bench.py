@@ -213,7 +213,8 @@ def _filter(samples, s, ctx):
             delta=ctx.delta, epsilon=ctx.epsilon)
     steps = s.get("steps")
     if steps is None and stop_mode != filtering.STOP_THRESHOLD:
-        steps = min(filtering.default_steps(ctx.delta), samples.n - 2)
+        steps = filtering.clamp_steps(filtering.default_steps(ctx.delta),
+                                      samples.n)
     cfg = filtering.FilterConfig(
         cov_bound=cov_bound or 0.0,
         threshold_factor=s.get("threshold_factor",

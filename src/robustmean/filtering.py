@@ -4,6 +4,10 @@ One point is removed per round, sampled with probability proportional to its
 squared projection on the leading eigenvector of the survivors' sample
 covariance, until a stop rule holds.  Sample covariances use the 1/|S|
 (population) convention throughout.
+
+One loop runs k filters ("lanes") in lockstep: ``filter_multivariate`` is
+one lane, and ``filter_columns`` one univariate lane per column, with the
+removals of separate ``filter_univariate`` calls.
 """
 
 from __future__ import annotations
@@ -100,25 +104,30 @@ def top_eigenpair(matrix: np.ndarray) -> Tuple[float, np.ndarray]:
 
 
 class _Univariate:
-    """Round statistics of one coordinate: the top eigenvalue is the
-    survivors' variance and the scores are their squared deviations."""
+    """Round statistics of k univariate lanes at once: a lane's top
+    eigenvalue is its survivors' variance and its scores are their squared
+    deviations.  ``data`` stacks the lanes in one column, lane j's n values
+    as rows j*n to j*n + n - 1."""
 
-    def __init__(self, values: np.ndarray):
-        self.values = values
+    def __init__(self, data: np.ndarray):
+        self.data = data.T.reshape(-1, 1)
+        self.values = self.data.ravel()
 
-    def round(self, alive: np.ndarray) -> Tuple[float, np.ndarray]:
-        survivors = self.values[alive]
-        # sum()/m is mean() bit for bit, without its Python-level overhead.
-        scores = np.square(survivors - survivors.sum() / alive.size)
-        return float(scores.sum() / alive.size), scores
+    def round(self, alive: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        # Row sums of the C-contiguous survivor matrix are the 1D sum() of
+        # each row bit for bit, and sum()/m is mean() without its overhead.
+        survivors = self.values.take(alive)
+        m = alive.shape[1]
+        scores = np.square(survivors - (survivors.sum(axis=1) / m)[:, None])
+        return scores.sum(axis=1) / m, scores
 
     def remove(self, row: int) -> None:
         pass
 
 
 class _Multivariate:
-    """Round statistics from the survivors' shifted sum and Gram matrix G,
-    downdated by one rank-one term per removed row."""
+    """Round statistics of one lane from the survivors' shifted sum and Gram
+    matrix G, downdated by one rank-one term per removed row."""
 
     def __init__(self, data: np.ndarray):
         self.data = data
@@ -133,40 +142,100 @@ class _Multivariate:
 
     def _moments(self, m: int) -> Tuple[np.ndarray, np.ndarray]:
         mu = self.total / m
-        return mu, self.gram / m - np.outer(mu, mu)
+        # np.outer(mu, mu) and np.trace bit for bit, without their wrappers.
+        return mu, self.gram / m - mu[:, None] * mu
 
-    def round(self, alive: np.ndarray) -> Tuple[float, np.ndarray]:
+    def round(self, alive: np.ndarray) -> Tuple[Tuple[float], np.ndarray]:
+        alive = alive[0]
         m = alive.size
         mu, cov = self._moments(m)
-        if self.exact_trace > _DRIFT_RATIO * m * np.trace(cov):
+        if self.exact_trace > _DRIFT_RATIO * m * cov.trace():
             self._recentre(alive)
             mu, cov = self._moments(m)
         lam, v = top_eigenpair(cov)
-        return lam, np.square((self.shifted @ v)[alive] - mu @ v)
+        return (lam,), np.square((self.shifted @ v)[alive] - mu @ v)[None]
 
     def remove(self, row: int) -> None:
         x = self.shifted[row]
         self.total -= x
-        self.gram -= np.outer(x, x)
+        self.gram -= x[:, None] * x
 
 
-def _weighted_pick(rng: np.random.Generator, p: np.ndarray) -> int:
-    """``rng.choice(p.size, p=p)`` without its checks of ``p``: the same
-    cumulative sum, uniform draw and search, so the same index and the same
-    generator state afterwards."""
-    cdf = np.cumsum(p)
-    cdf /= cdf[-1]
-    return int(cdf.searchsorted(rng.random(), side="right"))
+def _weighted_picks(rngs: Sequence[np.random.Generator],
+                    p: np.ndarray) -> List[int]:
+    """For each row of ``p`` and its generator, ``rng.choice(p.shape[1],
+    p=row)`` without its checks of ``row``: the same cumulative sum, uniform
+    draw and search, so the same index and the same generator state
+    afterwards."""
+    picks = []
+    for rng, cdf in zip(rngs, np.cumsum(p, axis=1)):
+        cdf /= cdf[-1]  # by a scalar: faster than one broadcast division
+        picks.append(int(cdf.searchsorted(rng.random(), side="right")))
+    return picks
 
 
-def _stop_reason(config: FilterConfig, lam: float, iterations: int) -> Optional[str]:
-    """``threshold`` or ``budget`` when the stop rule holds, else None."""
-    if config.stop_mode != STOP_FIXED_STEPS and \
-            lam < config.threshold_factor * config.cov_bound:
-        return "threshold"
-    if config.stop_mode != STOP_THRESHOLD and iterations >= config.steps:
-        return "budget"
-    return None
+def _filter(lane_stats, data: np.ndarray, config: FilterConfig,
+            seeds: Sequence[int]) -> List[EstimateReport]:
+    """The filter loop on the n rows of ``data``, one lane per seed, with
+    round statistics ``lane_stats(data)``.  The lanes run in lockstep: each
+    remaining lane removes one row a round, so all have m survivors.  A lane
+    whose stop rule holds leaves with its report; each other lane draws its
+    pick from its own generator."""
+    n = data.shape[0]
+    if n < 2:
+        raise FilterExhaustedError("need at least 2 points to filter")
+    stats = lane_stats(data)
+    # Row i of alive lists, in index order, the survivors of lane lanes[i]
+    # as rows of stats.data, where lane j's rows start at j * n; the lane
+    # draws from rngs[i].  default_rng(s) is default_rng(SeedSequence(s)).
+    lanes = list(range(len(seeds)))
+    rngs = [np.random.default_rng(s) for s in seeds]
+    alive = np.arange(len(lanes) * n).reshape(len(lanes), n)
+    removed: List[List[int]] = [[] for _ in lanes]
+    eigenvalues: List[List[float]] = [[] for _ in lanes]
+    reports: List[EstimateReport] = [None] * len(lanes)
+    # The threshold rule is off under fixed_steps, the budget under threshold.
+    threshold = -math.inf if config.stop_mode == STOP_FIXED_STEPS \
+        else config.threshold_factor * config.cov_bound
+    while True:
+        lams, scores = stats.round(alive)
+        totals = scores.sum(axis=1)
+        spent = config.stop_mode != STOP_THRESHOLD and \
+            n - alive.shape[1] >= config.steps
+        going = []
+        for i, lane in enumerate(lanes):
+            lam = float(lams[i])
+            reason = "threshold" if lam < threshold else \
+                "budget" if spent else None
+            if reason is None and lam <= 0.0:
+                # Zero scatter: no point can be scored, so stop regardless of
+                # the unmet stop rule.
+                reason, lam = "zero_scatter", 0.0
+            eigenvalues[lane].append(lam)
+            if reason is not None:
+                reports[lane] = EstimateReport(
+                    stats.data[alive[i]].mean(axis=0), tuple(removed[lane]),
+                    {"stop_reason": reason, "eigenvalues": eigenvalues[lane]})
+            elif totals[i] <= 0.0:
+                raise DegenerateScoresError(
+                    "all scores zero with positive top eigenvalue")
+            else:
+                going.append(i)
+        if not going:
+            return reports
+        if len(going) < len(lanes):
+            lanes, rngs = [lanes[i] for i in going], [rngs[i] for i in going]
+            alive, scores, totals = alive[going], scores[going], totals[going]
+        picks = _weighted_picks(rngs, scores / totals[:, None])
+        for lane, rows, pick in zip(lanes, alive, picks):
+            row = int(rows[pick])
+            stats.remove(row)
+            removed[lane].append(row - lane * n)
+            rows[pick:-1] = rows[pick + 1:]  # deletes the pick, in place
+        alive = alive[:, :-1]
+        if alive.shape[1] < 2:
+            raise FilterExhaustedError(
+                "fewer than 2 survivors before the stop condition held")
 
 
 def filter_multivariate(samples, config: FilterConfig) -> EstimateReport:
@@ -194,41 +263,8 @@ def filter_multivariate(samples, config: FilterConfig) -> EstimateReport:
     ``zero_scatter`` stop).
     """
     data = as_finite_matrix(samples)
-    if data.shape[0] < 2:
-        raise FilterExhaustedError("need at least 2 points to filter")
-
-    stats = _Univariate(data[:, 0]) if data.shape[1] == 1 else _Multivariate(data)
-    rng = np.random.default_rng(np.random.SeedSequence(config.seed))
-    alive = np.arange(data.shape[0])
-    removed: List[int] = []
-    eigenvalues: List[float] = []
-    while True:
-        lam, scores = stats.round(alive)
-        reason = _stop_reason(config, lam, len(removed))
-        if reason is None and lam <= 0.0:
-            # Zero scatter: no point can be scored, so stop regardless of the
-            # unmet stop rule.
-            reason, lam = "zero_scatter", 0.0
-        eigenvalues.append(lam)
-        if reason is not None:
-            return EstimateReport(
-                estimate=data[alive].mean(axis=0),
-                removed_indices=tuple(removed),
-                diagnostics={"stop_reason": reason, "eigenvalues": eigenvalues},
-            )
-        total = scores.sum()
-        if total <= 0.0:
-            raise DegenerateScoresError(
-                "all scores zero with positive top eigenvalue"
-            )
-        pick = _weighted_pick(rng, scores / total)
-        stats.remove(alive[pick])
-        removed.append(int(alive[pick]))
-        alive = np.concatenate((alive[:pick], alive[pick + 1:]))
-        if alive.size < 2:
-            raise FilterExhaustedError(
-                "fewer than 2 survivors before the stop condition held"
-            )
+    lane_stats = _Univariate if data.shape[1] == 1 else _Multivariate
+    return _filter(lane_stats, data, config, [config.seed])[0]
 
 
 def filter_univariate(samples: Sequence[float], config: FilterConfig) -> EstimateReport:
@@ -237,6 +273,23 @@ def filter_univariate(samples: Sequence[float], config: FilterConfig) -> Estimat
     on their variance (population convention)."""
     values = np.asarray(samples, dtype=float).ravel()
     return filter_multivariate(values[:, None], config)
+
+
+def filter_columns(samples, steps: int, seeds: Sequence[int]) -> np.ndarray:
+    """The estimates of ``filter_univariate`` with ``clamp_steps(steps, n)``
+    fixed steps and seed ``seeds[j]`` on each column j of an n x k dataset,
+    the k filters run in lockstep: the same removals as k separate calls."""
+    data = as_finite_matrix(samples)
+    cfg = FilterConfig(stop_mode=STOP_FIXED_STEPS,
+                       steps=clamp_steps(steps, data.shape[0]))
+    return np.array([r.estimate[0] for r in _filter(_Univariate, data, cfg, seeds)])
+
+
+def clamp_steps(steps: int, n: int) -> int:
+    """A fixed-steps budget for n rows: at most n - 2, so 2 rows survive."""
+    if n < 2:
+        raise ConfigurationError(f"filtering needs at least 2 rows, got n={n}")
+    return min(steps, n - 2)
 
 
 def default_steps(delta: float) -> int:

@@ -18,12 +18,7 @@ import numpy as np
 from scipy.optimize import linprog
 
 from .errors import ConfigurationError, EstimatorError
-from .filtering import (
-    EstimateReport,
-    FilterConfig,
-    STOP_FIXED_STEPS,
-    filter_univariate,
-)
+from .filtering import EstimateReport, filter_columns
 from .interval import IntervalConfig, interval_estimate
 from .model import as_finite_matrix
 
@@ -352,16 +347,12 @@ def net_estimate(samples, config: NetConfig, seed: int = 0):
         for j, u in enumerate(cover.directions):
             targets[j] = interval_estimate(data @ u, inner_cfg)
     else:
-        steps = math.ceil(2.0 * lid)
-        for j, u in enumerate(cover.directions):
-            cfg = FilterConfig(
-                stop_mode=STOP_FIXED_STEPS,
-                steps=min(steps, data.shape[0] - 2),
-                seed=int(
-                    np.random.SeedSequence([seed, 1 + j]).generate_state(1)[0]
-                ),
-            )
-            targets[j] = float(filter_univariate(data @ u, cfg).estimate[0])
+        # One filter per direction, run in lockstep on the projections.
+        targets[:] = filter_columns(
+            np.column_stack([data @ u for u in cover.directions]),
+            math.ceil(2.0 * lid),
+            [int(np.random.SeedSequence([seed, 1 + j]).generate_state(1)[0])
+             for j in range(cover.size)])
 
     theta, diag = minimax_center(cover, targets, constraint=config.sparsity)
     diag.update(

@@ -19,6 +19,12 @@ from robustmean import (
     srm_population_bias,
 )
 from robustmean import baselines
+from robustmean.filtering import (
+    FilterConfig,
+    STOP_FIXED_STEPS,
+    default_steps,
+    filter_univariate,
+)
 
 
 class TestGeometricMedian:
@@ -122,6 +128,74 @@ def test_coordinatewise_filter_trims_per_axis_outliers():
     data[0, 1] = 1e4  # single wild coordinate
     est = coordinatewise_filter(data, delta=0.05, seed=0)
     assert np.all(np.abs(est) < 1.0)
+
+
+def reference_coordinatewise_filter(samples, delta, seed=0):
+    """The per-column loop: one ``filter_univariate`` call per coordinate,
+    with the same seeds and budget as ``coordinatewise_filter``."""
+    data = np.asarray(samples, dtype=float)
+    steps = min(default_steps(delta), data.shape[0] - 2)
+    out = np.empty(data.shape[1])
+    for j in range(data.shape[1]):
+        cfg = FilterConfig(
+            stop_mode=STOP_FIXED_STEPS,
+            steps=steps,
+            seed=int(np.random.SeedSequence([seed, j]).generate_state(1)[0]),
+        )
+        out[j] = filter_univariate(data[:, j], cfg).estimate[0]
+    return out
+
+
+class TestCoordinatewiseLockstep:
+    """The p filters run in lockstep give the estimates of the per-column
+    loop bit for bit."""
+
+    def assert_identical(self, data, seed, delta=0.05):
+        np.testing.assert_array_equal(
+            coordinatewise_filter(data, delta=delta, seed=seed),
+            reference_coordinatewise_filter(data, delta, seed))
+
+    def test_lognormal(self):
+        for seed in range(10):
+            data = np.random.default_rng([60, seed]).lognormal(size=(500, 20))
+            self.assert_identical(data, seed)
+
+    def test_point_mass_contamination(self):
+        data = np.random.default_rng(61).standard_normal((2000, 20))
+        data[:200] = 0.0
+        data[:200, 0] = 50.0
+        self.assert_identical(data, 3)
+
+    def test_student_t_shapes(self):
+        rng = np.random.default_rng(62)
+        for case in range(60):
+            n, p = int(rng.integers(3, 301)), int(rng.integers(1, 8))
+            self.assert_identical(rng.standard_t(2, size=(n, p)), case)
+
+    def test_two_rows_zero_budget(self):
+        data = np.random.default_rng(63).standard_normal((2, 5))
+        self.assert_identical(data, 0)
+        np.testing.assert_array_equal(
+            coordinatewise_filter(data, delta=0.05), data.mean(axis=0))
+
+    def test_column_reaching_zero_scatter_mid_run(self):
+        # Column 0 is eight zeros and a pair +-1000: once both far points
+        # are removed its scatter is zero, so it stops while the other
+        # columns go on to the budget of 6.  The per-column call below
+        # checks that it does so with coord's seed for column 0.
+        data = np.random.default_rng(64).standard_normal((10, 3))
+        data[:, 0] = 0.0
+        data[8:, 0] = [1e3, -1e3]
+        seed0 = int(np.random.SeedSequence([0, 0]).generate_state(1)[0])
+        rep = filter_univariate(data[:, 0], FilterConfig(
+            stop_mode=STOP_FIXED_STEPS, steps=6, seed=seed0))
+        assert rep.diagnostics["stop_reason"] == "zero_scatter"
+        assert sorted(rep.removed_indices) == [8, 9]
+        self.assert_identical(data, 0)
+
+    def test_one_row_is_a_configuration_error(self):
+        with pytest.raises(ConfigurationError, match="n=1"):
+            coordinatewise_filter(np.ones((1, 3)), delta=0.05)
 
 
 @pytest.mark.parametrize("bad", [np.nan, -np.inf])

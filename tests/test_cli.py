@@ -1,10 +1,16 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from robustmean import SampleSet, cli
 from robustmean.bench import METHODS, RunContext
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 @pytest.fixture
@@ -145,6 +151,29 @@ class TestEstimate:
         assert code == 0
         vals = np.array([float(x) for x in out.strip().split(",")])
         assert np.linalg.norm(vals - [1.0, -1.0]) < 1.5
+
+    @pytest.mark.parametrize("argv", [
+        ["--method", "coord"],
+        ["--method", "filter"],
+        ["--method", "net", "--inner", "filter1d"],
+    ])
+    def test_one_row_exits_2_naming_n(self, tmp_path, capsys, argv):
+        path = tmp_path / "one_row.csv"
+        np.savetxt(path, [[1.0, -1.0]], delimiter=",")
+        code, _, err = run(["estimate", "--in", str(path)] + argv, capsys)
+        assert code == 2
+        assert "n=1" in err and "steps" not in err
+
+
+def test_python_dash_m_runs_the_cli():
+    src = str(ROOT / "src")
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+    result = subprocess.run(
+        [sys.executable, "-m", "robustmean", "estimate", "--help"],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert "--method" in result.stdout
 
 
 # (method, rows, columns, settings, context) for the parity test; each

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -57,12 +58,20 @@ class TestTopEigenpair:
 
 class TestWeightedPick:
     """The filter's draw is ``Generator.choice`` with ``p`` given, minus its
-    checks: same index, same generator state afterwards."""
+    checks: same index, same generator state afterwards, for every lane of
+    one call."""
 
     def assert_same(self, p, seed):
-        ours, ref = np.random.default_rng(seed), np.random.default_rng(seed)
-        assert filtering._weighted_pick(ours, p) == ref.choice(p.size, p=p)
-        assert ours.random() == ref.random()
+        self.assert_same_lanes(p[None], [seed])
+
+    def assert_same_lanes(self, p, seeds):
+        ours = [np.random.default_rng(seed) for seed in seeds]
+        refs = [np.random.default_rng(seed) for seed in seeds]
+        picks = filtering._weighted_picks(ours, p)
+        assert picks == [ref.choice(row.size, p=row)
+                         for ref, row in zip(refs, p)]
+        assert [rng.random() for rng in ours] == [
+            ref.random() for ref in refs]
 
     def test_matches_generator_choice(self):
         rng = np.random.default_rng(40)
@@ -87,8 +96,30 @@ class TestWeightedPick:
                 scores[where] = 3.7
                 p = scores / scores.sum()
                 self.assert_same(p, [44, n, where])
-                assert filtering._weighted_pick(
-                    np.random.default_rng([45, n, where]), p) == where
+                assert filtering._weighted_picks(
+                    [np.random.default_rng([45, n, where])], p[None]) == [where]
+
+    def test_draw_on_a_cdf_step(self):
+        # Each lane's draw u equals its cdf's first step exactly, so only a
+        # search on the right side picks index 1, as Generator.choice does.
+        seeds = [[48, lane] for lane in range(50)]
+        draws = [np.random.default_rng(seed).random() for seed in seeds]
+        p = np.array([[u, 1.0 - u] for u in draws])
+        assert np.all(p.sum(axis=1) == 1.0)
+        self.assert_same_lanes(p, seeds)
+        assert filtering._weighted_picks(
+            [np.random.default_rng(seed) for seed in seeds], p) == [1] * 50
+
+    def test_lanes_with_different_scores_in_one_call(self):
+        rng = np.random.default_rng(46)
+        for case in range(300):
+            k, n = int(rng.integers(2, 25)), int(rng.integers(2, 80))
+            scores = rng.standard_normal((k, n)) ** 2 * 10.0 ** rng.uniform(
+                -6, 6, (k, n))
+            scores[rng.random((k, n)) < 0.1] = 0.0
+            scores[scores.sum(axis=1) == 0.0, 0] = 1.0
+            self.assert_same_lanes(scores / scores.sum(axis=1)[:, None],
+                                   [[47, case, lane] for lane in range(k)])
 
 
 class TestFilterMechanics:
@@ -267,6 +298,61 @@ class TestAgainstExactReference:
             self.assert_matches(values, FilterConfig(
                 cov_bound=1.0, threshold_factor=2.0, seed=seed),
                 filt=filter_univariate)
+
+
+class TestLanes:
+    """Lanes run in lockstep report what separate ``filter_univariate``
+    calls report: removals, eigenvalues, stop reason and estimate."""
+
+    def assert_matches_separate_calls(self, data, config, seeds):
+        reports = filtering._filter(filtering._Univariate, data, config, seeds)
+        assert len(reports) == len(seeds)
+        for j, (rep, seed) in enumerate(zip(reports, seeds)):
+            ref = filter_univariate(data[:, j], replace(config, seed=seed))
+            assert rep.removed_indices == ref.removed_indices
+            assert rep.diagnostics == ref.diagnostics
+            np.testing.assert_array_equal(rep.estimate, ref.estimate)
+        return reports
+
+    def test_lanes_stopping_in_different_rounds(self):
+        # Threshold stops: lanes leave the survivor matrix at different
+        # rounds and the rest go on.
+        rng = np.random.default_rng(70)
+        for case in range(20):
+            data = rng.standard_normal((200, 6))
+            for j in range(6):
+                data[:3 * j, j] += 30.0  # column j has 3j outliers
+            for config in (
+                    FilterConfig(cov_bound=1.0, threshold_factor=1.5),
+                    FilterConfig(cov_bound=1.0, threshold_factor=1.5,
+                                 stop_mode=STOP_CAPPED, steps=9)):
+                reports = self.assert_matches_separate_calls(
+                    data, config, [[case, j] for j in range(6)])
+                assert len({len(r.removed_indices) for r in reports}) > 1
+
+    def test_zero_scatter_lane(self):
+        data = np.random.default_rng(71).standard_normal((30, 3))
+        data[:, 1] = 4.0
+        reports = self.assert_matches_separate_calls(
+            data, FilterConfig(stop_mode=STOP_FIXED_STEPS, steps=5), [0, 1, 2])
+        assert reports[1].diagnostics["stop_reason"] == "zero_scatter"
+        assert reports[0].diagnostics["stop_reason"] == "budget"
+
+    def test_exhaustion_raises(self):
+        with pytest.raises(FilterExhaustedError):
+            filtering._filter(filtering._Univariate, np.arange(6.0).reshape(3, 2),
+                              FilterConfig(stop_mode=STOP_FIXED_STEPS, steps=3),
+                              [0, 1])
+
+    def test_filter_columns_clamps_the_budget(self):
+        data = np.random.default_rng(72).standard_normal((5, 3))
+        np.testing.assert_array_equal(
+            filtering.filter_columns(data, 100, [7, 8, 9]),
+            [filter_univariate(data[:, j], FilterConfig(
+                stop_mode=STOP_FIXED_STEPS, steps=3, seed=seed)).estimate[0]
+             for j, seed in enumerate([7, 8, 9])])
+        with pytest.raises(ConfigurationError, match="n=1"):
+            filtering.filter_columns(np.ones((1, 3)), 6, [0, 1, 2])
 
 
 class TestDiagnostics:

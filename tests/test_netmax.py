@@ -16,6 +16,7 @@ from robustmean import (
     net_estimate,
 )
 from robustmean import netmax
+from robustmean.filtering import FilterConfig, STOP_FIXED_STEPS, filter_univariate
 from robustmean.netmax import _draw_probes, minimax_objective
 
 
@@ -368,6 +369,30 @@ class TestNetEstimate:
         rep = net_estimate(data, cfg, seed=2)
         assert rep.diagnostics["inner"] == "filter1d"
         assert np.linalg.norm(rep.estimate - [2.0, 0.0]) < 0.5
+
+    def test_filter_targets_match_per_direction_calls(self):
+        # The lockstep lanes give each direction's target as one
+        # filter_univariate call on its projection, seeded [seed, 1 + j].
+        for seed in range(3):
+            data = np.random.default_rng([11, seed]).lognormal(size=(150, 3))
+            cfg = NetConfig(epsilon=0.0, delta=0.1, inner="filter1d")
+            rep = net_estimate(data, cfg, seed=seed)
+            cover = build_half_cover(3, seed=seed)
+            steps = min(math.ceil(2.0 * cfg.log_inv_delta_inner(3)), 148)
+            expected = [
+                filter_univariate(data @ u, FilterConfig(
+                    stop_mode=STOP_FIXED_STEPS, steps=steps,
+                    seed=int(np.random.SeedSequence(
+                        [seed, 1 + j]).generate_state(1)[0]),
+                )).estimate[0]
+                for j, u in enumerate(cover.directions)
+            ]
+            assert rep.diagnostics["targets"] == expected
+
+    def test_filter_inner_on_one_row_is_a_configuration_error(self):
+        with pytest.raises(ConfigurationError, match="n=1"):
+            net_estimate(np.ones((1, 2)), NetConfig(
+                epsilon=0.0, delta=0.1, inner="filter1d"))
 
     def test_sparse_estimate_has_sparse_support(self):
         rng = np.random.default_rng(10)
