@@ -29,25 +29,25 @@ def geometric_median(points: np.ndarray) -> np.ndarray:
     """Geometric median of row vectors by Weiszfeld iteration.
 
     Uses the standard modified step when the iterate lands on a data point
-    (within 1e-12), which keeps the objective non-increasing.
-    """
+    (within 1e-12), which keeps the objective non-increasing.  Distances and
+    norms are ``np.linalg.norm``'s square roots of sums of squares, unwrapped."""
     pts = np.atleast_2d(points)
     if pts.shape[0] == 1:
         return pts[0].copy()
     theta = pts.mean(axis=0)
     for _ in range(WEISZFELD_MAX_ITER):
-        dists = np.linalg.norm(pts - theta, axis=1)
-        at_point = dists < 1e-12
-        if at_point.any():
+        dists = np.sqrt(np.square(pts - theta).sum(axis=1))
+        if dists.min() < 1e-12:
             # Modified Weiszfeld step (Vardi-Zhang) anchored at the
             # coinciding point.
+            at_point = dists < 1e-12
             others = ~at_point
             if not others.any():
                 return theta
             inv = 1.0 / dists[others]
             t_tilde = (pts[others] * inv[:, None]).sum(axis=0) / inv.sum()
             r_vec = ((pts[others] - theta) * inv[:, None]).sum(axis=0)
-            r = np.linalg.norm(r_vec)
+            r = math.sqrt(r_vec.dot(r_vec))
             eta = float(at_point.sum())
             if r <= eta:
                 return theta  # optimality condition at the anchor
@@ -56,10 +56,10 @@ def geometric_median(points: np.ndarray) -> np.ndarray:
         else:
             inv = 1.0 / dists
             new_theta = (pts * inv[:, None]).sum(axis=0) / inv.sum()
-        step = np.linalg.norm(new_theta - theta)
-        denom = max(np.linalg.norm(new_theta), 1e-300)
+        step = new_theta - theta
+        denom = max(math.sqrt(new_theta.dot(new_theta)), 1e-300)
         theta = new_theta
-        if step <= WEISZFELD_TOL * denom:
+        if math.sqrt(step.dot(step)) <= WEISZFELD_TOL * denom:
             return theta
     raise ConvergenceError(
         "Weiszfeld iteration hit its iteration cap", last_iterate=theta

@@ -5,9 +5,9 @@ squared projection on the leading eigenvector of the survivors' sample
 covariance, until a stop rule holds.  Sample covariances use the 1/|S|
 (population) convention throughout.
 
-One loop runs k filters ("lanes") in lockstep: ``filter_multivariate`` is
-one lane, and ``filter_columns`` one univariate lane per column, with the
-removals of separate ``filter_univariate`` calls.
+One loop runs k filters ("lanes") in lockstep, each step of a round one array
+operation over them: ``filter_multivariate`` is one lane, ``filter_columns``
+one univariate lane per column, with the removals of separate calls.
 """
 
 from __future__ import annotations
@@ -86,20 +86,20 @@ def top_eigenpair(matrix: np.ndarray) -> Tuple[float, np.ndarray]:
     """Leading eigenpair of a symmetric PSD matrix by an exact dense
     eigensolve that computes only that pair (LAPACK ``dsyevr``).
 
-    Returns (0, e_1) for the zero matrix and (a, [1]) for the 1 x 1 matrix
-    [[a]].  The eigenvector has unit norm; its sign is LAPACK's.  Raises
-    ``ConvergenceError`` if LAPACK reports a failure.
+    Returns (a, [1]) for [[a]] and (0, e_1) for the zero matrix (sought only
+    when LAPACK's eigenvalue is 0).  The eigenvector has unit norm and
+    LAPACK's sign.  Raises ``ConvergenceError`` if LAPACK reports a failure.
     """
     p = matrix.shape[0]
     if p == 1:
         return float(matrix[0, 0]), np.ones(1)
-    if not matrix.any():
-        v = np.zeros(p)
-        v[0] = 1.0
-        return 0.0, v
     values, vectors, _, _, info = lapack.dsyevr(matrix, range="I", il=p, iu=p)
     if info != 0:
         raise ConvergenceError(f"LAPACK dsyevr failed with info={info}")
+    if values[0] == 0.0 and not matrix.any():
+        v = np.zeros(p)
+        v[0] = 1.0
+        return 0.0, v
     return float(values[0]), vectors[:, 0]
 
 
@@ -111,17 +111,18 @@ class _Univariate:
 
     def __init__(self, data: np.ndarray):
         self.data = data.T.reshape(-1, 1)
-        self.values = self.data.ravel()
 
-    def round(self, alive: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    def round(self, alive: np.ndarray) -> Tuple[np.ndarray, ...]:
         # Row sums of the C-contiguous survivor matrix are the 1D sum() of
         # each row bit for bit, and sum()/m is mean() without its overhead.
-        survivors = self.values.take(alive)
+        survivors = self.data.take(alive)
         m = alive.shape[1]
-        scores = np.square(survivors - (survivors.sum(axis=1) / m)[:, None])
-        return scores.sum(axis=1) / m, scores
+        survivors -= (survivors.sum(axis=1) / m)[:, None]
+        scores = np.square(survivors, out=survivors)
+        totals = scores.sum(axis=1)
+        return totals / m, scores, totals
 
-    def remove(self, row: int) -> None:
+    def remove(self, rows: np.ndarray) -> None:
         pass
 
 
@@ -131,9 +132,9 @@ class _Multivariate:
 
     def __init__(self, data: np.ndarray):
         self.data = data
-        self._recentre(np.arange(data.shape[0]))
+        self._recentre(slice(None))  # all rows, without copying them
 
-    def _recentre(self, alive: np.ndarray) -> None:
+    def _recentre(self, alive) -> None:
         self.shifted = self.data - self.data[alive].mean(axis=0)
         rows = self.shifted[alive]
         self.total = rows.sum(axis=0)
@@ -145,18 +146,18 @@ class _Multivariate:
         # np.outer(mu, mu) and np.trace bit for bit, without their wrappers.
         return mu, self.gram / m - mu[:, None] * mu
 
-    def round(self, alive: np.ndarray) -> Tuple[Tuple[float], np.ndarray]:
-        alive = alive[0]
-        m = alive.size
+    def round(self, alive: np.ndarray) -> Tuple[np.ndarray, ...]:
+        m = alive.shape[1]
         mu, cov = self._moments(m)
         if self.exact_trace > _DRIFT_RATIO * m * cov.trace():
-            self._recentre(alive)
+            self._recentre(alive[0])
             mu, cov = self._moments(m)
         lam, v = top_eigenpair(cov)
-        return (lam,), np.square((self.shifted @ v)[alive] - mu @ v)[None]
+        scores = np.square((self.shifted @ v).take(alive) - mu @ v)
+        return np.array([lam]), scores, scores.sum(axis=1)
 
-    def remove(self, row: int) -> None:
-        x = self.shifted[row]
+    def remove(self, rows: np.ndarray) -> None:
+        x = self.shifted[rows[0]]
         self.total -= x
         self.gram -= x[:, None] * x
 
@@ -164,78 +165,77 @@ class _Multivariate:
 def _weighted_picks(rngs: Sequence[np.random.Generator],
                     p: np.ndarray) -> List[int]:
     """For each row of ``p`` and its generator, ``rng.choice(p.shape[1],
-    p=row)`` without its checks of ``row``: the same cumulative sum, uniform
-    draw and search, so the same index and the same generator state
-    afterwards."""
-    picks = []
-    for rng, cdf in zip(rngs, np.cumsum(p, axis=1)):
-        cdf /= cdf[-1]  # by a scalar: faster than one broadcast division
-        picks.append(int(cdf.searchsorted(rng.random(), side="right")))
-    return picks
+    p=row)`` without its checks of ``row``: the same cdf and uniform draw,
+    so the same index, the first cdf entry above the draw (on a cdf ending
+    at 1.0, the count of entries <= it, as ``choice``'s right-side search
+    finds), and the same generator state afterwards."""
+    cdf = p.cumsum(axis=1)
+    draws = np.array([rng.random() for rng in rngs])
+    return (cdf / cdf[:, -1:] > draws[:, None]).argmax(axis=1).tolist()
 
 
 def _filter(lane_stats, data: np.ndarray, config: FilterConfig,
             seeds: Sequence[int]) -> List[EstimateReport]:
     """The filter loop on the n rows of ``data``, one lane per seed, with
     round statistics ``lane_stats(data)``.  The lanes run in lockstep: each
-    remaining lane removes one row a round, so all have m survivors.  A lane
-    whose stop rule holds leaves with its report; each other lane draws its
-    pick from its own generator."""
+    remaining lane removes one row a round, so all have m survivors.  Each
+    step of a round (stop rule, picks, removal, record) is one array operation
+    over the lanes; a lane's record becomes its report when it leaves."""
     n = data.shape[0]
     if n < 2:
-        raise FilterExhaustedError("need at least 2 points to filter")
+        raise ConfigurationError(f"filtering needs at least 2 rows, got n={n}")
     stats = lane_stats(data)
-    # Row i of alive lists, in index order, the survivors of lane lanes[i]
-    # as rows of stats.data, where lane j's rows start at j * n; the lane
-    # draws from rngs[i].  default_rng(s) is default_rng(SeedSequence(s)).
-    lanes = list(range(len(seeds)))
+    # Row i of alive holds lane lanes[i]'s survivors, in index order, as rows
+    # of stats.data (lane j's from j * n), rngs[i] its default_rng(s), and
+    # eigenvalues[r, i], removed[r, i] its round-r top eigenvalue and removal.
+    lanes = positions = np.arange(len(seeds))
     rngs = [np.random.default_rng(s) for s in seeds]
-    alive = np.arange(len(lanes) * n).reshape(len(lanes), n)
-    removed: List[List[int]] = [[] for _ in lanes]
-    eigenvalues: List[List[float]] = [[] for _ in lanes]
-    reports: List[EstimateReport] = [None] * len(lanes)
+    alive = np.arange(lanes.size * n).reshape(lanes.size, n)
+    reports: List[EstimateReport] = [None] * lanes.size
     # The threshold rule is off under fixed_steps, the budget under threshold.
     threshold = -math.inf if config.stop_mode == STOP_FIXED_STEPS \
         else config.threshold_factor * config.cov_bound
-    while True:
-        lams, scores = stats.round(alive)
-        totals = scores.sum(axis=1)
-        spent = config.stop_mode != STOP_THRESHOLD and \
-            n - alive.shape[1] >= config.steps
-        going = []
-        for i, lane in enumerate(lanes):
-            lam = float(lams[i])
-            reason = "threshold" if lam < threshold else \
-                "budget" if spent else None
-            if reason is None and lam <= 0.0:
-                # Zero scatter: no point can be scored, so stop regardless of
-                # the unmet stop rule.
-                reason, lam = "zero_scatter", 0.0
-            eigenvalues[lane].append(lam)
-            if reason is not None:
-                reports[lane] = EstimateReport(
-                    stats.data[alive[i]].mean(axis=0), tuple(removed[lane]),
-                    {"stop_reason": reason, "eigenvalues": eigenvalues[lane]})
-            elif totals[i] <= 0.0:
-                raise DegenerateScoresError(
-                    "all scores zero with positive top eigenvalue")
-            else:
-                going.append(i)
-        if not going:
-            return reports
-        if len(going) < len(lanes):
-            lanes, rngs = [lanes[i] for i in going], [rngs[i] for i in going]
+    budget = math.inf if config.stop_mode == STOP_THRESHOLD else config.steps
+    rounds = min(n - 1, budget + 1)  # the last spends the budget or leaves 1 row
+    eigenvalues = np.empty((rounds, lanes.size))
+    removed = np.empty((rounds, lanes.size), dtype=np.intp)
+    for r in range(rounds):  # round r starts with n - r survivors
+        lams, scores, totals = stats.round(alive)
+        eigenvalues[r] = lams
+        # A lane stops below the threshold or at zero scatter (lam <= 0: no
+        # point can be scored); every lam <= 0 is below a positive threshold.
+        stop = lams < threshold if threshold > 0.0 else lams <= 0.0
+        spent = r >= budget
+        if spent or stop.any():
+            below = lams < threshold
+            if not spent:
+                eigenvalues[r, stop & ~below] = 0.0  # zero scatter, clipped
+            leaving = positions if spent else np.flatnonzero(stop)
+            left = lanes[leaving]
+            reasons = np.where(below[leaving], "threshold",
+                               "budget" if spent else "zero_scatter")
+            for lane, mean, removal, reason, history in zip(
+                    left.tolist(), stats.data[alive[leaving]].mean(axis=1),
+                    (removed[:r, leaving] - left * n).T.tolist(),
+                    reasons.tolist(), eigenvalues[:r + 1, leaving].T.tolist()):
+                reports[lane] = EstimateReport(mean, tuple(removal), {
+                    "stop_reason": reason, "eigenvalues": history})
+            if leaving.size == positions.size:
+                return reports
+            going = np.flatnonzero(~stop)
+            rngs = [rngs[i] for i in going]
+            lanes, positions = lanes[going], np.arange(going.size)
             alive, scores, totals = alive[going], scores[going], totals[going]
-        picks = _weighted_picks(rngs, scores / totals[:, None])
-        for lane, rows, pick in zip(lanes, alive, picks):
-            row = int(rows[pick])
-            stats.remove(row)
-            removed[lane].append(row - lane * n)
-            rows[pick:-1] = rows[pick + 1:]  # deletes the pick, in place
-        alive = alive[:, :-1]
-        if alive.shape[1] < 2:
-            raise FilterExhaustedError(
-                "fewer than 2 survivors before the stop condition held")
+            eigenvalues, removed = eigenvalues[:, going], removed[:, going]
+        if not totals.all():  # scores are squares: a total is 0 or more
+            raise DegenerateScoresError("zero scores with a positive eigenvalue")
+        scores /= totals[:, None]
+        rows = alive[positions, np.array(_weighted_picks(rngs, scores))]
+        stats.remove(rows)
+        removed[r] = rows
+        # One boolean-mask compaction, which keeps index order.
+        alive = alive[alive != rows[:, None]].reshape(positions.size, -1)
+    raise FilterExhaustedError("fewer than 2 survivors before the stop condition held")
 
 
 def filter_multivariate(samples, config: FilterConfig) -> EstimateReport:
@@ -286,10 +286,8 @@ def filter_columns(samples, steps: int, seeds: Sequence[int]) -> np.ndarray:
 
 
 def clamp_steps(steps: int, n: int) -> int:
-    """A fixed-steps budget for n rows: at most n - 2, so 2 rows survive."""
-    if n < 2:
-        raise ConfigurationError(f"filtering needs at least 2 rows, got n={n}")
-    return min(steps, n - 2)
+    """A fixed-steps budget for n rows: at most n - 2 (>= 0), so 2 survive."""
+    return min(steps, max(n - 2, 0))
 
 
 def default_steps(delta: float) -> int:

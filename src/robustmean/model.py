@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -115,6 +115,7 @@ class DistributionSpec:
     tail_beta: Optional[float] = None
     epsilon: float = 0.0
     q_spec: Optional[ContaminationSpec] = None
+    factor: Optional[np.ndarray] = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         if self.family not in FAMILIES:
@@ -133,6 +134,8 @@ class DistributionSpec:
             if eigvals.min() < -_PSD_TOL:
                 raise ConfigurationError("covariance must be PSD")
             object.__setattr__(self, "covariance", 0.5 * (cov + cov.T))
+            u, sv, _ = np.linalg.svd(self.covariance)
+            object.__setattr__(self, "factor", u * np.sqrt(sv))
         elif self.family == "pareto":
             if self.tail_beta is None or self.tail_beta <= 1.0:
                 raise ConfigurationError(
@@ -237,12 +240,10 @@ class MomentProfile:
 
 
 def _draw_clean(spec: DistributionSpec, count: int, rng: np.random.Generator):
-    if count == 0:
-        return np.empty((0, spec.p))
     if spec.family == "gaussian":
-        return rng.multivariate_normal(
-            np.zeros(spec.p), spec.covariance, size=count, method="svd"
-        )
+        # rng.multivariate_normal(zeros, covariance, method="svd") without its
+        # per-call SVD and PSD check; adding the zero mean matches signed zeros.
+        return np.zeros(spec.p) + rng.standard_normal((count, spec.p)) @ spec.factor.T
     if spec.family == "lognormal":
         return np.exp(rng.standard_normal((count, spec.p))) - LOGNORMAL_SHIFT
     beta = spec.tail_beta

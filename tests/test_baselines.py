@@ -66,6 +66,86 @@ class TestGeometricMedian:
         assert last.shape == (2,) and np.all(np.isfinite(last))
 
 
+def reference_geometric_median(points):
+    """The Weiszfeld loop with ``np.linalg.norm`` for every distance and
+    norm, as ``geometric_median`` computed them before it dropped the
+    wrapper."""
+    pts = np.atleast_2d(points)
+    if pts.shape[0] == 1:
+        return pts[0].copy()
+    theta = pts.mean(axis=0)
+    for _ in range(baselines.WEISZFELD_MAX_ITER):
+        dists = np.linalg.norm(pts - theta, axis=1)
+        at_point = dists < 1e-12
+        if at_point.any():
+            others = ~at_point
+            if not others.any():
+                return theta
+            inv = 1.0 / dists[others]
+            t_tilde = (pts[others] * inv[:, None]).sum(axis=0) / inv.sum()
+            r = np.linalg.norm(((pts[others] - theta) * inv[:, None]).sum(axis=0))
+            eta = float(at_point.sum())
+            if r <= eta:
+                return theta
+            lam = eta / r
+            new_theta = (1.0 - lam) * t_tilde + lam * theta
+        else:
+            inv = 1.0 / dists
+            new_theta = (pts * inv[:, None]).sum(axis=0) / inv.sum()
+        step = np.linalg.norm(new_theta - theta)
+        denom = max(np.linalg.norm(new_theta), 1e-300)
+        theta = new_theta
+        if step <= baselines.WEISZFELD_TOL * denom:
+            return theta
+    raise ConvergenceError("cap", last_iterate=theta)
+
+
+class TestGeometricMedianAgainstNormLoop:
+    """Distances and norms without ``np.linalg.norm``'s wrapper give the
+    same iterates, bit for bit."""
+
+    def assert_same(self, pts):
+        np.testing.assert_array_equal(geometric_median(pts),
+                                      reference_geometric_median(pts))
+
+    def test_lognormal_sets(self):
+        for seed in range(100):
+            self.assert_same(
+                np.random.default_rng([80, seed]).lognormal(size=(20, 20)))
+
+    def test_contaminated_block_means(self):
+        for seed in range(100):
+            data = np.random.default_rng([81, seed]).standard_normal((500, 20))
+            data[:50] = 0.0
+            data[:50, 0] = 50.0
+            self.assert_same(np.stack(
+                [chunk.mean(axis=0) for chunk in np.array_split(data, 6)]))
+
+    def test_anchored_steps(self):
+        # The start, the mean, is a data point in both sets, so the first
+        # step is the anchored (Vardi-Zhang) one.  The cross's centre is
+        # optimal; in the second set the anchor is not, and the iteration
+        # moves off it.
+        cross = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [-1.0, 0.0],
+                          [0.0, -1.0]])
+        lopsided = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 0.1], [1.0, -0.1],
+                             [-3.0, 0.0]])
+        for pts in (cross, lopsided):
+            assert np.any(np.linalg.norm(pts - pts.mean(axis=0), axis=1) < 1e-12)
+            self.assert_same(pts)
+        assert geometric_median(lopsided)[0] > 0.5
+
+    def test_iteration_cap(self, monkeypatch):
+        monkeypatch.setattr(baselines, "WEISZFELD_MAX_ITER", 3)
+        pts = np.random.default_rng(82).lognormal(size=(20, 5))
+        with pytest.raises(ConvergenceError) as ours:
+            geometric_median(pts)
+        with pytest.raises(ConvergenceError) as ref:
+            reference_geometric_median(pts)
+        np.testing.assert_array_equal(ours.value.last_iterate,
+                                      ref.value.last_iterate)
+
+
 class TestGmom:
     def test_one_block_is_sample_mean(self):
         rng = np.random.default_rng(2)

@@ -156,6 +156,8 @@ class TestEstimate:
         ["--method", "coord"],
         ["--method", "filter"],
         ["--method", "net", "--inner", "filter1d"],
+        ["--method", "filter", "--steps", "0"],
+        ["--method", "filter", "--stop-mode", "threshold", "--cov-bound", "1"],
     ])
     def test_one_row_exits_2_naming_n(self, tmp_path, capsys, argv):
         path = tmp_path / "one_row.csv"

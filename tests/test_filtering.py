@@ -8,6 +8,7 @@ import pytest
 from robustmean import (
     ConfigurationError,
     ConvergenceError,
+    DegenerateScoresError,
     FilterConfig,
     FilterExhaustedError,
     MomentProfile,
@@ -199,6 +200,15 @@ class TestFilterMechanics:
         np.testing.assert_allclose(rep.estimate, np.ones(3))
         assert rep.diagnostics["eigenvalues"][-1] == 0.0
 
+    @pytest.mark.parametrize("config", [
+        FilterConfig(stop_mode=STOP_FIXED_STEPS, steps=0),
+        FilterConfig(cov_bound=1.0),
+        FilterConfig(cov_bound=1.0, stop_mode=STOP_CAPPED, steps=3)])
+    @pytest.mark.parametrize("p", [1, 3])
+    def test_one_row_is_a_configuration_error(self, config, p):
+        with pytest.raises(ConfigurationError, match="n=1"):
+            filter_multivariate(np.ones((1, p)), config)
+
     def test_exhaustion_raises(self):
         data = np.array([[0.0], [1.0], [2.0]])
         with pytest.raises(FilterExhaustedError):
@@ -337,6 +347,47 @@ class TestLanes:
             data, FilterConfig(stop_mode=STOP_FIXED_STEPS, steps=5), [0, 1, 2])
         assert reports[1].diagnostics["stop_reason"] == "zero_scatter"
         assert reports[0].diagnostics["stop_reason"] == "budget"
+
+    def test_twenty_lognormal_lanes(self):
+        # coord's shape on heavy-tailed data: 20 lanes of 500 values, 6 steps.
+        config = FilterConfig(stop_mode=STOP_FIXED_STEPS, steps=6)
+        for seed in range(50):
+            data = np.random.default_rng([73, seed]).lognormal(size=(500, 20))
+            reports = self.assert_matches_separate_calls(
+                data, config, [[seed, j] for j in range(20)])
+            assert {r.diagnostics["stop_reason"] for r in reports} == {"budget"}
+
+    def test_zero_scatter_lanes_leave_at_round_zero(self):
+        # Constant columns leave before any removal; the others spend their
+        # budget in the survivor matrix without them.
+        data = np.random.default_rng(74).standard_normal((60, 7))
+        data[:, [0, 3, 4]] = [2.0, -1.0, 0.0]
+        reports = self.assert_matches_separate_calls(
+            data, FilterConfig(stop_mode=STOP_FIXED_STEPS, steps=9),
+            [[75, j] for j in range(7)])
+        for j, rep in enumerate(reports):
+            if j in (0, 3, 4):
+                assert rep.diagnostics == {"stop_reason": "zero_scatter",
+                                           "eigenvalues": [0.0]}
+                assert rep.removed_indices == ()
+            else:
+                assert rep.diagnostics["stop_reason"] == "budget"
+                assert len(rep.removed_indices) == 9
+
+    def test_zero_scores_with_positive_eigenvalue_raise(self):
+        # Round statistics whose eigenvalue says "go on" while every score
+        # is 0: no pick can be drawn, for any lane that goes on.
+        class Flat:
+            def __init__(self, data):
+                self.data = data
+
+            def round(self, alive):
+                k = alive.shape[0]
+                return np.ones(k), np.zeros(alive.shape), np.zeros(k)
+
+        with pytest.raises(DegenerateScoresError):
+            filtering._filter(Flat, np.zeros((6, 2)), FilterConfig(
+                stop_mode=STOP_FIXED_STEPS, steps=3), [0, 1])
 
     def test_exhaustion_raises(self):
         with pytest.raises(FilterExhaustedError):

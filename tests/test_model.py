@@ -14,6 +14,7 @@ from robustmean import (
     population_moments,
     sample_dataset,
 )
+from robustmean import model
 from robustmean.model import LOGNORMAL_SHIFT, LOGNORMAL_VAR, SPEC_KEYS
 
 
@@ -32,6 +33,36 @@ def test_gaussian_respects_covariance():
     data = sample_dataset(spec, 200_000, seed=0).data
     emp = data.T @ data / data.shape[0]
     np.testing.assert_allclose(emp, cov, atol=0.05)
+
+
+def _covariances():
+    rng = np.random.default_rng(90)
+    a = rng.standard_normal((6, 6))
+    b = rng.standard_normal((5, 2))
+    return {"identity": np.eye(20), "spd": a @ a.T + 0.1 * np.eye(6),
+            "rank_deficient": b @ b.T, "p1": np.array([[2.5]]),
+            # A zero-variance coordinate: a zero row in the factor.
+            "zero_variance": np.diag([2.0, 0.0, 1.0])}
+
+
+@pytest.mark.parametrize("name", ["identity", "spd", "rank_deficient", "p1",
+                                  "zero_variance"])
+def test_gaussian_rows_are_multivariate_normal_svd(name):
+    # The factor built once per spec gives Generator.multivariate_normal's
+    # rows bit for bit, signed zeros included, and leaves the generator
+    # where it leaves it, so the contamination draws that follow are the same.
+    cov = _covariances()[name]
+    spec = DistributionSpec("gaussian", p=cov.shape[0], covariance=cov)
+    for seed in range(5):
+        for count in (1, 7, 300):
+            ours = np.random.default_rng([91, seed])
+            ref = np.random.default_rng([91, seed])
+            rows = model._draw_clean(spec, count, ours)
+            expected = ref.multivariate_normal(
+                np.zeros(spec.p), spec.covariance, size=count, method="svd")
+            assert rows.shape == expected.shape
+            assert rows.tobytes() == expected.tobytes()
+            assert ours.random() == ref.random()
 
 
 def test_lognormal_is_centered():

@@ -1,6 +1,7 @@
 """Static checks of the package source."""
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -35,3 +36,15 @@ def referenced_names(tree):
 def test_no_unused_imports(path):
     tree = ast.parse(path.read_text())
     assert imported_names(tree) - referenced_names(tree) == set()
+
+
+def test_ci_runs_the_tier1_command():
+    # The workflow's test step is the Tier-1 command that ROADMAP.md gives.
+    yaml = pytest.importorskip("yaml")
+    root = SOURCE.parents[1]
+    workflow = yaml.safe_load((root / ".github/workflows/tier1.yml").read_text())
+    job = workflow["jobs"]["tests"]
+    command = re.search(r"\*\*Tier-1 verify:\*\* `([^`]*)`",
+                        (root / "ROADMAP.md").read_text()).group(1)
+    assert job["steps"][-1]["run"] == command
+    assert job["strategy"]["matrix"]["python-version"] == ["3.10", "3.11"]
