@@ -5,7 +5,7 @@ brute-force subset-search estimator with its population bias."""
 from __future__ import annotations
 
 import math
-from itertools import combinations
+from itertools import chain, combinations, islice
 
 import numpy as np
 
@@ -14,6 +14,8 @@ from .filtering import default_steps, filter_columns
 from .model import MomentProfile, as_finite_matrix
 
 SRM_MAX_N = 25
+# Complements screened per vectorised step of srm_bruteforce.
+_SRM_CHUNK = 2048
 # Weiszfeld stops once a step is at most WEISZFELD_TOL times the new iterate's
 # norm, and raises ConvergenceError after WEISZFELD_MAX_ITER steps.
 WEISZFELD_TOL = 1e-10
@@ -139,13 +141,26 @@ def oracle_truncated_mean(samples, center, radius: float) -> np.ndarray:
 
 def srm_bruteforce(samples, epsilon: float) -> np.ndarray:
     """Mean of the size-floor((1-eps)n) subset with the smallest within-subset
-    scatter, by exhaustive enumeration (n <= 25).
+    scatter, by exhaustive search (n <= SRM_MAX_N = 25).
 
-    Ties resolve to the lexicographically smallest index set, which is the
-    enumeration order.
+    Screen: with the rows centred at their mean, every subset's scatter is
+    the totals minus its complement's sums, A(S) - |sum_S y|^2 / size with
+    A(S) the sum of |y|^2 over S.  The complements are walked in chunks of
+    ``_SRM_CHUNK``, keeping only the running minimum and the subsets within
+    ``slack`` of it, so working memory does not grow with C(n, size).
+    ``slack`` bounds twice the screen's rounding plus twice the rounding of
+    the per-subset loss below, which grows with the raw magnitude of the
+    data, not only the centred one; the kept subsets therefore include
+    every subset of minimal loss.
+
+    Confirm: the kept subsets, in lexicographic order, go through the
+    exhaustive loop's own arithmetic (``rows.mean``, the sum of squared
+    deviations over size, strict ``<``).  So the result, and the tie-break
+    to the lexicographically smallest index set, are those of enumerating
+    every subset; a wider slack costs only confirm time.
     """
     data = as_finite_matrix(samples)
-    n = data.shape[0]
+    n, p = data.shape
     if n > SRM_MAX_N:
         raise ConfigurationError(
             f"subset search is exhaustive and limited to n <= {SRM_MAX_N}; "
@@ -159,10 +174,48 @@ def srm_bruteforce(samples, epsilon: float) -> np.ndarray:
     if size == n:
         return data.mean(axis=0)
 
+    centred = data - data.mean(axis=0)
+    row_sq = np.square(centred).sum(axis=1)
+    total_sq = float(row_sq.sum())
+    total = centred.sum(axis=0)
+    # With a margin of 2: twice the screen's error (the centring, the sums
+    # and their cancellation against the totals, within a multiple of
+    # u * total_sq), twice the loop's (its mean is off by up to
+    # size * u * max|y| per coordinate, which adds size * |off|^2, and its
+    # sum of squares is within (size * p + 2) * u relatively), the rounding
+    # of the loop's division, and underflow; u = eps / 2.
+    eps = np.finfo(float).eps
+    slack = (8 * eps * (n + p + 2) ** 2 * (1 + n / size) * total_sq
+             + size ** 3 * eps ** 2 * float(np.square(np.abs(data).max(axis=0)).sum())
+             + 4 * (n + 2) * (p + 2) * math.ulp(0.0))
+    if not math.isfinite(2 * n * total_sq + slack):
+        slack = math.inf  # the screen's squares may overflow: confirm all
+    best = math.inf
+    kept = np.empty((0, n - size), dtype=np.intp)
+    kept_scatter = np.empty(0)
+    complements = combinations(range(n), n - size)
+    while True:
+        chunk = np.fromiter(chain.from_iterable(islice(complements, _SRM_CHUNK)),
+                            dtype=np.intp).reshape(-1, n - size)
+        if not len(chunk):
+            break
+        sums = total - centred[chunk].sum(axis=1)
+        scatter = (total_sq - row_sq[chunk].sum(axis=1)
+                   - np.square(sums).sum(axis=1) / size)
+        best = min(best, float(scatter.min()))
+        kept = np.concatenate([kept, chunk])
+        kept_scatter = np.concatenate([kept_scatter, scatter])
+        near = ~(kept_scatter > best + slack)  # an overflowed NaN stays
+        kept, kept_scatter = kept[near], kept_scatter[near]
+
+    # The complements came in lexicographic order, so reversed they give
+    # their subsets in lexicographic order, the loop's.
     best_loss = math.inf
     best_mean = None
-    for subset in combinations(range(n), size):
-        rows = data[list(subset)]
+    for complement in kept[::-1]:
+        subset = np.ones(n, dtype=bool)
+        subset[complement] = False
+        rows = data[subset]
         mean = rows.mean(axis=0)
         loss = float(np.sum((rows - mean) ** 2)) / size
         if loss < best_loss:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Optional
 
 import numpy as np
@@ -58,6 +58,21 @@ def as_finite_matrix(samples) -> np.ndarray:
     return data
 
 
+def _same_fields(a, b):
+    """Field-by-field equality of two spec dataclasses: array fields compare
+    with ``np.array_equal``, and fields declared ``compare=False`` are left
+    out."""
+    if type(a) is not type(b):
+        return NotImplemented
+    for f in fields(a):
+        x, y = getattr(a, f.name), getattr(b, f.name)
+        if f.compare and not (
+                np.array_equal(x, y) if isinstance(x, np.ndarray)
+                or isinstance(y, np.ndarray) else x == y):
+            return False
+    return True
+
+
 @dataclass(frozen=True)
 class ContaminationSpec:
     """How contaminated rows are drawn.
@@ -89,6 +104,8 @@ class ContaminationSpec:
                 self, "shift", np.asarray(self.shift, dtype=float).ravel()
             )
 
+    __eq__ = _same_fields
+
     def center(self) -> np.ndarray:
         return self.location if self.kind == "point_mass" else self.shift
 
@@ -115,7 +132,11 @@ class DistributionSpec:
     tail_beta: Optional[float] = None
     epsilon: float = 0.0
     q_spec: Optional[ContaminationSpec] = None
-    factor: Optional[np.ndarray] = field(default=None, init=False, repr=False)
+    # Derived from covariance, so equality leaves it out.
+    factor: Optional[np.ndarray] = field(
+        default=None, init=False, repr=False, compare=False)
+
+    __eq__ = _same_fields
 
     def __post_init__(self):
         if self.family not in FAMILIES:

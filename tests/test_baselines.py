@@ -1,12 +1,15 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from robustmean import (
     ConfigurationError,
+    ContaminationSpec,
     ConvergenceError,
+    DistributionSpec,
     EmptySelectionError,
     MomentProfile,
     coordinatewise_filter,
@@ -14,6 +17,7 @@ from robustmean import (
     geometric_median_of_means,
     oracle_radius,
     oracle_truncated_mean,
+    sample_dataset,
     sample_mean,
     srm_bruteforce,
     srm_population_bias,
@@ -357,18 +361,39 @@ class TestRadiusRule:
 
 
 def brute_srm(data, epsilon):
-    """Oracle: independent enumeration of the minimum-scatter subset."""
+    """Oracle: the exhaustive loop that ``srm_bruteforce`` once was, kept
+    verbatim as the bit-for-bit reference."""
+    data = np.asarray(data, dtype=float)
     n = data.shape[0]
     size = math.floor((1 - epsilon) * n)
-    best = None
+    best_loss = math.inf
+    best_mean = None
     for subset in itertools.combinations(range(n), size):
         rows = data[list(subset)]
         mean = rows.mean(axis=0)
         loss = float(np.sum((rows - mean) ** 2)) / size
-        if best is None or loss < best[0] - 0.0:
-            if best is None or loss < best[0]:
-                best = (loss, mean)
-    return best[1]
+        if loss < best_loss:
+            best_loss = loss
+            best_mean = mean
+    return best_mean
+
+
+SRM_EPSILONS = (0.1, 0.2, 0.3, 0.45)
+
+
+def srm_epsilon(rng, n):
+    """One of SRM_EPSILONS, or the epsilon that leaves one row or n - 1."""
+    pick = rng.integers(len(SRM_EPSILONS) + 2)
+    if pick == len(SRM_EPSILONS):
+        return 1.0 - 1.5 / n  # size 1
+    if pick == len(SRM_EPSILONS) + 1:
+        return 0.5 / n  # size n - 1
+    return SRM_EPSILONS[pick]
+
+
+def assert_matches_loop(data, epsilon):
+    np.testing.assert_array_equal(srm_bruteforce(data, epsilon),
+                                  brute_srm(data, epsilon))
 
 
 class TestSubsetSearch:
@@ -388,6 +413,66 @@ class TestSubsetSearch:
              [3.0], [3.0]])
         est = srm_bruteforce(data, epsilon=0.2)
         assert est[0] == pytest.approx(2.0)
+
+    def test_matches_loop_bit_for_bit_on_random_draws(self):
+        rng = np.random.default_rng(11)
+        edges = set()
+        for _ in range(120):
+            n, p = int(rng.integers(4, 15)), int(rng.integers(1, 4))
+            epsilon = srm_epsilon(rng, n)
+            size = math.floor((1 - epsilon) * n)
+            edges.add("one" if size == 1 else "n-1" if size == n - 1 else "")
+            assert_matches_loop(rng.standard_normal((n, p)), epsilon)
+        assert {"one", "n-1"} <= edges
+
+    @pytest.mark.parametrize("mass", [0.5, 2.0, 5.0, 1e6])
+    def test_matches_loop_bit_for_bit_with_repeated_rows(self, mass):
+        # Many subsets tie in exact arithmetic; the loop's rounding decides.
+        rng = np.random.default_rng(int(mass * 10) % 997)
+        for _ in range(30):
+            n, p = int(rng.integers(4, 15)), int(rng.integers(1, 4))
+            data = rng.standard_normal((n, p))
+            data[rng.permutation(n)[:rng.integers(2, n)]] = mass
+            assert_matches_loop(data, srm_epsilon(rng, n))
+
+    @pytest.mark.parametrize("offset", [1e6, 1e9, 1e12])
+    def test_matches_loop_bit_for_bit_far_from_origin(self, offset):
+        # The loop's rounding grows with the raw magnitude, not the spread.
+        rng = np.random.default_rng(int(math.log10(offset)))
+        for _ in range(30):
+            n, p = int(rng.integers(4, 15)), int(rng.integers(1, 4))
+            assert_matches_loop(offset + rng.standard_normal((n, p)),
+                                srm_epsilon(rng, n))
+
+    def test_matches_loop_bit_for_bit_on_subset_search_1d_draws(self):
+        # The benchmark's srm cell: n = 25 from N(0, 1) with each row a
+        # point mass at 5 with probability 0.2.
+        spec = DistributionSpec(
+            "gaussian", p=1, covariance=np.eye(1), epsilon=0.2,
+            q_spec=ContaminationSpec("point_mass", location=[5.0]))
+        for seed in range(3):
+            assert_matches_loop(sample_dataset(spec, 25, seed).data, 0.2)
+
+    def test_matches_loop_when_squares_overflow(self):
+        # Subsets with the far row have an infinite loss in the loop, and
+        # the screen's totals overflow, so every subset is confirmed.
+        data = np.random.default_rng(3).standard_normal((8, 2))
+        data[2] = 1e200
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert_matches_loop(data, 0.3)
+
+    @pytest.mark.parametrize("p", [1, 3])
+    def test_working_memory_does_not_grow_with_subset_count(self, p):
+        # C(25, 20) = 53,130 subsets, screened a chunk at a time: the peak
+        # stays under 1 MiB; holding every complement at once takes about 2 MiB.
+        data = np.random.default_rng(p).standard_normal((25, p))
+        tracemalloc.start()
+        try:
+            srm_bruteforce(data, 0.2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
 
     def test_size_limit(self):
         with pytest.raises(ConfigurationError):

@@ -217,3 +217,41 @@ def test_json_non_object_rejected(contamination):
     doc = dict(CONTAMINATED_JSON, contamination=contamination)
     with pytest.raises(ConfigurationError, match="must be a JSON object"):
         DistributionSpec.from_json_dict(doc)
+
+
+def _gaussian(cov, location=(5.0, 0.0)):
+    return DistributionSpec(
+        "gaussian", p=2, covariance=np.array(cov, dtype=float), epsilon=0.1,
+        q_spec=ContaminationSpec("point_mass", location=list(location)))
+
+
+def test_spec_equality_compares_arrays_by_value():
+    # Distinct but equal covariance and location arrays: the generated
+    # dataclass __eq__ raised ValueError on the tuple of arrays.
+    a, b = _gaussian([[2.0, 0.5], [0.5, 1.0]]), _gaussian([[2.0, 0.5], [0.5, 1.0]])
+    assert a.covariance is not b.covariance
+    assert a == b and not a != b
+    assert DistributionSpec("lognormal", p=3) == DistributionSpec("lognormal", p=3)
+    shifted = ContaminationSpec("shifted_gaussian", shift=[1.0, 2.0], scale=0.5)
+    assert shifted == ContaminationSpec("shifted_gaussian", shift=np.array([1.0, 2.0]),
+                                        scale=0.5)
+
+
+def test_spec_equality_tells_unequal_specs_apart():
+    base = _gaussian(np.eye(2))
+    assert base != _gaussian(2 * np.eye(2))
+    assert base != _gaussian(np.eye(2), location=(5.0, 1.0))
+    assert not base == DistributionSpec("gaussian", p=2, covariance=np.eye(2))
+    assert DistributionSpec("pareto", p=1, tail_beta=3.0) != \
+        DistributionSpec("pareto", p=1, tail_beta=4.0)
+    assert ContaminationSpec("shifted_gaussian", shift=[1.0], scale=0.5) != \
+        ContaminationSpec("shifted_gaussian", shift=[1.0], scale=1.0)
+    assert ContaminationSpec("point_mass", location=[1.0]) != \
+        ContaminationSpec("shifted_gaussian", shift=[1.0])
+    assert base != "gaussian"
+
+
+def test_spec_equality_leaves_out_the_derived_factor():
+    a, b = _gaussian(np.eye(2)), _gaussian(np.eye(2))
+    object.__setattr__(b, "factor", -b.factor)
+    assert a == b
