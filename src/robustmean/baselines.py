@@ -11,7 +11,7 @@ import numpy as np
 
 from .errors import ConfigurationError, ConvergenceError, EmptySelectionError
 from .filtering import default_steps, filter_columns
-from .model import MomentProfile, as_finite_matrix
+from .model import MomentProfile, as_finite_matrix, check_range, derived_seed
 
 SRM_MAX_N = 25
 # Complements screened per vectorised step of srm_bruteforce.
@@ -28,12 +28,14 @@ def sample_mean(samples) -> np.ndarray:
 
 
 def geometric_median(points: np.ndarray) -> np.ndarray:
-    """Geometric median of row vectors by Weiszfeld iteration.
+    """Geometric median of the rows of ``points`` (read through
+    ``as_finite_matrix``, so non-finite rows raise ``ConfigurationError``
+    before the first step) by Weiszfeld iteration.
 
     Uses the standard modified step when the iterate lands on a data point
     (within 1e-12), which keeps the objective non-increasing.  Distances and
     norms are ``np.linalg.norm``'s square roots of sums of squares, unwrapped."""
-    pts = np.atleast_2d(points)
+    pts = as_finite_matrix(points)
     if pts.shape[0] == 1:
         return pts[0].copy()
     theta = pts.mean(axis=0)
@@ -86,9 +88,8 @@ def coordinatewise_filter(samples, delta: float, seed: int = 0) -> np.ndarray:
     p filters run in lockstep (``filter_columns``), with the removals of p
     separate ``filter_univariate`` calls."""
     data = as_finite_matrix(samples)
-    return filter_columns(data, default_steps(delta), [
-        int(np.random.SeedSequence([seed, j]).generate_state(1)[0])
-        for j in range(data.shape[1])])
+    return filter_columns(data, default_steps(delta),
+                          [derived_seed(seed, j) for j in range(data.shape[1])])
 
 
 def oracle_radius(moments: MomentProfile, n: int, delta: float,
@@ -105,10 +106,8 @@ def oracle_radius(moments: MomentProfile, n: int, delta: float,
     where k, tr and r = tr / opnorm (the effective rank) come from
     ``moments``, the clean law's ``MomentProfile``.
     """
-    if not 0.0 < delta < 1.0:
-        raise ConfigurationError("delta must lie in (0, 1)")
-    if not 0.0 <= epsilon < 0.5:
-        raise ConfigurationError("epsilon must lie in [0, 0.5)")
+    check_range("delta", delta, 0.0, 1.0, closed=False)
+    check_range("epsilon", epsilon, 0.0, 0.5)
     if moments.opnorm_sigma <= 0:
         raise ConfigurationError("need opnorm_sigma > 0")
     k = moments.k
@@ -127,12 +126,11 @@ def oracle_truncated_mean(samples, center, radius: float) -> np.ndarray:
     ``center``, the true mean given as side information."""
     data = as_finite_matrix(samples)
     p = data.shape[1]
-    center = np.asarray(center, dtype=float).ravel()
+    center = as_finite_matrix(np.ravel(center), what="center")[:, 0]
     if center.shape != (p,):
         raise ConfigurationError(
             f"center has length {center.size}; data has p={p}")
-    if not radius > 0:
-        raise ConfigurationError(f"radius must be > 0, got {radius!r}")
+    check_range("radius", radius, 0.0, closed=False)
     survivors = data[np.linalg.norm(data - center, axis=1) <= radius]
     if survivors.shape[0] == 0:
         raise EmptySelectionError("all rows lie outside the truncation ball")
@@ -166,8 +164,7 @@ def srm_bruteforce(samples, epsilon: float) -> np.ndarray:
             f"subset search is exhaustive and limited to n <= {SRM_MAX_N}; "
             "use a sampled search (not provided) for larger n"
         )
-    if not 0.0 <= epsilon < 1.0:
-        raise ConfigurationError("epsilon must lie in [0, 1)")
+    check_range("epsilon", epsilon, 0.0, 1.0)
     size = math.floor((1.0 - epsilon) * n)
     if size < 1:
         raise ConfigurationError("subset size floor((1-eps)n) must be >= 1")
@@ -235,10 +232,8 @@ def srm_population_bias(epsilon: float, trace_sigma: float) -> float:
     population estimate is about 0.616 (truncated-normal moments; a window
     search at n=6000 agrees), against 0.224 from this formula.
     """
-    if not 0.0 <= epsilon < 0.5:
-        raise ConfigurationError("epsilon must lie in [0, 0.5)")
-    if trace_sigma < 0:
-        raise ConfigurationError("trace_sigma must be >= 0")
+    check_range("epsilon", epsilon, 0.0, 0.5)
+    check_range("trace_sigma", trace_sigma, 0.0)
     if epsilon == 0.0:
         return 0.0
     return epsilon / math.sqrt((1.0 - epsilon) * (1.0 - 2.0 * epsilon)) * math.sqrt(

@@ -58,12 +58,11 @@ class TrialConfig:
     master_seed: int = 0
 
     def __post_init__(self):
-        for key, kind in (("delta", float), ("trials", int), ("master_seed", int)):
-            model.check_type(repr(key), getattr(self, key), kind)
+        model.check_range("'delta'", self.delta, 0.0, 1.0, closed=False)
+        for key in ("trials", "master_seed"):
+            model.check_type(repr(key), getattr(self, key), int)
         if self.trials < 1:
             raise ConfigurationError("trials must be >= 1")
-        if not 0.0 < self.delta < 1.0:
-            raise ConfigurationError("delta must lie in (0, 1)")
         for key in ("n_values", "p_values"):
             values = getattr(self, key)
             if not isinstance(values, (list, tuple)) or not values:
@@ -116,9 +115,7 @@ def cell_hash(family: str, method: str, n: int, p: int) -> int:
 
 
 def trial_seed(master_seed: int, cell: int, trial_index: int) -> int:
-    return int(
-        np.random.SeedSequence([master_seed, cell, trial_index]).generate_state(1)[0]
-    )
+    return model.derived_seed(master_seed, cell, trial_index)
 
 
 def respec(spec: model.DistributionSpec, p: int) -> model.DistributionSpec:
@@ -151,6 +148,9 @@ class RunContext:
     seed: int = 0
     center: Optional[np.ndarray] = None
     spec: Optional[model.DistributionSpec] = None
+
+    def __post_init__(self):
+        model.check_range("delta", self.delta, 0.0, 1.0, closed=False)
 
     def moments(self, setting: str) -> model.MomentProfile:
         """The clean law's moments, from which ``setting`` is derived."""
@@ -239,11 +239,8 @@ def _oracle(samples, s, ctx):
 
 @_method("interval", context=("epsilon",))
 def _interval(samples, s, ctx):
-    if samples.p != 1:
-        raise ConfigurationError(
-            f"interval method is univariate; data has p={samples.p}")
     cfg = interval.IntervalConfig(epsilon=ctx.epsilon, delta=ctx.delta)
-    return np.array([interval.interval_estimate(samples.data[:, 0], cfg)])
+    return np.array([interval.interval_estimate(samples, cfg)])
 
 
 @_method("net", inner=netmax.INNER_ESTIMATORS, sparsity=int,

@@ -25,7 +25,7 @@ from .errors import (
     DegenerateScoresError,
     FilterExhaustedError,
 )
-from .model import as_finite_matrix
+from .model import as_finite_matrix, check_range, check_type
 
 DEFAULT_THRESHOLD_FACTOR = 32.0
 
@@ -53,15 +53,12 @@ class FilterConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.cov_bound < 0:
-            raise ConfigurationError("cov_bound must be >= 0")
-        if self.threshold_factor <= 0:
-            raise ConfigurationError("threshold_factor must be > 0")
-        if self.stop_mode not in STOP_MODES:
-            raise ConfigurationError(f"unknown stop_mode {self.stop_mode!r}")
+        check_range("cov_bound", self.cov_bound, 0.0)
+        check_range("threshold_factor", self.threshold_factor, 0.0, closed=False)
+        check_type("stop_mode", self.stop_mode, STOP_MODES)
         if self.stop_mode in (STOP_FIXED_STEPS, STOP_CAPPED):
-            if self.steps is None or self.steps < 0:
-                raise ConfigurationError(f"{self.stop_mode} needs steps >= 0")
+            check_type(f"{self.stop_mode} steps", self.steps, int)
+            check_range(f"{self.stop_mode} steps", self.steps, 0)
 
 
 @dataclass(frozen=True)
@@ -271,8 +268,8 @@ def filter_univariate(samples: Sequence[float], config: FilterConfig) -> Estimat
     """Univariate filtering: ``filter_multivariate`` on one column, whose
     p = 1 rounds score squared deviations from the survivors' mean and stop
     on their variance (population convention)."""
-    values = np.asarray(samples, dtype=float).ravel()
-    return filter_multivariate(values[:, None], config)
+    return filter_multivariate(as_finite_matrix(samples, univariate=True),
+                               config)
 
 
 def filter_columns(samples, steps: int, seeds: Sequence[int]) -> np.ndarray:
@@ -292,16 +289,14 @@ def clamp_steps(steps: int, n: int) -> int:
 
 def default_steps(delta: float) -> int:
     """Benchmark removal budget: ceil(2 * ln(1/delta))."""
-    if not 0.0 < delta < 1.0:
-        raise ConfigurationError("delta must lie in (0, 1)")
+    check_range("delta", delta, 0.0, 1.0, closed=False)
     return math.ceil(2.0 * math.log(1.0 / delta))
 
 
 def stopping_cap(n: int, n_good: int, delta: float) -> int:
     """High-probability bound on removal rounds:
     ceil(18 * ln(1/delta) + 3 * (n - n_good))."""
-    if not 0.0 < delta < 1.0:
-        raise ConfigurationError("delta must lie in (0, 1)")
+    check_range("delta", delta, 0.0, 1.0, closed=False)
     if n_good > n:
         raise ConfigurationError("n_good cannot exceed n")
     return math.ceil(18.0 * math.log(1.0 / delta) + 3.0 * (n - n_good))
@@ -324,10 +319,8 @@ def cov_bound_hint(
       - epsilon > 0, k=1:  opnorm + trace * ln(p/delta) / (n*eps + ln(1/delta))
       - epsilon > 0, k=2:  opnorm + trace * ln(p/delta) / sqrt(n^2*eps + n*ln(1/delta))
     """
-    if not 0.0 < delta < 1.0:
-        raise ConfigurationError("delta must lie in (0, 1)")
-    if not 0.0 <= epsilon < 0.5:
-        raise ConfigurationError("epsilon must lie in [0, 0.5)")
+    check_range("delta", delta, 0.0, 1.0, closed=False)
+    check_range("epsilon", epsilon, 0.0, 0.5)
     log_pd = math.log(p / delta)
     log_1d = math.log(1.0 / delta)
     base = moments.opnorm_sigma

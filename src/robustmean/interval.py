@@ -14,6 +14,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConfigurationError, EmptySelectionError
+from .model import as_finite_matrix, check_range
 
 LOG4 = math.log(4.0)
 
@@ -22,8 +23,8 @@ LOG4 = math.log(4.0)
 class IntervalConfig:
     """Corruption level and failure probability for the interval estimator.
 
-    Either ``delta`` or ``log_inv_delta`` (= ln(1/delta), useful when delta
-    underflows) must be given.
+    Exactly one of ``delta`` and ``log_inv_delta`` (= ln(1/delta), useful
+    when delta underflows) must be given.
     """
 
     epsilon: float
@@ -31,14 +32,14 @@ class IntervalConfig:
     log_inv_delta: float = None
 
     def __post_init__(self):
-        if not 0.0 <= self.epsilon < 0.5:
-            raise ConfigurationError("epsilon must lie in [0, 0.5)")
+        check_range("epsilon", self.epsilon, 0.0, 0.5)
+        if (self.delta is None) == (self.log_inv_delta is None):
+            raise ConfigurationError(
+                "give exactly one of delta and log_inv_delta")
         if self.log_inv_delta is None:
-            if self.delta is None or not 0.0 < self.delta < 1.0:
-                raise ConfigurationError("delta must lie in (0, 1)")
+            check_range("delta", self.delta, 0.0, 1.0, closed=False)
             object.__setattr__(self, "log_inv_delta", math.log(1.0 / self.delta))
-        elif self.log_inv_delta < 0:
-            raise ConfigurationError("log_inv_delta must be >= 0")
+        check_range("log_inv_delta", self.log_inv_delta, 0.0)
 
 
 @dataclass(frozen=True)
@@ -96,19 +97,18 @@ def check_precondition(n: int, config: IntervalConfig) -> None:
         )
 
 
-def interval_estimate(samples: Sequence[float], config: IntervalConfig) -> float:
-    """Two-split robust mean of 2n reals.
+def interval_estimate(samples, config: IntervalConfig) -> float:
+    """Two-split robust mean of 2n reals, given as a sequence or one column.
 
     The first n values select the interval; the estimate averages the last n
     values lying in it (closed membership).  The split follows the given
-    order; shuffle beforehand if the order is not exchangeable.  Non-finite
-    samples raise ``ConfigurationError``.
+    order; shuffle beforehand if the order is not exchangeable.  Data the
+    gate ``as_finite_matrix(samples, univariate=True)`` refuses raise
+    ``ConfigurationError``.
     """
-    data = np.asarray(samples, dtype=float).ravel()
+    data = as_finite_matrix(samples, univariate=True)[:, 0]
     if data.size < 4 or data.size % 2 != 0:
         raise ConfigurationError("need an even number of samples, at least 4")
-    if not np.all(np.isfinite(data)):
-        raise ConfigurationError("samples must be finite")
     n = data.size // 2
     check_precondition(n, config)
     z1, z2 = data[:n], data[n:]

@@ -33,10 +33,7 @@ class SampleSet:
     data: np.ndarray
 
     def __post_init__(self):
-        arr = as_finite_matrix(self.data)
-        if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
-            raise ConfigurationError("sample data must be a non-empty n x p matrix")
-        object.__setattr__(self, "data", arr)
+        object.__setattr__(self, "data", as_finite_matrix(self.data))
 
     @property
     def n(self) -> int:
@@ -47,14 +44,21 @@ class SampleSet:
         return self.data.shape[1]
 
 
-def as_finite_matrix(samples) -> np.ndarray:
-    """The rows of a ``SampleSet`` or an array as an n x p float matrix (1D
-    input is one column); non-finite values raise ``ConfigurationError``."""
+def as_finite_matrix(samples, univariate: bool = False,
+                     what: str = "samples") -> np.ndarray:
+    """The rows of a ``SampleSet`` or an array as an n x p float matrix, the
+    one gate of every estimator's data: 1D input becomes one column, and
+    anything but n >= 1 rows of p >= 1 finite values (p = 1 if
+    ``univariate``) raises ``ConfigurationError`` naming the shape."""
     data = np.asarray(getattr(samples, "data", samples), dtype=float)
     if data.ndim == 1:
         data = data[:, None]
-    if not np.all(np.isfinite(data)):
-        raise ConfigurationError("samples must be finite")
+    if data.ndim != 2 or 0 in data.shape or univariate and data.shape[1] != 1:
+        expected = "univariate, an n x 1 matrix with n >= 1" if univariate \
+            else "an n x p matrix with n, p >= 1"
+        raise ConfigurationError(f"{what} must be {expected}, got shape {data.shape}")
+    if not np.isfinite(data).all():
+        raise ConfigurationError(f"{what} must be finite")
     return data
 
 
@@ -98,8 +102,7 @@ class ContaminationSpec:
         else:
             if self.shift is None:
                 raise ConfigurationError("shifted_gaussian contamination needs a shift")
-            if self.scale < 0:
-                raise ConfigurationError("contamination scale must be >= 0")
+            check_range("contamination scale", self.scale, 0.0)
             object.__setattr__(
                 self, "shift", np.asarray(self.shift, dtype=float).ravel()
             )
@@ -157,13 +160,9 @@ class DistributionSpec:
             object.__setattr__(self, "covariance", 0.5 * (cov + cov.T))
             u, sv, _ = np.linalg.svd(self.covariance)
             object.__setattr__(self, "factor", u * np.sqrt(sv))
-        elif self.family == "pareto":
-            if self.tail_beta is None or self.tail_beta <= 1.0:
-                raise ConfigurationError(
-                    "pareto tail_beta must be > 1 so the mean exists"
-                )
-        if not (0.0 <= self.epsilon < 0.5):
-            raise ConfigurationError("contamination epsilon must lie in [0, 0.5)")
+        elif self.family == "pareto":  # > 1, so the mean exists
+            check_range("pareto tail_beta", self.tail_beta, 1.0, closed=False)
+        check_range("contamination epsilon", self.epsilon, 0.0, 0.5)
         if self.epsilon > 0 and self.q_spec is None:
             raise ConfigurationError("epsilon > 0 requires a contamination spec")
         if self.q_spec is not None and self.q_spec.center().shape != (self.p,):
@@ -214,6 +213,18 @@ def check_type(what: str, value, kind) -> None:
         raise ConfigurationError(f"{what} must be {expected}, got {value!r}")
 
 
+def check_range(what: str, value, low: float, high: float = math.inf,
+                closed: bool = True) -> None:
+    """Raise ``ConfigurationError`` unless ``value`` is a real number (see
+    ``check_type``) in [low, high), or in (low, high) if not ``closed``.  The
+    upper end is always open, so high = inf rejects +-inf, and NaN fails."""
+    check_type(what, value, float)
+    if not ((low <= value if closed else low < value) and value < high):
+        raise ConfigurationError(
+            f"{what} must lie in {'[' if closed else '('}{low:g}, {high:g}), "
+            f"got {value!r}")
+
+
 def read_object(doc, required, optional, name: str, kinds=None) -> dict:
     """``doc`` if it is a JSON object with every ``required`` key, no key
     outside ``required`` and ``optional``, and a value of the type that
@@ -248,8 +259,8 @@ class MomentProfile:
     def __post_init__(self):
         if self.k not in (1, 2):
             raise ConfigurationError("k must be 1 or 2")
-        if self.trace_sigma < 0 or self.opnorm_sigma < 0:
-            raise ConfigurationError("moment summaries must be >= 0")
+        check_range("trace_sigma", self.trace_sigma, 0.0)
+        check_range("opnorm_sigma", self.opnorm_sigma, 0.0)
         if self.opnorm_sigma > self.trace_sigma + 1e-12:
             raise ConfigurationError("opnorm_sigma cannot exceed trace_sigma")
 
@@ -270,6 +281,12 @@ def _draw_clean(spec: DistributionSpec, count: int, rng: np.random.Generator):
     beta = spec.tail_beta
     # numpy's pareto is the Lomax form; +1 gives standard Pareto on [1, inf).
     return (rng.pareto(beta, size=(count, spec.p)) + 1.0) - beta / (beta - 1.0)
+
+
+def derived_seed(*entropy: int) -> int:
+    """A seed derived from the integers ``entropy``: the first 32-bit word of
+    ``SeedSequence(entropy)``'s state."""
+    return int(np.random.SeedSequence(entropy).generate_state(1)[0])
 
 
 def sample_dataset(spec: DistributionSpec, n: int, seed: int) -> SampleSet:

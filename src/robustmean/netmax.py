@@ -20,7 +20,7 @@ from scipy.optimize import linprog
 from .errors import ConfigurationError, EstimatorError
 from .filtering import EstimateReport, filter_columns
 from .interval import IntervalConfig, interval_estimate
-from .model import as_finite_matrix
+from .model import as_finite_matrix, check_range, derived_seed
 
 COVER_RADIUS = 0.5
 DENSE_P_CAP = 12
@@ -76,10 +76,8 @@ class NetConfig:
     sparsity: Optional[int] = None  # s, the sparsity of the mean
 
     def __post_init__(self):
-        if not 0.0 <= self.epsilon < 0.5:
-            raise ConfigurationError("epsilon must lie in [0, 0.5)")
-        if not 0.0 < self.delta < 1.0:
-            raise ConfigurationError("delta must lie in (0, 1)")
+        check_range("epsilon", self.epsilon, 0.0, 0.5)
+        check_range("delta", self.delta, 0.0, 1.0, closed=False)
         if self.inner not in INNER_ESTIMATORS:
             raise ConfigurationError(f"unknown inner estimator {self.inner!r}")
         if self.sparsity is not None and self.sparsity < 1:
@@ -351,8 +349,7 @@ def net_estimate(samples, config: NetConfig, seed: int = 0):
         targets[:] = filter_columns(
             np.column_stack([data @ u for u in cover.directions]),
             math.ceil(2.0 * lid),
-            [int(np.random.SeedSequence([seed, 1 + j]).generate_state(1)[0])
-             for j in range(cover.size)])
+            [derived_seed(seed, 1 + j) for j in range(cover.size)])
 
     theta, diag = minimax_center(cover, targets, constraint=config.sparsity)
     diag.update(

@@ -59,6 +59,18 @@ class TestGeometricMedian:
         np.testing.assert_array_equal(
             geometric_median(np.array([[3.0, 4.0]])), [3.0, 4.0])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_before_a_step(self, monkeypatch, bad):
+        # Unchecked, a NaN row runs all 10k steps, then ConvergenceError.
+        def unreachable(*args, **kwargs):
+            raise AssertionError("Weiszfeld stepped on non-finite input")
+
+        pts = np.random.default_rng(4).standard_normal((6, 3))
+        pts[2, 0] = bad
+        monkeypatch.setattr(np, "sqrt", unreachable)  # each step's first call
+        with pytest.raises(ConfigurationError):
+            geometric_median(pts)
+
     def test_iteration_cap_raises_with_last_iterate(self, monkeypatch):
         # Three points off a line need many Weiszfeld steps; two are not
         # enough to meet the tolerance.
@@ -317,9 +329,10 @@ class TestOracleTruncation:
         with pytest.raises(ConfigurationError, match="center"):
             oracle_truncated_mean(data, center, 10.0)
 
-    @pytest.mark.parametrize("radius", [0.0, -1.0, np.nan])
+    @pytest.mark.parametrize("radius", [0.0, -1.0, np.nan, np.inf])
     def test_rejects_radius_not_positive(self, radius):
-        # Unchecked, a NaN radius keeps no row and raises EmptySelectionError.
+        # Unchecked, a NaN radius keeps no row and raises EmptySelectionError,
+        # and an infinite one (not a finite positive radius) keeps every row.
         data = np.random.default_rng(6).standard_normal((50, 2))
         with pytest.raises(ConfigurationError, match="radius"):
             oracle_truncated_mean(data, np.zeros(2), radius)

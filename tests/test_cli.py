@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from robustmean import SampleSet, cli
-from robustmean.bench import METHODS, RunContext
+from robustmean.bench import METHOD_NAMES, METHODS, RunContext
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -75,17 +75,45 @@ class TestEstimate:
         assert code == 3
         assert "estimator failure" in err
 
-    @pytest.mark.parametrize("method", ["net", "interval"])
+    @pytest.mark.parametrize("method", METHOD_NAMES)
     def test_non_finite_input_exits_2(self, tmp_path, capsys, method):
+        # Each method with the flags it needs: it runs on the finite column.
+        flags = {"oracle": ["--radius", "3"], "interval": ["--epsilon", "0.02"],
+                 "net": ["--epsilon", "0.02"], "srm": ["--epsilon", "0.1"]}
         path = tmp_path / "nan.csv"
-        values = np.random.default_rng(2).standard_normal(400)
-        values[123] = np.nan
+        values = np.random.default_rng(2).standard_normal(
+            20 if method == "srm" else 400)
+        argv = ["estimate", "--method", method, "--in", str(path),
+                "--delta", "0.05"] + flags.get(method, [])
         np.savetxt(path, values, delimiter=",")
-        code, _, err = run(
-            ["estimate", "--method", method, "--in", str(path),
-             "--epsilon", "0.02", "--delta", "0.05"], capsys)
+        assert run(argv, capsys)[0] == 0
+        values[13] = np.nan
+        np.savetxt(path, values, delimiter=",")
+        code, _, err = run(argv, capsys)
         assert code == 2
-        assert "configuration error" in err
+        assert "configuration error" in err and "finite" in err
+
+    @pytest.mark.parametrize("argv, named", [
+        (["--method", "mean", "--delta", "5"], "delta"),
+        (["--method", "srm", "--delta", "5"], "delta"),
+        (["--method", "oracle", "--radius", "3", "--true-mean", "nan,0"],
+         "center"),
+        (["--method", "filter", "--cov-bound", "nan"], "cov_bound"),
+        (["--method", "filter", "--cov-bound", "inf"], "cov_bound"),
+        (["--method", "filter", "--cov-bound", "1", "--threshold-factor",
+          "nan"], "threshold_factor"),
+        (["--method", "oracle", "--radius", "inf"], "radius"),
+    ], ids=["mean-delta", "srm-delta", "nan-center", "nan-cov-bound",
+            "inf-cov-bound", "nan-threshold-factor", "inf-radius"])
+    def test_value_out_of_range_exits_2(self, tmp_path, capsys, argv, named):
+        # Before, these exited 0 (the value unread or harmless) or 3 (an
+        # estimator failure); srm's data has n <= 25 so only delta is wrong.
+        path = tmp_path / "data.csv"
+        np.savetxt(path, np.random.default_rng(3).standard_normal((20, 2)),
+                   delimiter=",")
+        code, _, err = run(["estimate", "--in", str(path)] + argv, capsys)
+        assert code == 2
+        assert "configuration error" in err and named in err
 
     @pytest.mark.parametrize("stop_mode", ["threshold", "capped"])
     def test_threshold_stop_without_bound_exits_2(self, data_csv, capsys,

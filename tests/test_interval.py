@@ -109,7 +109,7 @@ class TestIntervalEstimate:
         with pytest.raises(ConfigurationError):
             interval_estimate(np.zeros(20), cfg)  # n=10 too small for eps=0.2
 
-    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_rejects_non_finite(self, bad):
         # Unchecked, an inf far outside the window gives a finite estimate
         # and a NaN ends in EmptySelectionError.

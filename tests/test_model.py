@@ -14,7 +14,7 @@ from robustmean import (
     population_moments,
     sample_dataset,
 )
-from robustmean import model
+from robustmean import baselines, bench, filtering, interval, model, netmax
 from robustmean.model import LOGNORMAL_SHIFT, LOGNORMAL_VAR, SPEC_KEYS
 
 
@@ -255,3 +255,126 @@ def test_spec_equality_leaves_out_the_derived_factor():
     a, b = _gaussian(np.eye(2)), _gaussian(np.eye(2))
     object.__setattr__(b, "factor", -b.factor)
     assert a == b
+
+
+def _in_range(value, low, high=math.inf, closed=True):
+    return lambda: model.check_range("value", value, low, high, closed)
+
+
+def _with(value, at=(3, 1), shape=(8, 2)):
+    data = np.zeros(shape)
+    data[at] = value
+    return data
+
+
+FIXED = filtering.FilterConfig(stop_mode="fixed_steps", steps=1)
+ROWS = np.random.default_rng(12).standard_normal((20, 2))
+MOMENTS = MomentProfile(2, trace_sigma=2.0, opnorm_sigma=1.0)
+
+# name -> (call, expected): what the call returns, or ConfigurationError if
+# the input gate must refuse it.  The cases past the gate's own are the
+# library-level inputs that escaped it before: flattened, returned, or
+# failing later with another exception.
+GATE_CASES = {
+    # The data gate.
+    "1-D is one column": (lambda: model.as_finite_matrix([1.0, 2.0]).shape, (2, 1)),
+    "n x p": (lambda: model.as_finite_matrix(np.ones((4, 3))).shape, (4, 3)),
+    "n x 1, univariate": (lambda: model.as_finite_matrix(
+        np.ones((4, 1)), univariate=True).shape, (4, 1)),
+    "SampleSet rows": (lambda: model.as_finite_matrix(
+        model.SampleSet(np.ones(5))).shape, (5, 1)),
+    "(0, p)": (lambda: model.as_finite_matrix(np.ones((0, 3))), ConfigurationError),
+    "(n, 0)": (lambda: model.as_finite_matrix(np.ones((5, 0))), ConfigurationError),
+    "empty 1-D": (lambda: model.SampleSet(np.ones(0)), ConfigurationError),
+    "3-D": (lambda: model.as_finite_matrix(np.ones((4, 2, 2))), ConfigurationError),
+    "scalar": (lambda: model.as_finite_matrix(3.0), ConfigurationError),
+    "n x 2, univariate": (lambda: model.as_finite_matrix(
+        np.ones((4, 2)), univariate=True), ConfigurationError),
+    "1 x n, univariate": (lambda: model.as_finite_matrix(
+        np.ones((1, 4)), univariate=True), ConfigurationError),
+    "NaN": (lambda: model.as_finite_matrix(_with(math.nan)), ConfigurationError),
+    "+inf": (lambda: model.SampleSet(_with(math.inf)), ConfigurationError),
+    "-inf": (lambda: model.as_finite_matrix(_with(-math.inf)), ConfigurationError),
+    # The range check: (0, 1) for delta, [0, 1/2) for epsilon, [0, inf) or
+    # (0, inf) for a scale.
+    "delta 0": (_in_range(0.0, 0.0, 1.0, closed=False), ConfigurationError),
+    "delta 1": (_in_range(1.0, 0.0, 1.0, closed=False), ConfigurationError),
+    "delta tiny": (_in_range(5e-324, 0.0, 1.0, closed=False), None),
+    "delta below 1": (_in_range(math.nextafter(1.0, 0.0), 0.0, 1.0,
+                                closed=False), None),
+    "epsilon 0": (_in_range(0.0, 0.0, 0.5), None),
+    "epsilon below 0": (_in_range(-1e-300, 0.0, 0.5), ConfigurationError),
+    "epsilon below 1/2": (_in_range(math.nextafter(0.5, 0.0), 0.0, 0.5), None),
+    "epsilon 1/2": (_in_range(0.5, 0.0, 0.5), ConfigurationError),
+    "scale 0, closed": (_in_range(0.0, 0.0), None),
+    "scale 0, open": (_in_range(0.0, 0.0, closed=False), ConfigurationError),
+    "scale int": (_in_range(3, 0.0, closed=False), None),
+    "scale largest float": (_in_range(1.7976931348623157e308, 0.0), None),
+    "scale +inf": (_in_range(math.inf, 0.0), ConfigurationError),
+    "scale -inf": (_in_range(-math.inf, 0.0), ConfigurationError),
+    "scale NaN": (_in_range(math.nan, 0.0), ConfigurationError),
+    "scale NaN, open": (_in_range(math.nan, 0.0, closed=False), ConfigurationError),
+    "None": (_in_range(None, 0.0), ConfigurationError),
+    "string": (_in_range("0.1", 0.0, 1.0), ConfigurationError),
+    "bool": (_in_range(True, 0.0), ConfigurationError),
+    "delta and log_inv_delta": (lambda: interval.IntervalConfig(
+        epsilon=0.1, delta=0.05, log_inv_delta=math.log(20.0)), ConfigurationError),
+    # Inputs that escaped the gate.
+    "filter_univariate on n x 2": (lambda: filtering.filter_univariate(
+        ROWS[:6], FIXED), ConfigurationError),
+    "interval_estimate on n x 2": (lambda: interval.interval_estimate(
+        ROWS, interval.IntervalConfig(epsilon=0.0, delta=0.1)), ConfigurationError),
+    "sample_mean on 3-D": (lambda: baselines.sample_mean(np.ones((4, 2, 2))),
+                           ConfigurationError),
+    "sample_mean on (0, p)": (lambda: baselines.sample_mean(np.ones((0, 3))),
+                              ConfigurationError),
+    "srm_bruteforce on (n, 0)": (lambda: baselines.srm_bruteforce(
+        np.ones((5, 0)), 0.2), ConfigurationError),
+    "filter_multivariate on 3-D": (lambda: filtering.filter_multivariate(
+        np.ones((6, 2, 2)), FIXED), ConfigurationError),
+    "filter_multivariate on (n, 0)": (lambda: filtering.filter_multivariate(
+        np.ones((5, 0)), FIXED), ConfigurationError),
+    "geometric_median with a NaN row": (lambda: baselines.geometric_median(
+        _with(math.nan, at=(2, 0), shape=(4, 2))), ConfigurationError),
+    "oracle with a NaN centre": (lambda: baselines.oracle_truncated_mean(
+        ROWS, [math.nan, 0.0], 3.0), ConfigurationError),
+    "oracle with an inf radius": (lambda: baselines.oracle_truncated_mean(
+        ROWS, [0.0, 0.0], math.inf), ConfigurationError),
+    "cov_bound NaN": (lambda: filtering.FilterConfig(cov_bound=math.nan),
+                      ConfigurationError),
+    "cov_bound inf": (lambda: filtering.FilterConfig(cov_bound=math.inf),
+                      ConfigurationError),
+    "threshold_factor NaN": (lambda: filtering.FilterConfig(
+        cov_bound=1.0, threshold_factor=math.nan), ConfigurationError),
+    "fractional steps": (lambda: filtering.FilterConfig(
+        stop_mode="fixed_steps", steps=1.5), ConfigurationError),
+    "RunContext delta 5": (lambda: bench.RunContext(delta=5.0), ConfigurationError),
+    "log_inv_delta NaN": (lambda: interval.IntervalConfig(
+        epsilon=0.1, log_inv_delta=math.nan), ConfigurationError),
+    "log_inv_delta inf": (lambda: interval.IntervalConfig(
+        epsilon=0.1, log_inv_delta=math.inf), ConfigurationError),
+    "delta 5 beside log_inv_delta": (lambda: interval.IntervalConfig(
+        epsilon=0.1, delta=5.0, log_inv_delta=1.0), ConfigurationError),
+    "NetConfig delta None": (lambda: netmax.NetConfig(epsilon=0.1, delta=None),
+                             ConfigurationError),
+    "cov_bound_hint delta None": (lambda: filtering.cov_bound_hint(
+        MOMENTS, n=10, p=2, delta=None), ConfigurationError),
+    "MomentProfile NaN trace": (lambda: MomentProfile(2, math.nan, 1.0),
+                                ConfigurationError),
+    "contamination scale NaN": (lambda: ContaminationSpec(
+        "shifted_gaussian", shift=[1.0], scale=math.nan), ConfigurationError),
+    "srm_population_bias inf trace": (lambda: baselines.srm_population_bias(
+        0.1, math.inf), ConfigurationError),
+    "pareto tail_beta NaN": (lambda: DistributionSpec(
+        "pareto", p=1, tail_beta=math.nan), ConfigurationError),
+}
+
+
+@pytest.mark.parametrize("name", GATE_CASES)
+def test_input_gate(name):
+    call, expected = GATE_CASES[name]
+    if expected is ConfigurationError:
+        with pytest.raises(ConfigurationError):
+            call()
+    else:
+        assert call() == expected
