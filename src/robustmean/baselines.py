@@ -88,6 +88,7 @@ def coordinatewise_filter(samples, delta: float, seed: int = 0) -> np.ndarray:
     p filters run in lockstep (``filter_columns``), with the removals of p
     separate ``filter_univariate`` calls."""
     data = as_finite_matrix(samples)
+    check_range("seed", seed, 0, kind=int)
     return filter_columns(data, default_steps(delta),
                           [derived_seed(seed, j) for j in range(data.shape[1])])
 

@@ -12,15 +12,12 @@ import csv
 import hashlib
 import math
 from dataclasses import MISSING, dataclass, field, fields, replace
-from typing import IO, Callable, Dict, List, Optional, Sequence
+from typing import IO, Callable, Dict, List, Optional, Sequence, get_type_hints
 
 import numpy as np
 
 from . import baselines, filtering, interval, metrics, model, netmax
 from .errors import ConfigurationError, EstimatorError
-
-CSV_FIELDS = ("method", "family", "n", "p", "delta", "epsilon",
-              "trial_index", "loss", "failed")
 
 
 def _json_keys(cls):
@@ -59,10 +56,8 @@ class TrialConfig:
 
     def __post_init__(self):
         model.check_range("'delta'", self.delta, 0.0, 1.0, closed=False)
-        for key in ("trials", "master_seed"):
-            model.check_type(repr(key), getattr(self, key), int)
-        if self.trials < 1:
-            raise ConfigurationError("trials must be >= 1")
+        model.check_range("'trials'", self.trials, 1, kind=int)
+        model.check_range("'master_seed'", self.master_seed, 0, kind=int)
         for key in ("n_values", "p_values"):
             values = getattr(self, key)
             if not isinstance(values, (list, tuple)) or not values:
@@ -90,6 +85,8 @@ class TrialConfig:
 
 @dataclass(frozen=True, slots=True)
 class TrialRecord:
+    """One trial of a sweep; its fields are the records file's columns."""
+
     method: str
     family: str
     n: int
@@ -105,6 +102,17 @@ class TrialRecord:
 
     def sort_key(self):
         return (self.method, self.family, self.n, self.p, self.trial_index)
+
+
+# The records file's columns: the fields of ``TrialRecord``, each parsed by
+# its declared type, then ``failed``, a 0/1 flag derived from the loss.
+_RECORD_TYPES = get_type_hints(TrialRecord)
+CSV_FIELDS = (*_RECORD_TYPES, "failed")
+
+# The columns of a ``summarize`` row, in the order ``emit_summary_csv``
+# writes them.
+SUMMARY_FIELDS = ("method", "n", "p", "q_delta", "mean_loss", "failure_rate",
+                  "trials")
 
 
 def cell_hash(family: str, method: str, n: int, p: int) -> int:
@@ -157,10 +165,7 @@ class RunContext:
         if self.spec is None:
             raise ConfigurationError(f"{setting} is not set and there is no "
                                      "distribution spec to derive it from")
-        clean = self.spec
-        if clean.epsilon > 0:
-            clean = replace(clean, epsilon=0.0, q_spec=None)
-        return model.population_moments(clean)
+        return model.population_moments(self.spec)
 
 
 # name -> runner(samples, settings, ctx) -> estimate; a runner's ``settings``
@@ -304,7 +309,8 @@ def run_sweep(config: TrialConfig) -> List[TrialRecord]:
 
 def summarize(records: Sequence[TrialRecord], delta: float):
     """Group records by (method, n, p) and report the delta-quantile error of
-    successful trials, the mean loss, and the failure rate."""
+    successful trials, the mean loss, and the failure rate, as one dict per
+    group with the keys ``SUMMARY_FIELDS``."""
     if not records:
         raise ValueError("no records to summarize")
     groups: Dict[tuple, List[TrialRecord]] = {}
@@ -313,80 +319,74 @@ def summarize(records: Sequence[TrialRecord], delta: float):
     rows = []
     for (method, n, p), recs in sorted(groups.items()):
         losses = [r.loss for r in recs if not r.failed]
-        failures = len(recs) - len(losses)
-        rows.append(
-            {
-                "method": method,
-                "n": n,
-                "p": p,
-                "q_delta": metrics.quantile_error(losses, delta)
-                if losses
-                else math.inf,
-                "mean_loss": float(np.mean(losses)) if losses else math.inf,
-                "failure_rate": failures / len(recs),
-                "trials": len(recs),
-            }
-        )
+        rows.append(dict(zip(SUMMARY_FIELDS, (
+            method, n, p,
+            metrics.quantile_error(losses, delta) if losses else math.inf,
+            float(np.mean(losses)) if losses else math.inf,
+            (len(recs) - len(losses)) / len(recs),
+            len(recs)))))
     return rows
 
 
+def _write_rows(fh, header, rows) -> None:
+    """Write ``header`` and then ``rows`` to ``fh`` as CSV, floats to 17
+    significant digits."""
+    writer = csv.writer(fh)
+    writer.writerow(header)
+    writer.writerows([f"{v:.17g}" if isinstance(v, float) else v for v in row]
+                     for row in rows)
+
+
 def emit_csv(records: Sequence[TrialRecord], path) -> None:
-    """Write one record per line; failures carry failed=1 and an empty loss."""
+    """Write one record per line, its fields in ``CSV_FIELDS`` order; a
+    failed trial has an empty loss and failed=1."""
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(CSV_FIELDS)
-        for rec in records:
-            writer.writerow(
-                [
-                    rec.method,
-                    rec.family,
-                    rec.n,
-                    rec.p,
-                    f"{rec.delta:.17g}",
-                    f"{rec.epsilon:.17g}",
-                    rec.trial_index,
-                    "" if rec.failed else f"{rec.loss:.17g}",
-                    int(rec.failed),
-                ]
-            )
+        _write_rows(fh, CSV_FIELDS, (
+            ["" if name == "loss" and rec.failed else getattr(rec, name)
+             for name in _RECORD_TYPES] + [int(rec.failed)]
+            for rec in records))
 
 
 def read_csv(path) -> List[TrialRecord]:
+    """The records of a file in the form ``emit_csv`` writes, each cell
+    parsed by its field's type.  A header without a required column of
+    ``CSV_FIELDS``, with another column or with one twice, a row of another
+    length, a cell of another type, or a line without failed=0 and a finite
+    loss or failed=1 and no loss is a ``ConfigurationError`` naming the
+    line."""
+    required, optional = _json_keys(TrialRecord)
     records = []
     with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        for row in reader:
-            failed = row["failed"] == "1"
-            records.append(
-                TrialRecord(
-                    method=row["method"],
-                    family=row["family"],
-                    n=int(row["n"]),
-                    p=int(row["p"]),
-                    delta=float(row["delta"]),
-                    epsilon=float(row["epsilon"]),
-                    trial_index=int(row["trial_index"]),
-                    loss=math.inf if failed else float(row["loss"]),
-                )
-            )
+        reader = csv.reader(fh)
+        header = next(reader, [])
+        if len(set(header)) < len(header):
+            raise ConfigurationError(f"{path} line 1 repeats a column: {header}")
+        model.read_object(dict.fromkeys(header), (*required, "failed"),
+                          optional, f"{path} line 1")
+        for line in filter(None, reader):  # blank lines carry no record
+            try:
+                if len(line) != len(header):
+                    raise ValueError(
+                        f"{len(line)} cells, but the header has {len(header)}")
+                row = dict(zip(header, line))
+                failed, loss = row.pop("failed"), row["loss"]
+                row["loss"] = loss or "inf"
+                record = TrialRecord(**{key: _RECORD_TYPES[key](cell)
+                                        for key, cell in row.items()})
+                if not (math.isfinite(record.loss) if failed == "0"
+                        else failed == "1" and not loss):
+                    raise ValueError(
+                        f"failed={failed!r} beside loss={loss!r}; a record has "
+                        "failed=0 and a finite loss, or failed=1 and no loss")
+            except ValueError as exc:
+                raise ConfigurationError(
+                    f"{path} line {reader.line_num}: {exc}") from None
+            records.append(record)
     return records
 
 
 def emit_summary_csv(rows, fh: IO[str]) -> None:
     """Write ``summarize`` rows to the open text file ``fh`` (opened with
     ``newline=""``), values to 17 significant digits."""
-    writer = csv.writer(fh)
-    writer.writerow(
-        ("method", "n", "p", "q_delta", "mean_loss", "failure_rate", "trials"))
-    for row in rows:
-        writer.writerow(
-            [
-                row["method"],
-                row["n"],
-                row["p"],
-                f"{row['q_delta']:.17g}",
-                f"{row['mean_loss']:.17g}",
-                f"{row['failure_rate']:.17g}",
-                row["trials"],
-            ]
-        )
+    _write_rows(fh, SUMMARY_FIELDS,
+                ([row[key] for key in SUMMARY_FIELDS] for row in rows))

@@ -57,8 +57,8 @@ class FilterConfig:
         check_range("threshold_factor", self.threshold_factor, 0.0, closed=False)
         check_type("stop_mode", self.stop_mode, STOP_MODES)
         if self.stop_mode in (STOP_FIXED_STEPS, STOP_CAPPED):
-            check_type(f"{self.stop_mode} steps", self.steps, int)
-            check_range(f"{self.stop_mode} steps", self.steps, 0)
+            check_range(f"{self.stop_mode} steps", self.steps, 0, kind=int)
+        check_range("seed", self.seed, 0, kind=int)
 
 
 @dataclass(frozen=True)
@@ -83,13 +83,11 @@ def top_eigenpair(matrix: np.ndarray) -> Tuple[float, np.ndarray]:
     """Leading eigenpair of a symmetric PSD matrix by an exact dense
     eigensolve that computes only that pair (LAPACK ``dsyevr``).
 
-    Returns (a, [1]) for [[a]] and (0, e_1) for the zero matrix (sought only
-    when LAPACK's eigenvalue is 0).  The eigenvector has unit norm and
-    LAPACK's sign.  Raises ``ConvergenceError`` if LAPACK reports a failure.
+    Returns (0, e_1) for the zero matrix (sought only when LAPACK's
+    eigenvalue is 0).  The eigenvector has unit norm and LAPACK's sign.
+    Raises ``ConvergenceError`` if LAPACK reports a failure.
     """
     p = matrix.shape[0]
-    if p == 1:
-        return float(matrix[0, 0]), np.ones(1)
     values, vectors, _, _, info = lapack.dsyevr(matrix, range="I", il=p, iu=p)
     if info != 0:
         raise ConvergenceError(f"LAPACK dsyevr failed with info={info}")

@@ -144,8 +144,7 @@ class DistributionSpec:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ConfigurationError(f"unknown family {self.family!r}")
-        if self.p < 1:
-            raise ConfigurationError("dimension p must be >= 1")
+        check_range("dimension p", self.p, 1, kind=int)
         if self.family == "gaussian":
             if self.covariance is None:
                 raise ConfigurationError("gaussian spec needs a covariance matrix")
@@ -214,11 +213,12 @@ def check_type(what: str, value, kind) -> None:
 
 
 def check_range(what: str, value, low: float, high: float = math.inf,
-                closed: bool = True) -> None:
-    """Raise ``ConfigurationError`` unless ``value`` is a real number (see
-    ``check_type``) in [low, high), or in (low, high) if not ``closed``.  The
-    upper end is always open, so high = inf rejects +-inf, and NaN fails."""
-    check_type(what, value, float)
+                closed: bool = True, kind=float) -> None:
+    """Raise ``ConfigurationError`` unless ``value`` is a real number, or an
+    int if ``kind`` is ``int`` (see ``check_type``), in [low, high), or in
+    (low, high) if not ``closed``.  The upper end is always open, so
+    high = inf rejects +-inf, and NaN fails."""
+    check_type(what, value, kind)
     if not ((low <= value if closed else low < value) and value < high):
         raise ConfigurationError(
             f"{what} must lie in {'[' if closed else '('}{low:g}, {high:g}), "
@@ -296,8 +296,8 @@ def sample_dataset(spec: DistributionSpec, n: int, seed: int) -> SampleSet:
     draw with probability ``spec.epsilon`` (a true mixture, not a fixed
     outlier count).
     """
-    if n < 1:
-        raise ConfigurationError("n must be >= 1")
+    check_range("n", n, 1, kind=int)
+    check_range("seed", seed, 0, kind=int)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     data = _draw_clean(spec, n, rng)
     if spec.epsilon > 0:
@@ -310,8 +310,6 @@ def sample_dataset(spec: DistributionSpec, n: int, seed: int) -> SampleSet:
 
 def population_moments(spec: DistributionSpec) -> MomentProfile:
     """Analytic moment summary of the clean component of ``spec``."""
-    if spec.epsilon > 0:
-        raise ConfigurationError("moments describe the clean component only")
     if spec.family == "gaussian":
         eigvals = np.linalg.eigvalsh(spec.covariance)
         return MomentProfile(

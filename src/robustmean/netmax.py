@@ -20,7 +20,7 @@ from scipy.optimize import linprog
 from .errors import ConfigurationError, EstimatorError
 from .filtering import EstimateReport, filter_columns
 from .interval import IntervalConfig, interval_estimate
-from .model import as_finite_matrix, check_range, derived_seed
+from .model import as_finite_matrix, check_range, check_type, derived_seed
 
 COVER_RADIUS = 0.5
 DENSE_P_CAP = 12
@@ -80,8 +80,8 @@ class NetConfig:
         check_range("delta", self.delta, 0.0, 1.0, closed=False)
         if self.inner not in INNER_ESTIMATORS:
             raise ConfigurationError(f"unknown inner estimator {self.inner!r}")
-        if self.sparsity is not None and self.sparsity < 1:
-            raise ConfigurationError("sparsity s must be >= 1")
+        if self.sparsity is not None:
+            check_range("sparsity s", self.sparsity, 1, kind=int)
 
     def log_inv_delta_inner(self, p: int) -> float:
         """ln(1/delta') for the per-direction union bound."""
@@ -149,10 +149,11 @@ def build_half_cover(
     distance to the current cover exceeds 1/2, until 10^5 consecutive probes
     are all covered.
     """
-    if p < 1:
-        raise ConfigurationError("p must be >= 1")
+    check_range("p", p, 1, kind=int)
+    check_range("seed", seed, 0, kind=int)
     support_size = None
     if sparsity is not None:
+        check_type("sparsity s", sparsity, int)
         if not 1 <= sparsity <= p / 2:
             raise ConfigurationError(
                 f"sparsity s must satisfy 1 <= s <= p/2, got s={sparsity}, p={p}")

@@ -1,3 +1,4 @@
+import io
 import math
 
 import numpy as np
@@ -283,6 +284,22 @@ class TestSummaries:
         emit_csv(records, path)
         back = read_csv(path)
         assert back == records  # frozen dataclass equality, inf included
+
+    def test_records_and_summary_text(self, tmp_path):
+        recs = [TrialRecord("mean", "lognormal", 10, 2, 0.1, 0.0, 0, 1 / 3),
+                TrialRecord("mean", "lognormal", 10, 2, 0.1, 0.0, 1, math.inf)]
+        path = tmp_path / "records.csv"
+        emit_csv(recs, path)
+        assert path.read_bytes() == (
+            b"method,family,n,p,delta,epsilon,trial_index,loss,failed\r\n"
+            b"mean,lognormal,10,2,0.10000000000000001,0,0,0.33333333333333331,0\r\n"
+            b"mean,lognormal,10,2,0.10000000000000001,0,1,,1\r\n")
+        assert read_csv(path) == recs
+        out = io.StringIO(newline="")
+        emit_summary_csv(summarize(read_csv(path), 0.1), out)
+        assert out.getvalue() == (
+            "method,n,p,q_delta,mean_loss,failure_rate,trials\r\n"
+            "mean,10,2,0.33333333333333331,0.33333333333333331,0.5,2\r\n")
 
     def test_summary_csv(self, tmp_path):
         recs = [TrialRecord("mean", "lognormal", 10, 2, 0.1, 0.0, 0, 1.5)]

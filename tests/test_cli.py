@@ -12,6 +12,10 @@ from robustmean.bench import METHOD_NAMES, METHODS, RunContext
 
 ROOT = Path(__file__).resolve().parent.parent
 
+# A records file's header and one record, as ``bench run`` writes them.
+HEADER = "method,family,n,p,delta,epsilon,trial_index,loss,failed"
+GOOD = "mean,gaussian,40,1,0.10000000000000001,0,0,0.5,0"
+
 
 @pytest.fixture
 def data_csv(tmp_path):
@@ -399,6 +403,31 @@ class TestBench:
             ["bench", "run", "--config", str(cfg_path),
              "--out", str(tmp_path / "r.csv")], capsys)
         assert code == 2
+
+    @pytest.mark.parametrize("lines, line, named", [
+        ([HEADER[:-len(",failed")], GOOD[:-len(",0")]], 1, "'failed'"),
+        ([HEADER, GOOD, "mean,gaussian,40"], 3, "3 cells, but the header has 9"),
+        ([HEADER, GOOD.replace(",0.5,", ",nan,")], 2, "loss='nan'"),
+        ([HEADER, GOOD[:-1] + "2"], 2, "failed='2'"),
+        ([HEADER, GOOD[:-1] + "1"], 2, "failed='1' beside loss='0.5'"),
+        ([HEADER + ",extra", GOOD + ",1"], 1, "'extra'"),
+        ([HEADER + ",n", GOOD + ",41"], 1, "repeats a column"),
+        ([HEADER, GOOD.replace(",40,", ",forty,")], 2, "'forty'"),
+    ], ids=["no-failed-column", "short-line", "nan-loss", "failed-2",
+            "loss-beside-failed-1", "extra-column", "repeated-column",
+            "non-numeric-n"])
+    def test_malformed_records_exit_2(self, tmp_path, capsys, lines, line,
+                                      named):
+        # run() calls cli.main in process, so a KeyError or TypeError from
+        # the reader would fail the test instead of returning 2.
+        rec_path = tmp_path / "records.csv"
+        rec_path.write_text("\n".join(lines) + "\n")
+        code, out, err = run(
+            ["bench", "summarize", "--in", str(rec_path), "--delta", "0.1"],
+            capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"configuration error: {rec_path} line {line}")
+        assert named in err
 
     def test_missing_file_exits_2(self, tmp_path, capsys):
         code, _, _ = run(

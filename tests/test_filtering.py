@@ -310,6 +310,13 @@ class TestAgainstExactReference:
                 filt=filter_univariate)
 
 
+def lane_seeds(entropy, k):
+    """k int seeds, seed j drawing the stream of ``default_rng([entropy, j])``:
+    ``SeedSequence`` reads an int as its 32-bit words, and a trailing zero
+    word leaves its pool unchanged."""
+    return [entropy | j << 32 for j in range(k)]
+
+
 class TestLanes:
     """Lanes run in lockstep report what separate ``filter_univariate``
     calls report: removals, eigenvalues, stop reason and estimate."""
@@ -324,6 +331,12 @@ class TestLanes:
             np.testing.assert_array_equal(rep.estimate, ref.estimate)
         return reports
 
+    def test_lane_seeds_draw_the_list_seed_streams(self):
+        for entropy, j in [(0, 0), (48, 1), (75, 6)]:
+            ours = np.random.default_rng(lane_seeds(entropy, 7)[j])
+            ref = np.random.default_rng([entropy, j])
+            assert ours.random(3).tolist() == ref.random(3).tolist()
+
     def test_lanes_stopping_in_different_rounds(self):
         # Threshold stops: lanes leave the survivor matrix at different
         # rounds and the rest go on.
@@ -337,7 +350,7 @@ class TestLanes:
                     FilterConfig(cov_bound=1.0, threshold_factor=1.5,
                                  stop_mode=STOP_CAPPED, steps=9)):
                 reports = self.assert_matches_separate_calls(
-                    data, config, [[case, j] for j in range(6)])
+                    data, config, lane_seeds(case, 6))
                 assert len({len(r.removed_indices) for r in reports}) > 1
 
     def test_zero_scatter_lane(self):
@@ -354,7 +367,7 @@ class TestLanes:
         for seed in range(50):
             data = np.random.default_rng([73, seed]).lognormal(size=(500, 20))
             reports = self.assert_matches_separate_calls(
-                data, config, [[seed, j] for j in range(20)])
+                data, config, lane_seeds(seed, 20))
             assert {r.diagnostics["stop_reason"] for r in reports} == {"budget"}
 
     def test_zero_scatter_lanes_leave_at_round_zero(self):
@@ -364,7 +377,7 @@ class TestLanes:
         data[:, [0, 3, 4]] = [2.0, -1.0, 0.0]
         reports = self.assert_matches_separate_calls(
             data, FilterConfig(stop_mode=STOP_FIXED_STEPS, steps=9),
-            [[75, j] for j in range(7)])
+            lane_seeds(75, 7))
         for j, rep in enumerate(reports):
             if j in (0, 3, 4):
                 assert rep.diagnostics == {"stop_reason": "zero_scatter",

@@ -126,6 +126,20 @@ def test_population_moments_pareto_k_by_tail():
         population_moments(DistributionSpec("pareto", p=2, tail_beta=1.5))
 
 
+@pytest.mark.parametrize("spec", [
+    DistributionSpec("gaussian", p=2, covariance=np.diag([2.0, 1.0])),
+    DistributionSpec("lognormal", p=3),
+    DistributionSpec("pareto", p=2, tail_beta=5.0),
+], ids=["gaussian", "lognormal", "pareto"])
+def test_population_moments_of_a_contaminated_spec_are_its_clean_ones(spec):
+    q = ContaminationSpec("point_mass", location=np.full(spec.p, 50.0))
+    contaminated = DistributionSpec(spec.family, p=spec.p,
+                                    covariance=spec.covariance,
+                                    tail_beta=spec.tail_beta, epsilon=0.2,
+                                    q_spec=q)
+    assert population_moments(contaminated) == population_moments(spec)
+
+
 def test_spec_validation():
     with pytest.raises(ConfigurationError):
         DistributionSpec("gaussian", p=2)  # missing covariance
@@ -367,6 +381,31 @@ GATE_CASES = {
         0.1, math.inf), ConfigurationError),
     "pareto tail_beta NaN": (lambda: DistributionSpec(
         "pareto", p=1, tail_beta=math.nan), ConfigurationError),
+    # Counts and seeds must be ints, seeds >= 0.
+    "spec p 2.0": (lambda: DistributionSpec("lognormal", p=2.0),
+                   ConfigurationError),
+    "sample_dataset n 2.5": (lambda: sample_dataset(
+        DistributionSpec("lognormal", p=2), 2.5, 0), ConfigurationError),
+    "sample_dataset seed -1": (lambda: sample_dataset(
+        DistributionSpec("lognormal", p=2), 5, -1), ConfigurationError),
+    "FilterConfig seed 1.5": (lambda: filtering.FilterConfig(seed=1.5),
+                              ConfigurationError),
+    "FilterConfig seed -1": (lambda: filtering.FilterConfig(seed=-1),
+                             ConfigurationError),
+    "NetConfig sparsity 1.5": (lambda: netmax.NetConfig(
+        epsilon=0.1, delta=0.1, sparsity=1.5), ConfigurationError),
+    "build_half_cover p 2.0": (lambda: netmax.build_half_cover(2.0),
+                               ConfigurationError),
+    "build_half_cover sparsity 1.5": (lambda: netmax.build_half_cover(
+        4, sparsity=1.5), ConfigurationError),
+    "net_estimate seed 1.5": (lambda: netmax.net_estimate(
+        ROWS, netmax.NetConfig(epsilon=0.1, delta=0.1), seed=1.5),
+                              ConfigurationError),
+    "coordinatewise_filter seed 1.5": (lambda: baselines.coordinatewise_filter(
+        ROWS, delta=0.1, seed=1.5), ConfigurationError),
+    "TrialConfig master_seed -1": (lambda: bench.TrialConfig(
+        DistributionSpec("lognormal", p=2), [bench.MethodSpec("mean")], [10],
+        [2], 0.1, master_seed=-1), ConfigurationError),
 }
 
 
