@@ -14,7 +14,7 @@ from .filtering import default_steps, filter_columns
 from .model import MomentProfile, as_finite_matrix, check_range, derived_seed
 
 SRM_MAX_N = 25
-# Complements screened per vectorised step of srm_bruteforce.
+# Sets R (see srm_bruteforce) enumerated per vectorised step of its screen.
 _SRM_CHUNK = 2048
 # Weiszfeld stops once a step is at most WEISZFELD_TOL times the new iterate's
 # norm, and raises ConvergenceError after WEISZFELD_MAX_ITER steps.
@@ -144,9 +144,11 @@ def srm_bruteforce(samples, epsilon: float) -> np.ndarray:
 
     Screen: with the rows centred at their mean, every subset's scatter is
     the totals minus its complement's sums, A(S) - |sum_S y|^2 / size with
-    A(S) the sum of |y|^2 over S.  The complements are walked in chunks of
-    ``_SRM_CHUNK``, keeping only the running minimum and the subsets within
-    ``slack`` of it, so working memory does not grow with C(n, size).
+    A(S) the sum of |y|^2 over S.  A complement of k = n - size rows is
+    {a} + R with a < min R: only the C(n - 1, k - 1) sets R are enumerated,
+    in chunks of ``_SRM_CHUNK`` whose sums serve every a, and only the
+    running minimum and the complements (int8) within ``slack`` of it are
+    kept, so working memory does not grow with C(n, size) unless most tie.
     ``slack`` bounds twice the screen's rounding plus twice the rounding of
     the per-subset loss below, which grows with the raw magnitude of the
     data, not only the centred one; the kept subsets therefore include
@@ -181,36 +183,47 @@ def srm_bruteforce(samples, epsilon: float) -> np.ndarray:
     # u * total_sq), twice the loop's (its mean is off by up to
     # size * u * max|y| per coordinate, which adds size * |off|^2, and its
     # sum of squares is within (size * p + 2) * u relatively), the rounding
-    # of the loop's division, and underflow; u = eps / 2.
+    # of the loop's division, and underflow; u = eps / 2.  The screen takes
+    # a complement's rows from the totals one at a time, its first row last;
+    # a sum of m terms is within (m - 1) * u of their absolute sum in any
+    # order, so that order keeps its error within the same multiple.
     eps = np.finfo(float).eps
     slack = (8 * eps * (n + p + 2) ** 2 * (1 + n / size) * total_sq
              + size ** 3 * eps ** 2 * float(np.square(np.abs(data).max(axis=0)).sum())
              + 4 * (n + 2) * (p + 2) * math.ulp(0.0))
     if not math.isfinite(2 * n * total_sq + slack):
         slack = math.inf  # the screen's squares may overflow: confirm all
+    # The R's come in lexicographic order: those with min R > a are a tail.
+    k = n - size
+    rests, count = combinations(range(1, n), k - 1), math.comb(n - 1, k - 1)
     best = math.inf
-    kept = np.empty((0, n - size), dtype=np.intp)
-    kept_scatter = np.empty(0)
-    complements = combinations(range(n), n - size)
-    while True:
-        chunk = np.fromiter(chain.from_iterable(islice(complements, _SRM_CHUNK)),
-                            dtype=np.intp).reshape(-1, n - size)
-        if not len(chunk):
-            break
-        sums = total - centred[chunk].sum(axis=1)
-        scatter = (total_sq - row_sq[chunk].sum(axis=1)
-                   - np.square(sums).sum(axis=1) / size)
-        best = min(best, float(scatter.min()))
-        kept = np.concatenate([kept, chunk])
-        kept_scatter = np.concatenate([kept_scatter, scatter])
-        near = ~(kept_scatter > best + slack)  # an overflowed NaN stays
-        kept, kept_scatter = kept[near], kept_scatter[near]
-
-    # The complements came in lexicographic order, so reversed they give
-    # their subsets in lexicographic order, the loop's.
+    kept = []  # (a, R's, scatters) within slack of the running minimum
+    for done in range(0, count, _SRM_CHUNK):
+        m = min(_SRM_CHUNK, count - done)
+        chunk = np.fromiter(chain.from_iterable(islice(rests, m)), dtype=np.int8,
+                            count=m * (k - 1)).reshape(m, k - 1)
+        rest_total, rest_sq = np.broadcast_to(total, (m, p)), np.full(m, total_sq)
+        for column in chunk.T:
+            rest_total = rest_total - centred[column]
+            rest_sq = rest_sq - row_sq[column]
+        firsts = chunk[:, 0] if k > 1 else [n]
+        tails = np.searchsorted(firsts, np.arange(firsts[-1]), side="right")
+        for a, tail in enumerate(tails.tolist()):
+            scatter = (rest_sq[tail:] - row_sq[a]
+                       - np.square(rest_total[tail:] - centred[a]).sum(axis=1) / size)
+            low = float(scatter.min())
+            best = min(best, low)
+            if not low > best + slack:  # an overflowed NaN stays
+                near = ~(scatter > best + slack)
+                kept.append((a, chunk[tail:][near], scatter[near]))
+    # Reversed, the complements in lexicographic order give their subsets
+    # in lexicographic order, the loop's.
+    kept = np.concatenate([np.insert(rest[~(scatter > best + slack)], 0, a, axis=1)
+                           for a, rest, scatter in kept])
+    kept = kept[np.lexsort(kept.T[::-1])[::-1]]
     best_loss = math.inf
     best_mean = None
-    for complement in kept[::-1]:
+    for complement in kept:
         subset = np.ones(n, dtype=bool)
         subset[complement] = False
         rows = data[subset]

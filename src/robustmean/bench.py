@@ -108,6 +108,9 @@ class TrialRecord:
 # its declared type, then ``failed``, a 0/1 flag derived from the loss.
 _RECORD_TYPES = get_type_hints(TrialRecord)
 CSV_FIELDS = (*_RECORD_TYPES, "failed")
+# The ``model.check_range`` bounds of what a trial records, the loss aside.
+_RECORD_RANGES = {"n": (1,), "p": (1,), "delta": (0.0, 1.0, False),
+                  "epsilon": (0.0, 0.5), "trial_index": (0,)}
 
 # The columns of a ``summarize`` row, in the order ``emit_summary_csv``
 # writes them.
@@ -351,9 +354,9 @@ def read_csv(path) -> List[TrialRecord]:
     """The records of a file in the form ``emit_csv`` writes, each cell
     parsed by its field's type.  A header without a required column of
     ``CSV_FIELDS``, with another column or with one twice, a row of another
-    length, a cell of another type, or a line without failed=0 and a finite
-    loss or failed=1 and no loss is a ``ConfigurationError`` naming the
-    line."""
+    length, a cell of another type or range than a trial's, or a line
+    without failed=0 and a loss in [0, inf) or failed=1 and no loss is a
+    ``ConfigurationError`` naming the line."""
     required, optional = _json_keys(TrialRecord)
     records = []
     with open(path, newline="") as fh:
@@ -373,12 +376,14 @@ def read_csv(path) -> List[TrialRecord]:
                 row["loss"] = loss or "inf"
                 record = TrialRecord(**{key: _RECORD_TYPES[key](cell)
                                         for key, cell in row.items()})
-                if not (math.isfinite(record.loss) if failed == "0"
+                if not (0 <= record.loss < math.inf if failed == "0"
                         else failed == "1" and not loss):
                     raise ValueError(
                         f"failed={failed!r} beside loss={loss!r}; a record has "
-                        "failed=0 and a finite loss, or failed=1 and no loss")
-            except ValueError as exc:
+                        "failed=0 and a loss in [0, inf), or failed=1 and no loss")
+                for key, bounds in _RECORD_RANGES.items():
+                    model.check_range(key, getattr(record, key), *bounds)
+            except (ValueError, ConfigurationError) as exc:
                 raise ConfigurationError(
                     f"{path} line {reader.line_num}: {exc}") from None
             records.append(record)

@@ -409,6 +409,28 @@ def assert_matches_loop(data, epsilon):
                                   brute_srm(data, epsilon))
 
 
+def assert_matches_loop_on_random_draws():
+    rng = np.random.default_rng(11)
+    edges = set()
+    for _ in range(120):
+        n, p = int(rng.integers(4, 15)), int(rng.integers(1, 4))
+        epsilon = srm_epsilon(rng, n)
+        size = math.floor((1 - epsilon) * n)
+        edges.add("one" if size == 1 else "n-1" if size == n - 1 else "")
+        assert_matches_loop(rng.standard_normal((n, p)), epsilon)
+    assert {"one", "n-1"} <= edges
+
+
+def assert_matches_loop_with_repeated_rows(mass):
+    # Many subsets tie in exact arithmetic; the loop's rounding decides.
+    rng = np.random.default_rng(int(mass * 10) % 997)
+    for _ in range(30):
+        n, p = int(rng.integers(4, 15)), int(rng.integers(1, 4))
+        data = rng.standard_normal((n, p))
+        data[rng.permutation(n)[:rng.integers(2, n)]] = mass
+        assert_matches_loop(data, srm_epsilon(rng, n))
+
+
 class TestSubsetSearch:
     def test_matches_independent_enumeration(self):
         rng = np.random.default_rng(7)
@@ -428,25 +450,45 @@ class TestSubsetSearch:
         assert est[0] == pytest.approx(2.0)
 
     def test_matches_loop_bit_for_bit_on_random_draws(self):
-        rng = np.random.default_rng(11)
-        edges = set()
-        for _ in range(120):
-            n, p = int(rng.integers(4, 15)), int(rng.integers(1, 4))
-            epsilon = srm_epsilon(rng, n)
-            size = math.floor((1 - epsilon) * n)
-            edges.add("one" if size == 1 else "n-1" if size == n - 1 else "")
-            assert_matches_loop(rng.standard_normal((n, p)), epsilon)
-        assert {"one", "n-1"} <= edges
+        assert_matches_loop_on_random_draws()
 
     @pytest.mark.parametrize("mass", [0.5, 2.0, 5.0, 1e6])
     def test_matches_loop_bit_for_bit_with_repeated_rows(self, mass):
-        # Many subsets tie in exact arithmetic; the loop's rounding decides.
-        rng = np.random.default_rng(int(mass * 10) % 997)
-        for _ in range(30):
-            n, p = int(rng.integers(4, 15)), int(rng.integers(1, 4))
-            data = rng.standard_normal((n, p))
-            data[rng.permutation(n)[:rng.integers(2, n)]] = mass
-            assert_matches_loop(data, srm_epsilon(rng, n))
+        assert_matches_loop_with_repeated_rows(mass)
+
+    @pytest.mark.parametrize("mass", [None, 0.5, 2.0, 5.0, 1e6])
+    def test_matches_loop_bit_for_bit_across_chunks(self, monkeypatch, mass):
+        # Chunks of 5 sets R split every first row's block, so tied subsets
+        # are screened in different chunks and blocks, out of their order.
+        monkeypatch.setattr(baselines, "_SRM_CHUNK", 5)
+        if mass is None:
+            assert_matches_loop_on_random_draws()
+        else:
+            assert_matches_loop_with_repeated_rows(mass)
+
+    def test_tie_break_across_chunks(self, monkeypatch):
+        # Distinct integers with a subset size of 4 or 8: the loss of every
+        # run of consecutive values is exact, so those runs tie and only the
+        # confirm's lexicographic order picks the loop's.  Chunks of 5 sets R
+        # screen them out of that order.
+        monkeypatch.setattr(baselines, "_SRM_CHUNK", 5)
+        rng = np.random.default_rng(17)
+        for _ in range(20):
+            n = int(rng.integers(6, 13))
+            size = 4 if n < 10 else 8
+            data = rng.permutation(n).astype(float)[:, None] * [1.0, -2.0]
+            assert_matches_loop(data[:, :rng.integers(1, 3)], 1 - (size + 0.5) / n)
+
+    @pytest.mark.parametrize("n, p, epsilon, mass", [
+        (18, 2, 0.3, None), (20, 1, 0.2, 2.0)])
+    def test_matches_loop_bit_for_bit_at_larger_n(self, n, p, epsilon, mass):
+        # k = 6 and k = 4 rows left out: C(17, 5) = 6,188 and C(19, 3) =
+        # 969 sets R, several chunks for the first.
+        rng = np.random.default_rng(n)
+        data = rng.standard_normal((n, p))
+        if mass is not None:
+            data[rng.permutation(n)[:n // 2]] = mass
+        assert_matches_loop(data, epsilon)
 
     @pytest.mark.parametrize("offset", [1e6, 1e9, 1e12])
     def test_matches_loop_bit_for_bit_far_from_origin(self, offset):
@@ -477,7 +519,8 @@ class TestSubsetSearch:
     @pytest.mark.parametrize("p", [1, 3])
     def test_working_memory_does_not_grow_with_subset_count(self, p):
         # C(25, 20) = 53,130 subsets, screened a chunk at a time: the peak
-        # stays under 1 MiB; holding every complement at once takes about 2 MiB.
+        # stays under 1 MiB; holding every complement at once as intp rows
+        # takes about 2 MiB, and with a chunk of 10^6 it does not pass.
         data = np.random.default_rng(p).standard_normal((25, p))
         tracemalloc.start()
         try:
@@ -486,6 +529,17 @@ class TestSubsetSearch:
         finally:
             tracemalloc.stop()
         assert peak < 2 ** 20
+
+    def test_tied_subsets_hold_little_memory(self):
+        # Every subset ties, so all 53,130 complements are kept and confirmed.
+        tracemalloc.start()
+        try:
+            np.testing.assert_array_equal(srm_bruteforce(np.zeros((25, 1)), 0.2),
+                                          [0.0])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2 ** 20
 
     def test_size_limit(self):
         with pytest.raises(ConfigurationError):

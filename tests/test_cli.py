@@ -413,9 +413,23 @@ class TestBench:
         ([HEADER + ",extra", GOOD + ",1"], 1, "'extra'"),
         ([HEADER + ",n", GOOD + ",41"], 1, "repeats a column"),
         ([HEADER, GOOD.replace(",40,", ",forty,")], 2, "'forty'"),
+        ([HEADER, GOOD, "mean,gaussian,0,1,0.1,0,0,0.5,0"], 3,
+         "n must lie in [1, inf), got 0"),
+        ([HEADER, "mean,gaussian,40,0,0.1,0,0,0.5,0"], 2,
+         "p must lie in [1, inf), got 0"),
+        ([HEADER, "mean,gaussian,40,1,7,0,0,0.5,0"], 2,
+         "delta must lie in (0, 1), got 7.0"),
+        ([HEADER, "mean,gaussian,40,1,0.1,0.9,0,,1"], 2,
+         "epsilon must lie in [0, 0.5), got 0.9"),
+        ([HEADER, "mean,gaussian,40,1,0.1,0,-1,0.5,0"], 2,
+         "trial_index must lie in [0, inf), got -1"),
+        ([HEADER, "mean,gaussian,40,1,0.1,0,0,-3.5,0"], 2,
+         "failed='0' beside loss='-3.5'"),
     ], ids=["no-failed-column", "short-line", "nan-loss", "failed-2",
             "loss-beside-failed-1", "extra-column", "repeated-column",
-            "non-numeric-n"])
+            "non-numeric-n", "n-below-1", "p-below-1", "delta-above-1",
+            "epsilon-of-failed-trial-above-half", "negative-trial-index",
+            "negative-loss"])
     def test_malformed_records_exit_2(self, tmp_path, capsys, lines, line,
                                       named):
         # run() calls cli.main in process, so a KeyError or TypeError from

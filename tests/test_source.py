@@ -1,6 +1,7 @@
 """Static checks of the package source."""
 
 import ast
+import json
 import re
 from pathlib import Path
 
@@ -40,11 +41,13 @@ def test_no_unused_imports(path):
 
 def test_ci_runs_the_tier1_command():
     # The workflow's test step is the Tier-1 command that ROADMAP.md gives.
-    yaml = pytest.importorskip("yaml")
+    # The job's lines are read with the stdlib, since the job installs no
+    # YAML parser: its last "run:" is the last step's plain one-line command.
     root = SOURCE.parents[1]
-    workflow = yaml.safe_load((root / ".github/workflows/tier1.yml").read_text())
-    job = workflow["jobs"]["tests"]
+    workflow = (root / ".github/workflows/tier1.yml").read_text()
+    job = re.search(r"^  tests:\n((?:(?:    .*)?\n)*)", workflow, re.M).group(1)
     command = re.search(r"\*\*Tier-1 verify:\*\* `([^`]*)`",
                         (root / "ROADMAP.md").read_text()).group(1)
-    assert job["steps"][-1]["run"] == command
-    assert job["strategy"]["matrix"]["python-version"] == ["3.10", "3.11"]
+    assert re.findall(r"^ +(?:- )?run: (.*)$", job, re.M)[-1] == command
+    versions = re.search(r"^ +python-version: (\[.*\])$", job, re.M).group(1)
+    assert json.loads(versions) == ["3.10", "3.11"]
