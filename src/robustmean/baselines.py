@@ -140,25 +140,30 @@ def oracle_truncated_mean(samples, center, radius: float) -> np.ndarray:
 
 def srm_bruteforce(samples, epsilon: float) -> np.ndarray:
     """Mean of the size-floor((1-eps)n) subset with the smallest within-subset
-    scatter, by exhaustive search (n <= SRM_MAX_N = 25).
+    scatter, by exhaustive search (n <= SRM_MAX_N = 25): a screen keeps the
+    subsets within ``slack`` of the smallest scatter, and the exhaustive
+    loop's own arithmetic (``rows.mean``, the sum of squared deviations over
+    size, ties to the lexicographically smallest index set) confirms them.
+    ``slack`` bounds twice the screen's rounding plus twice the loss's, which
+    grows with the raw magnitude of the data, so every subset of minimal
+    loss is kept and the result is the loop's, bit for bit.
 
-    Screen: with the rows centred at their mean, every subset's scatter is
-    the totals minus its complement's sums, A(S) - |sum_S y|^2 / size with
-    A(S) the sum of |y|^2 over S.  A complement of k = n - size rows is
-    {a} + R with a < min R: only the C(n - 1, k - 1) sets R are enumerated,
-    in chunks of ``_SRM_CHUNK`` whose sums serve every a, and only the
-    running minimum and the complements (int8) within ``slack`` of it are
-    kept, so working memory does not grow with C(n, size) unless most tie.
-    ``slack`` bounds twice the screen's rounding plus twice the rounding of
-    the per-subset loss below, which grows with the raw magnitude of the
-    data, not only the centred one; the kept subsets therefore include
-    every subset of minimal loss.
+    Windows (p = 1): if a subset S of mean mu leaves out a row of value z
+    strictly between min S and max S, putting z in place of the endpoint x
+    farther from mu lowers the scatter by at least (x - z)^2 / size >=
+    g^2 / size, g the smallest positive gap between values.  Once that
+    exceeds slack, only value-windows (the rows strictly inside (lo, hi)
+    and some copies of lo and of hi) can win: the sorted column's windows
+    are screened and every choice of copies of the kept ones is confirmed.
 
-    Confirm: the kept subsets, in lexicographic order, go through the
-    exhaustive loop's own arithmetic (``rows.mean``, the sum of squared
-    deviations over size, strict ``<``).  So the result, and the tie-break
-    to the lexicographically smallest index set, are those of enumerating
-    every subset; a wider slack costs only confirm time.
+    Complements (p > 1, or no certificate): a subset's scatter is the
+    totals minus its complement's sums, A(S) - |sum_S y|^2 / size with A(S)
+    the sum of |y|^2 over the centred rows y of S.  A complement of
+    k = n - size rows is {a} + R with a < min R: only the C(n - 1, k - 1)
+    sets R are enumerated, in chunks of ``_SRM_CHUNK`` whose sums serve
+    every a, and only the complements (int8) within ``slack`` of the
+    running minimum are kept, so working memory does not grow with
+    C(n, size) unless most tie.
     """
     data = as_finite_matrix(samples)
     n, p = data.shape
@@ -193,6 +198,14 @@ def srm_bruteforce(samples, epsilon: float) -> np.ndarray:
              + 4 * (n + 2) * (p + 2) * math.ulp(0.0))
     if not math.isfinite(2 * n * total_sq + slack):
         slack = math.inf  # the screen's squares may overflow: confirm all
+    if p == 1 and slack < math.inf:
+        order = np.argsort(data[:, 0], kind="stable")
+        gaps = np.diff(data[order, 0])
+        gap = gaps[gaps > 0].min(initial=math.inf)  # inf if all values tie
+        # Rounding g, its square and the division raise g^2 / size by a
+        # factor under (1 + u)^4 < 2, so the exact g^2 / size exceeds slack.
+        if gap ** 2 / size > 2 * slack:
+            return _srm_windows(data, order, centred[order, 0], size, slack)
     # The R's come in lexicographic order: those with min R > a are a tail.
     k = n - size
     rests, count = combinations(range(1, n), k - 1), math.comb(n - 1, k - 1)
@@ -232,6 +245,35 @@ def srm_bruteforce(samples, epsilon: float) -> np.ndarray:
         if loss < best_loss:
             best_loss = loss
             best_mean = mean
+    return best_mean
+
+
+def _srm_windows(data, order, centred, size, slack):
+    """``srm_bruteforce``'s window path; ``order`` sorts the column stably
+    and ``centred`` is the centred column in that order."""
+    values = data[order, 0]
+    # A window's scatter is a sum of size terms, within the screen's bound.
+    windows = np.lib.stride_tricks.sliding_window_view(centred, size)
+    scatter = np.square(windows).sum(axis=1) - np.square(windows.sum(axis=1)) / size
+    near = ~(scatter > scatter.min() + slack)
+    near[1:] &= values[:-size] != values[size:]  # one-value windows: first of a run
+    best, best_mean = (math.inf, ()), None
+    for start in np.flatnonzero(near).tolist():
+        window = values[start:start + size]
+        lo, hi = window[0], window[-1]
+        inner = order[(lo < values) & (values < hi)].tolist()
+        ends = [(order[values == end].tolist(), int((window == end).sum()))
+                for end in (lo, hi)]
+        # With lo == hi every choice of copies holds the same rows, so the
+        # first, the lexicographically smallest, stands for them all.
+        for low in islice(combinations(*ends[0]), 1 if lo == hi else None):
+            for high in combinations(*ends[1]) if lo < hi else [()]:
+                subset = tuple(sorted(inner + list(low + high)))
+                rows = data[list(subset)]
+                mean = rows.mean(axis=0)
+                loss = float(np.sum((rows - mean) ** 2)) / size
+                if (loss, subset) < best:  # the loop's pick: first in its order
+                    best, best_mean = (loss, subset), mean
     return best_mean
 
 

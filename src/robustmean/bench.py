@@ -354,7 +354,7 @@ def read_csv(path) -> List[TrialRecord]:
     """The records of a file in the form ``emit_csv`` writes, each cell
     parsed by its field's type.  A header without a required column of
     ``CSV_FIELDS``, with another column or with one twice, a row of another
-    length, a cell of another type or range than a trial's, or a line
+    length, a cell of another type, range or name than a trial's, or a line
     without failed=0 and a loss in [0, inf) or failed=1 and no loss is a
     ``ConfigurationError`` naming the line."""
     required, optional = _json_keys(TrialRecord)
@@ -383,6 +383,8 @@ def read_csv(path) -> List[TrialRecord]:
                         "failed=0 and a loss in [0, inf), or failed=1 and no loss")
                 for key, bounds in _RECORD_RANGES.items():
                     model.check_range(key, getattr(record, key), *bounds)
+                model.check_type("method", record.method, METHOD_NAMES)
+                model.check_type("family", record.family, model.FAMILIES)
             except (ValueError, ConfigurationError) as exc:
                 raise ConfigurationError(
                     f"{path} line {reader.line_num}: {exc}") from None

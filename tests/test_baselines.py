@@ -518,7 +518,8 @@ class TestSubsetSearch:
 
     @pytest.mark.parametrize("p", [1, 3])
     def test_working_memory_does_not_grow_with_subset_count(self, p):
-        # C(25, 20) = 53,130 subsets, screened a chunk at a time: the peak
+        # C(25, 20) = 53,130 subsets, screened a chunk at a time at p = 3
+        # (p = 1 takes the window path, which holds n - 19 windows): the peak
         # stays under 1 MiB; holding every complement at once as intp rows
         # takes about 2 MiB, and with a chunk of 10^6 it does not pass.
         data = np.random.default_rng(p).standard_normal((25, p))
@@ -531,7 +532,8 @@ class TestSubsetSearch:
         assert peak < 2 ** 20
 
     def test_tied_subsets_hold_little_memory(self):
-        # Every subset ties, so all 53,130 complements are kept and confirmed.
+        # Every subset ties: all 53,130 are kept, and the window path
+        # confirms the first of them, since they hold the same rows.
         tracemalloc.start()
         try:
             np.testing.assert_array_equal(srm_bruteforce(np.zeros((25, 1)), 0.2),
@@ -563,3 +565,82 @@ class TestSubsetSearch:
         e = 0.1
         assert srm_population_bias(e, 20.0) == pytest.approx(
             e / math.sqrt(0.9 * 0.8) * math.sqrt(20.0))
+
+
+def count_window_searches(monkeypatch):
+    """A list that gains one entry per call of ``srm_bruteforce``'s window
+    path; the other calls take the complement screen."""
+    calls, windows = [], baselines._srm_windows
+    monkeypatch.setattr(baselines, "_srm_windows",
+                        lambda *args: calls.append(1) or windows(*args))
+    return calls
+
+
+class TestSubsetSearchWindows:
+    """The p = 1 window path against the verbatim loop."""
+
+    def test_copies_straddle_the_window_edge(self, monkeypatch):
+        # Four copies of -3 or 3 interleaved with nine inliers near 0: the
+        # best 10 rows hold one copy.  At the low end the sorted window holds
+        # the last copy; the loop takes the one whose rounding wins, else
+        # the first.
+        calls = count_window_searches(monkeypatch)
+        rng = np.random.default_rng(29)
+        for end in (-3.0, 3.0) * 5:
+            data = np.insert(0.5 * rng.standard_normal(9),
+                             np.sort(rng.choice(10, 4)), end)
+            assert_matches_loop(data[:, None], 0.2)
+        assert len(calls) == 10
+
+    @pytest.mark.parametrize("n, epsilon", [(12, 0.3), (16, 0.2), (18, 0.45)])
+    def test_two_valued_data(self, n, epsilon):
+        # Fewer copies of each value than the subset size, so the best
+        # windows hold both values; at an even split the two extreme
+        # windows tie in exact arithmetic.
+        rng = np.random.default_rng(n)
+        size = math.floor((1 - epsilon) * n)
+        for lows in range(n - size + 1, size):
+            data = rng.permutation(np.repeat([0.1, 0.7], [lows, n - lows]))
+            assert_matches_loop(data[:, None], epsilon)
+
+    def test_sizes_one_and_n_minus_one(self):
+        rng = np.random.default_rng(31)
+        for n in range(2, 16):
+            data = np.round(rng.standard_normal((n, 1)), 1)
+            assert_matches_loop(data, 1.0 - 1.5 / n)
+            assert_matches_loop(data, 0.5 / n)
+
+    @pytest.mark.parametrize("offset", [1e6, 1e9, 1e12])
+    def test_far_from_origin(self, offset):
+        rng = np.random.default_rng(int(math.log10(offset)) + 40)
+        for _ in range(20):
+            n = int(rng.integers(4, 19))
+            data = offset + rng.standard_normal((n, 1))
+            data[rng.permutation(n)[:n // 4]] = offset + 1.5
+            assert_matches_loop(data, srm_epsilon(rng, n))
+
+    def test_subset_search_1d_draws(self, monkeypatch):
+        calls = count_window_searches(monkeypatch)
+        spec = DistributionSpec(
+            "gaussian", p=1, covariance=np.eye(1), epsilon=0.2,
+            q_spec=ContaminationSpec("point_mass", location=[5.0]))
+        for seed in range(3, 8):
+            assert_matches_loop(sample_dataset(spec, 25, seed).data, 0.2)
+        assert len(calls) == 5
+
+    def test_near_tie_falls_back_to_the_complement_screen(self, monkeypatch):
+        # Two values 1e-9 apart: g^2 / size is far below slack, so the
+        # certificate fails and the complement screen decides.
+        calls = count_window_searches(monkeypatch)
+        data = np.random.default_rng(37).standard_normal((12, 1))
+        assert_matches_loop(data, 0.3)
+        assert len(calls) == 1
+        data[7] = data[2] + 1e-9
+        assert_matches_loop(data, 0.3)
+        assert len(calls) == 1
+
+    def test_all_equal_rows_at_p_2(self):
+        # The window path's tie shortcut does not apply at p > 1: all
+        # C(16, 12) = 1,820 subsets tie and the complement screen confirms
+        # them.
+        assert_matches_loop(np.full((16, 2), [0.1, -3.7]), 0.2)

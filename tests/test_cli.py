@@ -425,11 +425,15 @@ class TestBench:
          "trial_index must lie in [0, inf), got -1"),
         ([HEADER, "mean,gaussian,40,1,0.1,0,0,-3.5,0"], 2,
          "failed='0' beside loss='-3.5'"),
+        ([HEADER, "nope,gaussian,40,1,0.1,0,0,0.5,0"], 2,
+         "method must be one of ["),
+        ([HEADER, "mean,weird,40,1,0.1,0,0,0.5,0"], 2,
+         "family must be one of ['gaussian', 'lognormal', 'pareto']"),
     ], ids=["no-failed-column", "short-line", "nan-loss", "failed-2",
             "loss-beside-failed-1", "extra-column", "repeated-column",
             "non-numeric-n", "n-below-1", "p-below-1", "delta-above-1",
             "epsilon-of-failed-trial-above-half", "negative-trial-index",
-            "negative-loss"])
+            "negative-loss", "unknown-method", "unknown-family"])
     def test_malformed_records_exit_2(self, tmp_path, capsys, lines, line,
                                       named):
         # run() calls cli.main in process, so a KeyError or TypeError from
