@@ -234,6 +234,22 @@ def srm_bruteforce(samples, epsilon: float) -> np.ndarray:
     kept = np.concatenate([np.insert(rest[~(scatter > best + slack)], 0, a, axis=1)
                            for a, rest, scatter in kept])
     kept = kept[np.lexsort(kept.T[::-1])[::-1]]
+    # Subsets holding the same floats in the same order (rows keyed by bytes,
+    # as np.unique(data, axis=0) merges 0.0 and -0.0) have equal means and
+    # losses, and the loop keeps the first of them: confirm only that.
+    row_keys = np.ascontiguousarray(data).view(np.dtype((np.void, data.itemsize * p)))
+    labels = np.unique(row_keys.ravel(), return_inverse=True)[1].astype(np.int8)
+    seen, firsts = set(), []  # a chunk at a time, so memory stays bounded
+    for done in range(0, len(kept), _SRM_CHUNK):
+        chunk = kept[done:done + _SRM_CHUNK]
+        inside = np.ones((len(chunk), n), dtype=bool)
+        inside[np.arange(len(chunk))[:, None], chunk] = False
+        profiles = np.broadcast_to(labels, inside.shape)[inside].reshape(-1, size)
+        for i in np.sort(np.unique(profiles, axis=0, return_index=True)[1]).tolist():
+            if (key := profiles[i].tobytes()) not in seen:
+                seen.add(key)
+                firsts.append(done + i)
+    kept = kept[firsts]
     best_loss = math.inf
     best_mean = None
     for complement in kept:

@@ -101,17 +101,30 @@ class NetConfig:
         return base + penalty
 
 
-def _draw_probes(
+def _square_norms(rows: np.ndarray) -> np.ndarray:
+    # Sums of non-negative squares: zero exactly when every square is.
+    return np.square(rows) @ np.ones(rows.shape[1])
+
+
+def _unit(rows: np.ndarray) -> np.ndarray:
+    """Nonzero rows scaled to unit norm, bit for bit as one row at a time."""
+    # One dot product per row: each norm is np.linalg.norm(row)'s, bit for
+    # bit, in any batch.  Row sums (_square_norms, einsum) can differ in the
+    # last ulp: fine for a screen, not for a probe that joins a cover.
+    return rows / np.sqrt(np.matmul(rows[:, None, :], rows[:, :, None]))[:, 0]
+
+
+def _draw_rows(
     rng: np.random.Generator, batch: int, p: int, support_size: Optional[int]
 ) -> np.ndarray:
-    """``batch`` random unit probes as rows, 2s-sparse when ``support_size``
-    (= 2s) is below ``p``.
+    """``batch`` nonzero Gaussian rows, 2s-sparse when ``support_size``
+    (= 2s) is below ``p``: the random unit probes before normalising.
 
-    The probes are exactly those of ``batch`` one-probe draws from the same
+    The rows are exactly those of ``batch`` one-probe draws from the same
     stream: dense rows come from one ``standard_normal((batch, p))`` call,
-    sparse rows from one support and one draw on it each.  A row whose norm
-    is exactly zero is drawn again, the same way and after the batch, until
-    it is not.
+    sparse rows from one support and one draw on it each.  A row whose
+    squared norm (so its norm) is exactly zero is drawn again, the same way
+    and after the batch, until it is not.
     """
 
     def draw(count: int) -> np.ndarray:
@@ -123,20 +136,19 @@ def _draw_probes(
             row[support] = rng.standard_normal(support_size)
         return rows
 
-    def row_norms(rows: np.ndarray) -> np.ndarray:
-        # One dot product per row, so each norm is bit-identical to
-        # np.linalg.norm(row); row sums (einsum, norm(axis=1)) can differ in
-        # the last ulp, and a probe that differs can change the cover.
-        return np.sqrt(np.matmul(rows[:, None, :], rows[:, :, None]).ravel())
-
-    probes = draw(batch)
-    norms = row_norms(probes)
-    zero = np.flatnonzero(norms == 0.0)
+    rows = draw(batch)
+    zero = np.flatnonzero(_square_norms(rows) == 0.0)
     while zero.size:
-        probes[zero] = draw(zero.size)
-        norms[zero] = row_norms(probes[zero])
-        zero = zero[norms[zero] == 0.0]
-    return probes / norms[:, None]
+        rows[zero] = draw(zero.size)
+        zero = zero[_square_norms(rows[zero]) == 0.0]
+    return rows
+
+
+def _draw_probes(
+    rng: np.random.Generator, batch: int, p: int, support_size: Optional[int]
+) -> np.ndarray:
+    """``batch`` random unit probes as rows: ``_draw_rows``, normalised."""
+    return _unit(_draw_rows(rng, batch, p, support_size))
 
 
 def build_half_cover(
@@ -144,10 +156,11 @@ def build_half_cover(
 ) -> CoverSet:
     """Greedy randomized half-cover construction.
 
-    Starts from the signed coordinate axes, then adds random unit probes
-    (restricted to random 2s-supports when ``sparsity`` = s is given) whose
-    distance to the current cover exceeds 1/2, until 10^5 consecutive probes
-    are all covered.
+    Starts from the signed coordinate axes, then draws random unit probes
+    (restricted to random 2s-supports when ``sparsity`` = s is given) in
+    batches of 2048: the first probe of a batch farther than 1/2 from the
+    cover joins it, until 10^5 consecutive probes are all covered.  Only a
+    probe that joins is normalised (see ``_first_uncovered``).
     """
     check_range("p", p, 1, kind=int)
     check_range("seed", seed, 0, kind=int)
@@ -170,42 +183,52 @@ def build_half_cover(
     covered_streak = 0
     batch = 2048
     while covered_streak < CONSECUTIVE_COVERED:
-        probes = _draw_probes(rng, batch, p, support_size)
-        first = _first_uncovered(probes, cover, cover_sq)
+        rows = _draw_rows(rng, batch, p, support_size)
+        first = _first_uncovered(rows, cover, cover_sq)
         if first is None:
             covered_streak += batch
             continue
         covered_streak = 0  # probes before `first` were covered but a miss resets
-        cover = np.vstack([cover, probes[first]])
+        cover = np.vstack([cover, _unit(rows[first:first + 1])])
         # Summed over the whole cover, so bit for bit the norms that the full
         # distance matrix uses.
         cover_sq = np.sum(cover**2, axis=1)
     return CoverSet(cover, sparsity=support_size)
 
 
-# For unit rows q and c, the computed squared distance (|q|^2 - 2 q.c) + |c|^2
-# and any computed q.c are within about 1e-14 of 2 - 2 q.c and q.c (p <= 50).
-# So a probe with some q.c above 1 - (1/4 - 1e-12)/2 lies within distance 1/2
-# of the cover whatever the rounding.
+# For a nonzero row r, q = r / |r| and a unit cover row c, the computed r.c
+# and sqrt(r.r) are within p u |r| and (p/2 + 1) u |r| (u = 2^-53), so
+# comparing r.c with k times the computed norm compares q.c with k to within
+# about 1e-14 (p <= 50, or 2s <= 50 nonzeros per sparse row); the whole
+# distance matrix's (|q|^2 - 2 q.c) + |c|^2 is within as much of 2 - 2 q.c.
+# So some q.c above 1 - (1/4 - 1e-12)/2 puts q within 1/2 of the cover, and
+# every q.c below 1 - (1/4 + 1e-12)/2 farther than 1/2 from it, whatever the
+# rounding.
 _SURELY_COVERED = 1.0 - (COVER_RADIUS**2 - 1e-12) / 2.0
+_SURELY_UNCOVERED = 1.0 - (COVER_RADIUS**2 + 1e-12) / 2.0
 
 
 def _first_uncovered(
-    probes: np.ndarray, cover: np.ndarray, cover_sq: np.ndarray
+    rows: np.ndarray, cover: np.ndarray, cover_sq: np.ndarray
 ) -> Optional[int]:
-    """Index of the first unit probe farther than 1/2 from every cover row
-    (``cover_sq`` holds their squared norms), or None.
+    """Index of the first nonzero row whose direction is farther than 1/2
+    from every cover row (``cover_sq`` holds their squared norms), or None:
+    the answer of the whole distance matrix of ``_unit(rows)``, bit for bit.
 
-    A cover x probe product screens out the probes that are surely covered;
-    its column maxima are far cheaper than the row maxima of the probe x
-    cover product.  Each remaining probe, in order, is judged by the full
-    squared-distance expression on the probe x cover product, so the answer
-    is the one the whole distance matrix gives, bit for bit.
+    The column maxima of a cover x row product of the raw rows (far cheaper
+    than the row maxima of a row x cover product) settle every row but those
+    within about 1e-12 of the boundary.  Only if one of those comes first is
+    the batch normalised and judged row by row, in order, by the full
+    squared-distance expression on the row x cover product.
     """
-    inner = cover @ np.ascontiguousarray(probes.T)
-    near = np.flatnonzero(inner.max(axis=0) <= _SURELY_COVERED)
+    norms = np.sqrt(_square_norms(rows))
+    best = (cover @ np.ascontiguousarray(rows.T)).max(axis=0)
+    near = np.flatnonzero(best <= _SURELY_COVERED * norms)
     if near.size == 0:
         return None
+    if best[near[0]] < _SURELY_UNCOVERED * norms[near[0]]:
+        return int(near[0])
+    probes = _unit(rows)
     g = 2.0 * probes @ cover.T
     probe_sq = np.sum(probes**2, axis=1)
     for i in near:

@@ -532,16 +532,35 @@ class TestSubsetSearch:
         assert peak < 2 ** 20
 
     def test_tied_subsets_hold_little_memory(self):
-        # Every subset ties: all 53,130 are kept, and the window path
-        # confirms the first of them, since they hold the same rows.
-        tracemalloc.start()
-        try:
-            np.testing.assert_array_equal(srm_bruteforce(np.zeros((25, 1)), 0.2),
-                                          [0.0])
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 2 * 2 ** 20
+        # Every subset ties, and all hold the same rows: the window path
+        # (p = 1) confirms the first; the complement screen (p = 3) keeps
+        # all 53,130 complements and groups them a chunk at a time.
+        for p in (1, 3):
+            tracemalloc.start()
+            try:
+                np.testing.assert_array_equal(
+                    srm_bruteforce(np.zeros((25, p)), 0.2), np.zeros(p))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 2 * 2 ** 20
+
+    @pytest.mark.parametrize("chunk", [5, baselines._SRM_CHUNK])
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_subsets_of_equal_rows_are_confirmed_once(self, monkeypatch, p, chunk):
+        # Rows picked from a few: many subsets hold equal rows in the same
+        # order.  0.0 and -0.0 rows are equal values, not equal floats: a
+        # mean of -0.0 rows alone is -0.0, so the sign is compared too.
+        monkeypatch.setattr(baselines, "_SRM_CHUNK", chunk)
+        rng = np.random.default_rng(p)
+        for _ in range(25):
+            n = int(rng.integers(4, 15))
+            pool = np.vstack([np.zeros(p), np.full(p, -0.0),
+                              rng.standard_normal((int(rng.integers(0, 3)), p))])
+            data = pool[rng.integers(len(pool), size=n)]
+            epsilon = srm_epsilon(rng, n)
+            assert (srm_bruteforce(data, epsilon).tobytes()
+                    == brute_srm(data, epsilon).tobytes())
 
     def test_size_limit(self):
         with pytest.raises(ConfigurationError):
@@ -640,7 +659,6 @@ class TestSubsetSearchWindows:
         assert len(calls) == 1
 
     def test_all_equal_rows_at_p_2(self):
-        # The window path's tie shortcut does not apply at p > 1: all
-        # C(16, 12) = 1,820 subsets tie and the complement screen confirms
-        # them.
+        # The window path does not apply at p > 1: all C(16, 12) = 1,820
+        # subsets tie in the complement screen, which confirms the first.
         assert_matches_loop(np.full((16, 2), [0.1, -3.7]), 0.2)

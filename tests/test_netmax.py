@@ -17,7 +17,7 @@ from robustmean import (
 )
 from robustmean import netmax
 from robustmean.filtering import FilterConfig, STOP_FIXED_STEPS, filter_univariate
-from robustmean.netmax import _draw_probes, minimax_objective
+from robustmean.netmax import _draw_probes, _draw_rows, _unit, minimax_objective
 
 
 def grid_minimax(directions, targets, grid):
@@ -126,57 +126,84 @@ class TestBatchedProbes:
 
     @pytest.mark.parametrize("support_size", [None, 2])
     def test_zero_norm_row_is_redrawn(self, support_size):
+        # The build screens the raw rows, the zero row already drawn again;
+        # _draw_probes normalises the same rows.
         rng = ZeroFirstRow(seed=3)
+        cover = np.vstack([np.eye(6), -np.eye(6)])
         with np.errstate(divide="raise", invalid="raise"):
-            probes = _draw_probes(rng, 16, 6, support_size)
+            rows = _draw_rows(rng, 16, 6, support_size)
+            netmax._first_uncovered(rows, cover, np.sum(cover**2, axis=1))
+            probes = _draw_probes(ZeroFirstRow(seed=3), 16, 6, support_size)
         assert rng.zeroed
-        assert probes.shape == (16, 6)
+        assert rows.shape == probes.shape == (16, 6)
+        np.testing.assert_array_equal(_unit(rows), probes)
         np.testing.assert_allclose(
             np.linalg.norm(probes, axis=1), 1.0, rtol=0, atol=1e-12)
         if support_size is not None:
-            assert np.count_nonzero(probes, axis=1).max() <= support_size
+            assert np.count_nonzero(rows, axis=1).max() <= support_size
 
 
-def boundary_probes(cover, row, rng, ulps=40):
+def boundary_probes(cover, row, rng, edge=0.875, ulps=40):
     """Unit probes whose inner product with ``cover[row]`` steps through the
-    floats around 7/8, so their distance to it is 1/2 to within a few ulps,
-    kept where every other cover row is clearly farther than 1/2."""
+    floats around ``edge``, kept where every other cover row is clearly
+    farther than 1/2.  Around 7/8 their distance to it is 1/2 to within a
+    few ulps."""
     c = cover[row]
     w = rng.standard_normal(c.size)
     w -= (w @ c) * c
     w /= np.linalg.norm(w)
-    a = 0.875 + np.arange(-ulps, ulps + 1) * np.spacing(0.875)
+    a = edge + np.arange(-ulps, ulps + 1) * np.spacing(edge)
     probes = a[:, None] * c + np.sqrt(1.0 - a * a)[:, None] * w
     others = np.delete(cover, row, axis=0)
     return probes[(probes @ others.T).max(axis=1) < 0.85]
 
 
 class TestFirstUncovered:
-    """The screened search returns the probe the whole distance matrix
-    picks, also where only the last ulps of a distance decide."""
+    """The screen of the raw rows returns the probe that the whole distance
+    matrix of the normalised rows picks, also where only the last ulps of a
+    distance decide, and whatever the rows' norms."""
 
-    def test_boundary_probes_match_full_matrix(self):
+    def test_boundary_probes_match_full_matrix(self, monkeypatch):
         rng = np.random.default_rng(11)
         # A partial cover, as in the middle of a build: the signed axes and
         # the first probes that joined them.
         cover = build_half_cover(3, seed=0).directions[:9]
         cover_sq = np.sum(cover**2, axis=1)
-        probes = np.concatenate(
-            [boundary_probes(cover, row, rng) for row in range(cover.shape[0])])
-        verdicts = [reference_first_uncovered(q[None], cover) for q in probes]
-        # The crafted probes straddle the boundary: the screen cannot tell
-        # them apart, so the exact recheck decides each one.
-        assert verdicts.count(0) > 50 and verdicts.count(None) > 50
-        for i, q in enumerate(probes):
-            assert netmax._first_uncovered(q[None], cover, cover_sq) == verdicts[i]
+        # Probes around 7/8, the boundary, and around 7/8 - 5e-13, the lower
+        # edge of the band that the screen leaves to the exact path.
+        edges = [np.concatenate([boundary_probes(cover, row, rng, edge=edge)
+                                 for row in range(cover.shape[0])])
+                 for edge in (0.875, 0.875 - 5e-13)]
+        lower = np.arange(sum(map(len, edges))) >= len(edges[0])
         covered = netmax._draw_probes(rng, 2048, 3, None)
-        covered = covered[(covered @ cover.T).max(axis=1) > 0.9]
-        for _ in range(50):
-            batch = np.concatenate(
-                [covered[:100], probes[rng.permutation(len(probes))[:60]]])
-            batch = batch[rng.permutation(len(batch))]
-            assert netmax._first_uncovered(batch, cover, cover_sq) == \
-                reference_first_uncovered(batch, cover)
+        covered = covered[(covered @ cover.T).max(axis=1) > 0.9][:100]
+        # In _first_uncovered only the exact path normalises: count it.
+        exact_paths, unit = [], netmax._unit
+        monkeypatch.setattr(netmax, "_unit",
+                            lambda rows: exact_paths.append(1) or unit(rows))
+        for scale in (1e-3, 1.0, 1e3):
+            rows = scale * np.concatenate(edges)
+            verdicts = [reference_first_uncovered(_unit(r[None]), cover)
+                        for r in rows]
+            exact = []
+            for r, verdict in zip(rows, verdicts):
+                calls = len(exact_paths)
+                assert netmax._first_uncovered(r[None], cover, cover_sq) == verdict
+                exact.append(len(exact_paths) > calls)
+            uncovered, exact = np.equal(verdicts, 0), np.array(exact)
+            # Around 7/8 the rows straddle the boundary and the exact path
+            # decides each one.  Near 7/8 - 5e-13 every row is uncovered:
+            # the screen settles those a few ulps below, the exact path the
+            # others.
+            assert 50 < np.count_nonzero(uncovered[~lower]) < np.count_nonzero(~lower) - 50
+            assert np.all(exact[~lower]) and np.all(uncovered[lower])
+            assert 0 < np.count_nonzero(exact[lower]) < np.count_nonzero(lower)
+            for _ in range(50):
+                batch = np.concatenate(
+                    [scale * covered, rows[rng.permutation(len(rows))[:60]]])
+                batch = batch[rng.permutation(len(batch))]
+                assert netmax._first_uncovered(batch, cover, cover_sq) == \
+                    reference_first_uncovered(_unit(batch), cover)
 
     def test_all_covered_batch(self):
         cover = build_half_cover(3, seed=0).directions
