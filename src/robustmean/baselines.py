@@ -5,7 +5,7 @@ brute-force subset-search estimator with its population bias."""
 from __future__ import annotations
 
 import math
-from itertools import chain, combinations, islice
+from itertools import chain, combinations, islice, product
 
 import numpy as np
 
@@ -229,39 +229,16 @@ def srm_bruteforce(samples, epsilon: float) -> np.ndarray:
             if not low > best + slack:  # an overflowed NaN stays
                 near = ~(scatter > best + slack)
                 kept.append((a, chunk[tail:][near], scatter[near]))
-    # Reversed, the complements in lexicographic order give their subsets
-    # in lexicographic order, the loop's.
     kept = np.concatenate([np.insert(rest[~(scatter > best + slack)], 0, a, axis=1)
                            for a, rest, scatter in kept])
-    kept = kept[np.lexsort(kept.T[::-1])[::-1]]
-    # Subsets holding the same floats in the same order (rows keyed by bytes,
-    # as np.unique(data, axis=0) merges 0.0 and -0.0) have equal means and
-    # losses, and the loop keeps the first of them: confirm only that.
-    row_keys = np.ascontiguousarray(data).view(np.dtype((np.void, data.itemsize * p)))
-    labels = np.unique(row_keys.ravel(), return_inverse=True)[1].astype(np.int8)
-    seen, firsts = set(), []  # a chunk at a time, so memory stays bounded
-    for done in range(0, len(kept), _SRM_CHUNK):
-        chunk = kept[done:done + _SRM_CHUNK]
-        inside = np.ones((len(chunk), n), dtype=bool)
-        inside[np.arange(len(chunk))[:, None], chunk] = False
-        profiles = np.broadcast_to(labels, inside.shape)[inside].reshape(-1, size)
-        for i in np.sort(np.unique(profiles, axis=0, return_index=True)[1]).tolist():
-            if (key := profiles[i].tobytes()) not in seen:
-                seen.add(key)
-                firsts.append(done + i)
-    kept = kept[firsts]
-    best_loss = math.inf
-    best_mean = None
-    for complement in kept:
-        subset = np.ones(n, dtype=bool)
-        subset[complement] = False
-        rows = data[subset]
-        mean = rows.mean(axis=0)
-        loss = float(np.sum((rows - mean) ** 2)) / size
-        if loss < best_loss:
-            best_loss = loss
-            best_mean = mean
-    return best_mean
+
+    def subsets(m):
+        for done in range(0, len(kept), m):
+            chunk = kept[done:done + m]
+            inside = np.ones((len(chunk), n), dtype=bool)
+            inside[np.arange(len(chunk))[:, None], chunk] = False
+            yield np.broadcast_to(np.arange(n), inside.shape)[inside].reshape(-1, size)
+    return _srm_confirm(data, size, subsets)
 
 
 def _srm_windows(data, order, centred, size, slack):
@@ -269,27 +246,50 @@ def _srm_windows(data, order, centred, size, slack):
     and ``centred`` is the centred column in that order."""
     values = data[order, 0]
     # A window's scatter is a sum of size terms, within the screen's bound.
-    windows = np.lib.stride_tricks.sliding_window_view(centred, size)
+    windows = centred[np.arange(len(centred) - size + 1)[:, None] + np.arange(size)]
     scatter = np.square(windows).sum(axis=1) - np.square(windows.sum(axis=1)) / size
     near = ~(scatter > scatter.min() + slack)
     near[1:] &= values[:-size] != values[size:]  # one-value windows: first of a run
-    best, best_mean = (math.inf, ()), None
+    choices = []  # per window, the lazy product: inner rows, copies of lo, of hi
     for start in np.flatnonzero(near).tolist():
         window = values[start:start + size]
         lo, hi = window[0], window[-1]
-        inner = order[(lo < values) & (values < hi)].tolist()
-        ends = [(order[values == end].tolist(), int((window == end).sum()))
+        ends = [combinations(order[values == end].tolist(), int((window == end).sum()))
                 for end in (lo, hi)]
         # With lo == hi every choice of copies holds the same rows, so the
         # first, the lexicographically smallest, stands for them all.
-        for low in islice(combinations(*ends[0]), 1 if lo == hi else None):
-            for high in combinations(*ends[1]) if lo < hi else [()]:
-                subset = tuple(sorted(inner + list(low + high)))
-                rows = data[list(subset)]
-                mean = rows.mean(axis=0)
-                loss = float(np.sum((rows - mean) ** 2)) / size
-                if (loss, subset) < best:  # the loop's pick: first in its order
-                    best, best_mean = (loss, subset), mean
+        choices.append(product([order[(lo < values) & (values < hi)].tolist()],
+                               islice(ends[0], 1 if lo == hi else None),
+                               ends[1] if lo < hi else [()]))
+    flat = chain.from_iterable(chain.from_iterable(chain.from_iterable(choices)))
+
+    def subsets(m):
+        while (chunk := np.fromiter(islice(flat, m * size), dtype=np.intp)).size:
+            yield np.sort(chunk.reshape(-1, size), axis=1)
+    return _srm_confirm(data, size, subsets)
+
+
+def _srm_confirm(data, size, subsets):
+    """The exhaustive loop's pick among the candidates that ``subsets(m)``
+    yields, arrays of at most m sorted index rows, m * size * p at most
+    ``_SRM_CHUNK * n`` floats.  Each array is one pass of the loop's
+    arithmetic (``rows.mean``, the sum of the squared deviations over size):
+    the first strictly smaller loss wins, so NaN and +inf never do, and ties
+    go to the lexicographically smallest row, the loop's first."""
+    n, p = data.shape
+    best, best_mean = (math.inf, []), None
+    for rows in subsets(max(1, _SRM_CHUNK * n // (size * p))):
+        picked = data.take(rows, axis=0)
+        means = picked.sum(axis=1) / size  # picked.mean(axis=1) bit for bit
+        picked -= means[:, None]
+        losses = np.square(picked, out=picked).reshape(len(rows), -1).sum(axis=1) / size
+        low = np.fmin.reduce(losses)  # NaN only if all are
+        if not low < math.inf or low > best[0]:
+            continue
+        ties = (losses == low).nonzero()[0]
+        i = ties[np.lexsort(rows[ties].T[::-1])[0]]
+        if (low, rows[i].tolist()) < best:
+            best, best_mean = (low, rows[i].tolist()), means[i].copy()
     return best_mean
 
 

@@ -168,7 +168,7 @@ class RunContext:
         if self.spec is None:
             raise ConfigurationError(f"{setting} is not set and there is no "
                                      "distribution spec to derive it from")
-        return model.population_moments(self.spec)
+        return self.spec.moments
 
 
 # name -> runner(samples, settings, ctx) -> estimate; a runner's ``settings``

@@ -181,10 +181,11 @@ def _filter(lane_stats, data: np.ndarray, config: FilterConfig,
         raise ConfigurationError(f"filtering needs at least 2 rows, got n={n}")
     stats = lane_stats(data)
     # Row i of alive holds lane lanes[i]'s survivors, in index order, as rows
-    # of stats.data (lane j's from j * n), rngs[i] its default_rng(s), and
-    # eigenvalues[r, i], removed[r, i] its round-r top eigenvalue and removal.
+    # of stats.data (lane j's from j * n), rngs[i] its default_rng(s), made
+    # at the first pick, and eigenvalues[r, i], removed[r, i] its round-r top
+    # eigenvalue and removal.
     lanes = positions = np.arange(len(seeds))
-    rngs = [np.random.default_rng(s) for s in seeds]
+    rngs = [None] * lanes.size
     alive = np.arange(lanes.size * n).reshape(lanes.size, n)
     reports: List[EstimateReport] = [None] * lanes.size
     # The threshold rule is off under fixed_steps, the budget under threshold.
@@ -225,6 +226,8 @@ def _filter(lane_stats, data: np.ndarray, config: FilterConfig,
         if not totals.all():  # scores are squares: a total is 0 or more
             raise DegenerateScoresError("zero scores with a positive eigenvalue")
         scores /= totals[:, None]
+        if r == 0:  # the first pick: lanes that left make no generator
+            rngs = [np.random.default_rng(seeds[lane]) for lane in lanes.tolist()]
         rows = alive[positions, np.array(_weighted_picks(rngs, scores))]
         stats.remove(rows)
         removed[r] = rows

@@ -7,6 +7,7 @@ produce identical datasets on any platform.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass, field, fields
@@ -114,7 +115,7 @@ class ContaminationSpec:
 
     def draw(self, rng: np.random.Generator, count: int, p: int) -> np.ndarray:
         if self.kind == "point_mass":
-            return np.tile(self.location, (count, 1))
+            return np.broadcast_to(self.location, (count, p))
         return self.shift + self.scale * rng.standard_normal((count, p))
 
 
@@ -135,7 +136,7 @@ class DistributionSpec:
     tail_beta: Optional[float] = None
     epsilon: float = 0.0
     q_spec: Optional[ContaminationSpec] = None
-    # Derived from covariance, so equality leaves it out.
+    # The SVD factor, or its diagonal if diagonal; derived, so equality leaves it out.
     factor: Optional[np.ndarray] = field(
         default=None, init=False, repr=False, compare=False)
 
@@ -158,7 +159,10 @@ class DistributionSpec:
                 raise ConfigurationError("covariance must be PSD")
             object.__setattr__(self, "covariance", 0.5 * (cov + cov.T))
             u, sv, _ = np.linalg.svd(self.covariance)
-            object.__setattr__(self, "factor", u * np.sqrt(sv))
+            factor = u * np.sqrt(sv)
+            diagonal = np.diagonal(factor)
+            object.__setattr__(self, "factor", diagonal.copy() if np.array_equal(
+                factor, np.diag(diagonal)) else factor)
         elif self.family == "pareto":  # > 1, so the mean exists
             check_range("pareto tail_beta", self.tail_beta, 1.0, closed=False)
         check_range("contamination epsilon", self.epsilon, 0.0, 0.5)
@@ -166,6 +170,11 @@ class DistributionSpec:
             raise ConfigurationError("epsilon > 0 requires a contamination spec")
         if self.q_spec is not None and self.q_spec.center().shape != (self.p,):
             raise ConfigurationError("contamination center dimension must equal p")
+
+    @functools.cached_property
+    def moments(self) -> "MomentProfile":
+        """``population_moments(self)``, kept after the first request."""
+        return population_moments(self)
 
     @classmethod
     def from_json_dict(cls, doc) -> "DistributionSpec":
@@ -274,8 +283,14 @@ class MomentProfile:
 def _draw_clean(spec: DistributionSpec, count: int, rng: np.random.Generator):
     if spec.family == "gaussian":
         # rng.multivariate_normal(zeros, covariance, method="svd") without its
-        # per-call SVD and PSD check; adding the zero mean matches signed zeros.
-        return np.zeros(spec.p) + rng.standard_normal((count, spec.p)) @ spec.factor.T
+        # per-call SVD and PSD check; adding its zero mean turns -0.0 to 0.0.
+        # A diagonal factor scales the rows: every other term of the matmul's
+        # dot products is +-0, which leaves a nonzero product as it is.
+        z = rng.standard_normal((count, spec.p))
+        rows = np.multiply(z, spec.factor, out=z) if spec.factor.ndim == 1 \
+            else z @ spec.factor.T
+        rows += 0.0
+        return rows
     if spec.family == "lognormal":
         return np.exp(rng.standard_normal((count, spec.p))) - LOGNORMAL_SHIFT
     beta = spec.tail_beta

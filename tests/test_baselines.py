@@ -534,7 +534,7 @@ class TestSubsetSearch:
     def test_tied_subsets_hold_little_memory(self):
         # Every subset ties, and all hold the same rows: the window path
         # (p = 1) confirms the first; the complement screen (p = 3) keeps
-        # all 53,130 complements and groups them a chunk at a time.
+        # all 53,130 complements and confirms them a chunk at a time.
         for p in (1, 3):
             tracemalloc.start()
             try:
@@ -545,12 +545,14 @@ class TestSubsetSearch:
                 tracemalloc.stop()
             assert peak < 2 * 2 ** 20
 
-    @pytest.mark.parametrize("chunk", [5, baselines._SRM_CHUNK])
+    @pytest.mark.parametrize("chunk", [1, 5, baselines._SRM_CHUNK])
     @pytest.mark.parametrize("p", [2, 3])
     def test_subsets_of_equal_rows_are_confirmed_once(self, monkeypatch, p, chunk):
         # Rows picked from a few: many subsets hold equal rows in the same
-        # order.  0.0 and -0.0 rows are equal values, not equal floats: a
-        # mean of -0.0 rows alone is -0.0, so the sign is compared too.
+        # order and tie, in one confirm chunk or across several (a chunk of
+        # 1 holds one subset).  0.0 and -0.0 rows are equal values, not
+        # equal floats: a mean of -0.0 rows alone is -0.0, so the sign is
+        # compared too, and only the loop's tie-break gives its sign.
         monkeypatch.setattr(baselines, "_SRM_CHUNK", chunk)
         rng = np.random.default_rng(p)
         for _ in range(25):
@@ -646,6 +648,53 @@ class TestSubsetSearchWindows:
         for seed in range(3, 8):
             assert_matches_loop(sample_dataset(spec, 25, seed).data, 0.2)
         assert len(calls) == 5
+
+    def test_many_copies_of_both_window_end_values(self, monkeypatch):
+        # Rows from five values: a window's end values have many copies
+        # each, and every choice of them is a candidate.
+        calls = count_window_searches(monkeypatch)
+        rng = np.random.default_rng(41)
+        for _ in range(40):
+            n = int(rng.integers(8, 15))
+            data = rng.choice([-1.0, 0.0, 0.5, 1.0, 3.0], size=(n, 1),
+                              p=[0.3, 0.1, 0.2, 0.3, 0.1])
+            epsilon = srm_epsilon(rng, n)
+            assert (srm_bruteforce(data, epsilon).tobytes()
+                    == brute_srm(data, epsilon).tobytes())
+        assert len(calls) == 40
+
+    @pytest.mark.parametrize("chunk", [1, 5])
+    def test_ties_straddle_confirm_chunks(self, monkeypatch, chunk):
+        # Two-valued draws and runs of consecutive integers: candidates
+        # that tie in exact arithmetic are confirmed in different chunks.
+        monkeypatch.setattr(baselines, "_SRM_CHUNK", chunk)
+        calls = count_window_searches(monkeypatch)
+        rng = np.random.default_rng(43)
+        for _ in range(30):
+            n = int(rng.integers(6, 15))
+            epsilon = srm_epsilon(rng, n)
+            for data in (rng.permutation(np.repeat([0.1, 0.7], [n // 2, n - n // 2])),
+                         rng.permutation(n) - 2.0):
+                assert (srm_bruteforce(data[:, None], epsilon).tobytes()
+                        == brute_srm(data[:, None], epsilon).tobytes())
+        assert len(calls) == 60
+
+    def test_thousands_of_window_choices_hold_little_memory(self, monkeypatch):
+        # 12 copies each of two values, 18 of 24 rows kept: the two extreme
+        # windows tie in exact arithmetic, each with C(12, 6) = 924 choices
+        # of copies, enumerated lazily into the confirm's chunks.
+        calls = count_window_searches(monkeypatch)
+        data = np.random.default_rng(24).permutation(
+            np.repeat([0.1, 0.7], 12))[:, None]
+        tracemalloc.start()
+        try:
+            estimate = srm_bruteforce(data, 0.25)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(calls) == 1
+        assert peak < 2 * 2 ** 20
+        assert estimate.tobytes() == brute_srm(data, 0.25).tobytes()
 
     def test_near_tie_falls_back_to_the_complement_screen(self, monkeypatch):
         # Two values 1e-9 apart: g^2 / size is far below slack, so the

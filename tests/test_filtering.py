@@ -310,6 +310,29 @@ class TestAgainstExactReference:
                 filt=filter_univariate)
 
 
+def count_generators(monkeypatch):
+    """A list that gains the seed of each ``np.random.default_rng`` call."""
+    made, default_rng = [], np.random.default_rng
+    monkeypatch.setattr(np.random, "default_rng",
+                        lambda seed=None: made.append(seed) or default_rng(seed))
+    return made
+
+
+@pytest.mark.parametrize("p", [1, 3])
+def test_a_call_that_stops_in_round_zero_makes_no_generator(monkeypatch, p):
+    data = np.random.default_rng(78).standard_normal((400, p))
+    made = count_generators(monkeypatch)
+    report = filter_multivariate(data, FilterConfig(cov_bound=10.0, seed=5))
+    assert report.removed_indices == ()
+    assert report.diagnostics["stop_reason"] == "threshold"
+    assert made == []
+    # A call that removes a row makes its generator at the first pick.
+    report = filter_multivariate(data, FilterConfig(
+        stop_mode=STOP_FIXED_STEPS, steps=2, seed=5))
+    assert len(report.removed_indices) == 2
+    assert made == [5]
+
+
 def lane_seeds(entropy, k):
     """k int seeds, seed j drawing the stream of ``default_rng([entropy, j])``:
     ``SeedSequence`` reads an int as its 32-bit words, and a trailing zero
@@ -386,6 +409,16 @@ class TestLanes:
             else:
                 assert rep.diagnostics["stop_reason"] == "budget"
                 assert len(rep.removed_indices) == 9
+
+    def test_lanes_leaving_before_the_first_pick_get_no_generator(self, monkeypatch):
+        data = np.random.default_rng(76).standard_normal((60, 7))
+        data[:, [0, 3, 4]] = [2.0, -1.0, 0.0]
+        seeds = lane_seeds(77, 7)
+        made = count_generators(monkeypatch)
+        reports = filtering._filter(filtering._Univariate, data, FilterConfig(
+            stop_mode=STOP_FIXED_STEPS, steps=4), seeds)
+        assert made == [seeds[j] for j in (1, 2, 5, 6)]
+        assert [len(r.removed_indices) for r in reports] == [0, 4, 4, 0, 0, 4, 4]
 
     def test_zero_scores_with_positive_eigenvalue_raise(self):
         # Round statistics whose eigenvalue says "go on" while every score

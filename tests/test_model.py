@@ -1,6 +1,7 @@
 import copy
 import json
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -63,6 +64,54 @@ def test_gaussian_rows_are_multivariate_normal_svd(name):
             assert rows.shape == expected.shape
             assert rows.tobytes() == expected.tobytes()
             assert ours.random() == ref.random()
+
+
+def _reference_dataset(spec, n, seed):
+    """``sample_dataset``'s stream, the rows made by the full SVD factor's
+    matmul and the point masses by a tiled copy of the location."""
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    u, sv, _ = np.linalg.svd(spec.covariance)
+    data = np.zeros(spec.p) + rng.standard_normal((n, spec.p)) @ (u * np.sqrt(sv)).T
+    if spec.epsilon > 0:
+        mask = rng.random(n) < spec.epsilon
+        count = int(mask.sum())
+        q = spec.q_spec
+        data[mask] = np.tile(q.location, (count, 1)) if q.kind == "point_mass" \
+            else q.shift + q.scale * rng.standard_normal((count, spec.p))
+    return data
+
+
+_ROTATION = np.linalg.qr(np.random.default_rng(92).standard_normal((4, 4)))[0]
+
+
+@pytest.mark.parametrize("cov, diagonal, q_spec", [
+    (np.eye(1), True, None),
+    (np.eye(3), True, None),
+    (np.eye(20), True, None),
+    (np.diag([9.0, 4.0, 1.0]), True, None),
+    # The SVD orders the singular values, so diag(1, 4) gets a permuted factor.
+    (np.diag([1.0, 4.0]), False, None),
+    # A zero scale: z * 0.0 is -0.0 for negative z, and 0.0 after the mean.
+    (np.diag([1.0, 0.0]), True, None),
+    (_ROTATION @ np.diag([4.0, 3.0, 2.0, 1.0]) @ _ROTATION.T, False, None),
+    (np.eye(3), True,
+     ContaminationSpec("point_mass", location=[0.0, -0.0, 5.0])),
+    (np.diag([1.0, 0.0]), True, ContaminationSpec("point_mass", location=[-0.0, 0.0])),
+    (np.eye(2), True,
+     ContaminationSpec("shifted_gaussian", shift=[3.0, -0.0], scale=0.5)),
+], ids=["p1", "p3", "p20", "diag941", "diag14", "diag10", "dense",
+        "point_mass", "point_mass_diag10", "shifted"])
+def test_sampling_matches_the_full_factor_matmul(cov, diagonal, q_spec):
+    # A diagonal factor is kept as its diagonal and scales the rows; the
+    # data are the matmul's bit for bit, signed zeros included.
+    p = cov.shape[0]
+    spec = DistributionSpec("gaussian", p=p, covariance=cov,
+                            epsilon=0.0 if q_spec is None else 0.3, q_spec=q_spec)
+    assert (spec.factor.ndim == 1) == diagonal
+    for seed in range(20):
+        for n in (1, 9, 200):
+            assert (sample_dataset(spec, n, seed).data.tobytes()
+                    == _reference_dataset(spec, n, seed).tobytes())
 
 
 def test_lognormal_is_centered():
@@ -267,8 +316,39 @@ def test_spec_equality_tells_unequal_specs_apart():
 
 def test_spec_equality_leaves_out_the_derived_factor():
     a, b = _gaussian(np.eye(2)), _gaussian(np.eye(2))
+    assert b.factor.ndim == 1  # the diagonal of a diagonal factor
     object.__setattr__(b, "factor", -b.factor)
+    assert not np.array_equal(a.factor, b.factor)
     assert a == b
+
+
+@pytest.mark.parametrize("spec", [
+    DistributionSpec("gaussian", p=3, covariance=np.diag([3.0, 1.0, 1.0])),
+    DistributionSpec("lognormal", p=4),
+    DistributionSpec("pareto", p=2, tail_beta=3.0),
+], ids=["gaussian", "lognormal", "pareto"])
+def test_spec_moments_are_computed_once(monkeypatch, spec):
+    calls = []
+    monkeypatch.setattr(model, "population_moments",
+                        lambda s: calls.append(s) or population_moments(s))
+    spec = replace(spec)  # a new spec: no moments kept from another test
+    assert spec.moments == population_moments(spec)
+    assert spec.moments is spec.moments
+    assert len(calls) == 1
+    # Not a field: a spec that kept other moments is still equal.
+    other = copy.deepcopy(spec)
+    other.__dict__["moments"] = MomentProfile(1, 9.0, 1.0)
+    assert other == spec
+
+
+def test_infinite_variance_moments_raise_on_every_request():
+    spec = DistributionSpec("pareto", p=2, tail_beta=2.0)
+    for _ in range(2):
+        with pytest.raises(ConfigurationError):
+            spec.moments
+        ctx = bench.RunContext(delta=0.1, spec=spec)
+        with pytest.raises(ConfigurationError):
+            ctx.moments("cov_bound")
 
 
 def _in_range(value, low, high=math.inf, closed=True):
