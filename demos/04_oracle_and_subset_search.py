@@ -22,7 +22,6 @@ from robustmean import (
     sample_dataset,
     sample_mean,
     srm_bruteforce,
-    srm_population_bias,
 )
 
 # --- oracle truncation on a heavy tail --------------------------------------
@@ -42,9 +41,6 @@ print(f"q_0.05 loss: oracle {quantile_error(oracle_losses, 0.05):.4f}  "
 
 # --- subset search and its blind spot ---------------------------------------
 eps = 1.0 / 6.0
-print(f"worst-case bias of the untrimmed keep-or-drop rule at eps={eps:.3f}, "
-      f"trace=1: {srm_population_bias(eps, 1.0):.4f}")
-
 d_star = math.sqrt((1 - eps) / (1 - 2 * eps))
 rng = np.random.default_rng(4)
 for mult in (0.5, 2.0, 5.0):

@@ -66,9 +66,8 @@ from .baselines import (
     oracle_truncated_mean,
     sample_mean,
     srm_bruteforce,
-    srm_population_bias,
 )
-from .metrics import l2_loss, opt_bound, quantile_error, sparse_opnorm
+from .metrics import l2_loss, opt_bound, quantile_error
 from .bench import MethodSpec, TrialConfig, TrialRecord, run_sweep, summarize
 
 __version__ = "0.1.0"
@@ -115,11 +114,9 @@ __all__ = [
     "oracle_truncated_mean",
     "sample_mean",
     "srm_bruteforce",
-    "srm_population_bias",
     "l2_loss",
     "opt_bound",
     "quantile_error",
-    "sparse_opnorm",
     "MethodSpec",
     "TrialConfig",
     "TrialRecord",

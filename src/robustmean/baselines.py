@@ -1,6 +1,6 @@
 """Baseline and oracle estimators: sample mean, geometric median-of-means,
 coordinate-wise filtering, ball-truncation with side information, and the
-brute-force subset-search estimator with its population bias."""
+brute-force subset-search estimator."""
 
 from __future__ import annotations
 
@@ -291,24 +291,3 @@ def _srm_confirm(data, size, subsets):
         if (low, rows[i].tolist()) < best:
             best, best_mean = (low, rows[i].tolist()), means[i].copy()
     return best_mean
-
-
-def srm_population_bias(epsilon: float, trace_sigma: float) -> float:
-    """Worst case, over the contamination gap, of the bias of the winner of
-    the comparison between the clean law and the untrimmed eps/(1-eps)-mixture
-    on an isotropic base law: eps / sqrt((1-eps)(1-2eps)) * sqrt(trace).
-
-    It is not a bound on subset search, which also trims inliers and so
-    keeps contamination past that rule's threshold.  For N(0,1) inliers,
-    eps=1/6 and the point mass at 1.75x the threshold distance, the search's
-    population estimate is about 0.616 (truncated-normal moments; a window
-    search at n=6000 agrees), against 0.224 from this formula.
-    """
-    check_range("epsilon", epsilon, 0.0, 0.5)
-    check_range("trace_sigma", trace_sigma, 0.0)
-    if epsilon == 0.0:
-        return 0.0
-    return epsilon / math.sqrt((1.0 - epsilon) * (1.0 - 2.0 * epsilon)) * math.sqrt(
-        trace_sigma
-    )
-

@@ -125,10 +125,6 @@ def cell_hash(family: str, method: str, n: int, p: int) -> int:
     return int.from_bytes(digest, "little")
 
 
-def trial_seed(master_seed: int, cell: int, trial_index: int) -> int:
-    return model.derived_seed(master_seed, cell, trial_index)
-
-
 def respec(spec: model.DistributionSpec, p: int) -> model.DistributionSpec:
     """Re-dimension an isotropic spec to dimension p."""
     if p == spec.p:
@@ -273,7 +269,7 @@ def run_trial(
 ) -> TrialRecord:
     spec = respec(config.distribution, p)
     cell = cell_hash(spec.family, method.name, n, p)
-    seed = trial_seed(config.master_seed, cell, trial_index)
+    seed = model.derived_seed(config.master_seed, cell, trial_index)
     samples = model.sample_dataset(spec, n, seed)
     truth = np.zeros(p)  # synthetic families are centered; truth is the
     # clean-component mean under contamination as well

@@ -63,11 +63,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run = bench_sub.add_parser("run", help="execute a sweep from a JSON config")
     p_run.add_argument("--config", required=True)
     p_run.add_argument("--out", required=True)
+    p_run.set_defaults(run=_cmd_bench_run)
 
     p_sum = bench_sub.add_parser("summarize", help="quantile-error summary")
     p_sum.add_argument("--in", dest="infile", required=True)
     p_sum.add_argument("--delta", type=float, required=True)
     p_sum.add_argument("--out", default=None, help="summary CSV (default stdout)")
+    p_sum.set_defaults(run=_cmd_bench_summarize)
 
     p_est = sub.add_parser("estimate", help="estimate the mean of a CSV dataset")
     p_est.add_argument("--method", required=True, choices=bench.METHOD_NAMES)
@@ -82,6 +84,7 @@ def _build_parser() -> argparse.ArgumentParser:
                            help=f"read by {', '.join(readers)}", **typed)
     p_est.add_argument("--true-mean", default=None,
                        help="comma-separated oracle center (default zeros)")
+    p_est.set_defaults(run=_cmd_estimate)
 
     p_cover = sub.add_parser("cover", help="sphere cover utilities")
     cover_sub = p_cover.add_subparsers(dest="cover_command", required=True)
@@ -90,6 +93,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_build.add_argument("--sparsity", type=int, default=None)
     p_build.add_argument("--seed", type=int, default=0)
     p_build.add_argument("--out", required=True)
+    p_build.set_defaults(run=_cmd_cover_build)
     return parser
 
 
@@ -142,17 +146,9 @@ def _cmd_cover_build(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        if args.command == "estimate":
-            return _cmd_estimate(args)
-        if args.command == "bench" and args.bench_command == "run":
-            return _cmd_bench_run(args)
-        if args.command == "bench" and args.bench_command == "summarize":
-            return _cmd_bench_summarize(args)
-        if args.command == "cover" and args.cover_command == "build":
-            return _cmd_cover_build(args)
+        return args.run(args)
     except (ConfigurationError, ValueError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -162,7 +158,6 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"I/O error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    parser.error("unhandled command")  # pragma: no cover
 
 
 if __name__ == "__main__":

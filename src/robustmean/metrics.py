@@ -3,12 +3,9 @@
 from __future__ import annotations
 
 import math
-from itertools import combinations
 from typing import Sequence
 
 import numpy as np
-
-from .errors import ConfigurationError
 
 
 def l2_loss(estimate: Sequence[float], true_mean: Sequence[float]) -> float:
@@ -50,23 +47,3 @@ def opt_bound(
     return math.sqrt(trace_sigma / n) + math.sqrt(
         opnorm_sigma * math.log(1.0 / delta) / n
     )
-
-
-def sparse_opnorm(sigma: np.ndarray, s2: int) -> float:
-    """Restricted operator norm: max over size-s2 supports of the top
-    eigenvalue of the principal submatrix (exhaustive, C(p, s2) <= 10^4)."""
-    mat = np.asarray(sigma, dtype=float)
-    p = mat.shape[0]
-    if mat.shape != (p, p):
-        raise ValueError("sigma must be square")
-    if not 1 <= s2 <= p:
-        raise ValueError("s2 must lie in [1, p]")
-    if math.comb(p, s2) > 10_000:
-        raise ConfigurationError(
-            "support enumeration over C(p, s2) > 10^4 supports refused"
-        )
-    best = -math.inf
-    for support in combinations(range(p), s2):
-        sub = mat[np.ix_(support, support)]
-        best = max(best, float(np.linalg.eigvalsh(sub).max()))
-    return best

@@ -316,10 +316,10 @@ def sample_dataset(spec: DistributionSpec, n: int, seed: int) -> SampleSet:
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     data = _draw_clean(spec, n, rng)
     if spec.epsilon > 0:
-        mask = rng.random(n) < spec.epsilon
-        count = int(mask.sum())
-        if count:
-            data[mask] = spec.q_spec.draw(rng, count, spec.p)
+        # Indices, not the boolean mask: the same rows, assigned faster.
+        rows = (rng.random(n) < spec.epsilon).nonzero()[0]
+        if rows.size:
+            data[rows] = spec.q_spec.draw(rng, rows.size, spec.p)
     return SampleSet(data)
 
 

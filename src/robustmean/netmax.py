@@ -144,13 +144,6 @@ def _draw_rows(
     return rows
 
 
-def _draw_probes(
-    rng: np.random.Generator, batch: int, p: int, support_size: Optional[int]
-) -> np.ndarray:
-    """``batch`` random unit probes as rows: ``_draw_rows``, normalised."""
-    return _unit(_draw_rows(rng, batch, p, support_size))
-
-
 def build_half_cover(
     p: int, sparsity: Optional[int] = None, seed: int = 0
 ) -> CoverSet:
@@ -179,20 +172,16 @@ def build_half_cover(
 
     rng = np.random.default_rng(np.random.SeedSequence([seed, p, support_size or 0]))
     cover = np.array(points)
-    cover_sq = np.sum(cover**2, axis=1)
     covered_streak = 0
     batch = 2048
     while covered_streak < CONSECUTIVE_COVERED:
         rows = _draw_rows(rng, batch, p, support_size)
-        first = _first_uncovered(rows, cover, cover_sq)
+        first = _first_uncovered(rows, cover)
         if first is None:
             covered_streak += batch
             continue
         covered_streak = 0  # probes before `first` were covered but a miss resets
         cover = np.vstack([cover, _unit(rows[first:first + 1])])
-        # Summed over the whole cover, so bit for bit the norms that the full
-        # distance matrix uses.
-        cover_sq = np.sum(cover**2, axis=1)
     return CoverSet(cover, sparsity=support_size)
 
 
@@ -208,12 +197,10 @@ _SURELY_COVERED = 1.0 - (COVER_RADIUS**2 - 1e-12) / 2.0
 _SURELY_UNCOVERED = 1.0 - (COVER_RADIUS**2 + 1e-12) / 2.0
 
 
-def _first_uncovered(
-    rows: np.ndarray, cover: np.ndarray, cover_sq: np.ndarray
-) -> Optional[int]:
+def _first_uncovered(rows: np.ndarray, cover: np.ndarray) -> Optional[int]:
     """Index of the first nonzero row whose direction is farther than 1/2
-    from every cover row (``cover_sq`` holds their squared norms), or None:
-    the answer of the whole distance matrix of ``_unit(rows)``, bit for bit.
+    from every cover row, or None: the answer of the whole distance matrix
+    of ``_unit(rows)``, bit for bit.
 
     The column maxima of a cover x row product of the raw rows (far cheaper
     than the row maxima of a row x cover product) settle every row but those
@@ -231,8 +218,11 @@ def _first_uncovered(
     probes = _unit(rows)
     g = 2.0 * probes @ cover.T
     probe_sq = np.sum(probes**2, axis=1)
+    # The cover rows' squared norms, summed over the whole cover, so bit for
+    # bit those that the full distance matrix uses.
+    sq_norms = np.sum(cover**2, axis=1)
     for i in near:
-        d2 = (probe_sq[i] - g[i]) + cover_sq
+        d2 = (probe_sq[i] - g[i]) + sq_norms
         if math.sqrt(max(float(d2.min()), 0.0)) > COVER_RADIUS:
             return int(i)
     return None
@@ -247,7 +237,7 @@ def certify_cover(
     worst = 0.0
     dirs = cover.directions
     for _ in range(probes // 2048 + 1):
-        qs = _draw_probes(rng, 2048, cover.p, cover.sparsity)
+        qs = _unit(_draw_rows(rng, 2048, cover.p, cover.sparsity))
         d2 = (
             np.sum(qs**2, axis=1)[:, None]
             - 2.0 * qs @ dirs.T

@@ -20,7 +20,6 @@ from robustmean import (
     sample_dataset,
     sample_mean,
     srm_bruteforce,
-    srm_population_bias,
 )
 from robustmean import baselines
 from robustmean.filtering import (
@@ -580,12 +579,6 @@ class TestSubsetSearch:
         data = np.arange(6.0).reshape(3, 2)
         np.testing.assert_array_equal(
             srm_bruteforce(data, epsilon=0.0), data.mean(axis=0))
-
-    def test_population_bias_closed_form(self):
-        assert srm_population_bias(0.0, 5.0) == 0.0
-        e = 0.1
-        assert srm_population_bias(e, 20.0) == pytest.approx(
-            e / math.sqrt(0.9 * 0.8) * math.sqrt(20.0))
 
 
 def count_window_searches(monkeypatch):

@@ -14,6 +14,7 @@ from robustmean import (
     TrialConfig,
     TrialRecord,
     filtering,
+    model,
     netmax,
     oracle_radius,
     oracle_truncated_mean,
@@ -30,7 +31,6 @@ from robustmean.bench import (
     read_csv,
     respec,
     run_trial,
-    trial_seed,
 )
 
 
@@ -65,9 +65,9 @@ class TestSeeding:
         assert h != cell_hash("lognormal", "gmom", 30, 2)
         assert 0 <= h < 2**64
 
-    def test_trial_seed_varies_per_trial(self):
+    def test_derived_seed_varies_per_trial(self):
         cell = cell_hash("pareto", "filter", 100, 5)
-        seeds = {trial_seed(0, cell, t) for t in range(50)}
+        seeds = {model.derived_seed(0, cell, t) for t in range(50)}
         assert len(seeds) == 50
 
 

@@ -3,13 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from robustmean import (
-    ConfigurationError,
-    l2_loss,
-    opt_bound,
-    quantile_error,
-    sparse_opnorm,
-)
+from robustmean import l2_loss, opt_bound, quantile_error
 
 
 def brute_quantile(losses, delta):
@@ -70,27 +64,3 @@ class TestOptBound:
         with pytest.raises(ValueError):
             opt_bound(10, -1.0, 1.0, 0.05)
 
-
-class TestSparseOpnorm:
-    def test_full_support_is_opnorm(self):
-        rng = np.random.default_rng(1)
-        a = rng.standard_normal((5, 5))
-        sigma = a @ a.T
-        assert sparse_opnorm(sigma, 5) == pytest.approx(
-            np.linalg.eigvalsh(sigma)[-1])
-
-    def test_diagonal_case(self):
-        sigma = np.diag([1.0, 7.0, 3.0])
-        assert sparse_opnorm(sigma, 1) == 7.0
-        assert sparse_opnorm(sigma, 2) == 7.0
-
-    def test_monotone_in_support_size(self):
-        rng = np.random.default_rng(2)
-        a = rng.standard_normal((6, 6))
-        sigma = a @ a.T
-        vals = [sparse_opnorm(sigma, s) for s in range(1, 7)]
-        assert all(x <= y + 1e-12 for x, y in zip(vals, vals[1:]))
-
-    def test_enumeration_guard(self):
-        with pytest.raises(ConfigurationError):
-            sparse_opnorm(np.eye(40), 15)

@@ -68,7 +68,8 @@ def test_gaussian_rows_are_multivariate_normal_svd(name):
 
 def _reference_dataset(spec, n, seed):
     """``sample_dataset``'s stream, the rows made by the full SVD factor's
-    matmul and the point masses by a tiled copy of the location."""
+    matmul, the point masses by a tiled copy of the location and the
+    contaminated rows assigned through a boolean mask."""
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     u, sv, _ = np.linalg.svd(spec.covariance)
     data = np.zeros(spec.p) + rng.standard_normal((n, spec.p)) @ (u * np.sqrt(sv)).T
@@ -94,13 +95,14 @@ _ROTATION = np.linalg.qr(np.random.default_rng(92).standard_normal((4, 4)))[0]
     # A zero scale: z * 0.0 is -0.0 for negative z, and 0.0 after the mean.
     (np.diag([1.0, 0.0]), True, None),
     (_ROTATION @ np.diag([4.0, 3.0, 2.0, 1.0]) @ _ROTATION.T, False, None),
+    (np.eye(1), True, ContaminationSpec("point_mass", location=[5.0])),
     (np.eye(3), True,
      ContaminationSpec("point_mass", location=[0.0, -0.0, 5.0])),
     (np.diag([1.0, 0.0]), True, ContaminationSpec("point_mass", location=[-0.0, 0.0])),
     (np.eye(2), True,
      ContaminationSpec("shifted_gaussian", shift=[3.0, -0.0], scale=0.5)),
 ], ids=["p1", "p3", "p20", "diag941", "diag14", "diag10", "dense",
-        "point_mass", "point_mass_diag10", "shifted"])
+        "point_mass_p1", "point_mass", "point_mass_diag10", "shifted"])
 def test_sampling_matches_the_full_factor_matmul(cov, diagonal, q_spec):
     # A diagonal factor is kept as its diagonal and scales the rows; the
     # data are the matmul's bit for bit, signed zeros included.
@@ -457,8 +459,6 @@ GATE_CASES = {
                                 ConfigurationError),
     "contamination scale NaN": (lambda: ContaminationSpec(
         "shifted_gaussian", shift=[1.0], scale=math.nan), ConfigurationError),
-    "srm_population_bias inf trace": (lambda: baselines.srm_population_bias(
-        0.1, math.inf), ConfigurationError),
     "pareto tail_beta NaN": (lambda: DistributionSpec(
         "pareto", p=1, tail_beta=math.nan), ConfigurationError),
     # Counts and seeds must be ints, seeds >= 0.

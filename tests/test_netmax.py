@@ -17,7 +17,7 @@ from robustmean import (
 )
 from robustmean import netmax
 from robustmean.filtering import FilterConfig, STOP_FIXED_STEPS, filter_univariate
-from robustmean.netmax import _draw_probes, _draw_rows, _unit, minimax_objective
+from robustmean.netmax import _draw_rows, _unit, minimax_objective
 
 
 def grid_minimax(directions, targets, grid):
@@ -31,7 +31,7 @@ def grid_minimax(directions, targets, grid):
 
 def reference_random_unit(rng, p, support_size):
     """Reference probe: one unit vector per call, the draw that
-    ``_draw_probes`` batches."""
+    ``certify_cover`` batches: ``_unit(_draw_rows(...))``."""
     if support_size is None or support_size >= p:
         v = rng.standard_normal(p)
     else:
@@ -127,16 +127,15 @@ class TestBatchedProbes:
     @pytest.mark.parametrize("support_size", [None, 2])
     def test_zero_norm_row_is_redrawn(self, support_size):
         # The build screens the raw rows, the zero row already drawn again;
-        # _draw_probes normalises the same rows.
+        # certify_cover normalises the same rows.
         rng = ZeroFirstRow(seed=3)
         cover = np.vstack([np.eye(6), -np.eye(6)])
         with np.errstate(divide="raise", invalid="raise"):
             rows = _draw_rows(rng, 16, 6, support_size)
-            netmax._first_uncovered(rows, cover, np.sum(cover**2, axis=1))
-            probes = _draw_probes(ZeroFirstRow(seed=3), 16, 6, support_size)
+            netmax._first_uncovered(rows, cover)
+            probes = _unit(rows)
         assert rng.zeroed
         assert rows.shape == probes.shape == (16, 6)
-        np.testing.assert_array_equal(_unit(rows), probes)
         np.testing.assert_allclose(
             np.linalg.norm(probes, axis=1), 1.0, rtol=0, atol=1e-12)
         if support_size is not None:
@@ -168,14 +167,13 @@ class TestFirstUncovered:
         # A partial cover, as in the middle of a build: the signed axes and
         # the first probes that joined them.
         cover = build_half_cover(3, seed=0).directions[:9]
-        cover_sq = np.sum(cover**2, axis=1)
         # Probes around 7/8, the boundary, and around 7/8 - 5e-13, the lower
         # edge of the band that the screen leaves to the exact path.
         edges = [np.concatenate([boundary_probes(cover, row, rng, edge=edge)
                                  for row in range(cover.shape[0])])
                  for edge in (0.875, 0.875 - 5e-13)]
         lower = np.arange(sum(map(len, edges))) >= len(edges[0])
-        covered = netmax._draw_probes(rng, 2048, 3, None)
+        covered = _unit(_draw_rows(rng, 2048, 3, None))
         covered = covered[(covered @ cover.T).max(axis=1) > 0.9][:100]
         # In _first_uncovered only the exact path normalises: count it.
         exact_paths, unit = [], netmax._unit
@@ -188,7 +186,7 @@ class TestFirstUncovered:
             exact = []
             for r, verdict in zip(rows, verdicts):
                 calls = len(exact_paths)
-                assert netmax._first_uncovered(r[None], cover, cover_sq) == verdict
+                assert netmax._first_uncovered(r[None], cover) == verdict
                 exact.append(len(exact_paths) > calls)
             uncovered, exact = np.equal(verdicts, 0), np.array(exact)
             # Around 7/8 the rows straddle the boundary and the exact path
@@ -202,15 +200,14 @@ class TestFirstUncovered:
                 batch = np.concatenate(
                     [scale * covered, rows[rng.permutation(len(rows))[:60]]])
                 batch = batch[rng.permutation(len(batch))]
-                assert netmax._first_uncovered(batch, cover, cover_sq) == \
+                assert netmax._first_uncovered(batch, cover) == \
                     reference_first_uncovered(_unit(batch), cover)
 
     def test_all_covered_batch(self):
         cover = build_half_cover(3, seed=0).directions
-        probes = netmax._draw_probes(np.random.default_rng(5), 2048, 3, None)
+        probes = _unit(_draw_rows(np.random.default_rng(5), 2048, 3, None))
         assert reference_first_uncovered(probes, cover) is None
-        assert netmax._first_uncovered(
-            probes, cover, np.sum(cover**2, axis=1)) is None
+        assert netmax._first_uncovered(probes, cover) is None
 
 
 class TestCoverConstruction:
@@ -242,7 +239,7 @@ class TestCoverConstruction:
         def unreachable(*args):
             raise AssertionError("a probe was drawn")
 
-        monkeypatch.setattr(netmax, "_draw_probes", unreachable)
+        monkeypatch.setattr(netmax, "_draw_rows", unreachable)
         with pytest.raises(ConfigurationError, match="sparsity"):
             build_half_cover(3, sparsity=sparsity)
 

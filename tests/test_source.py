@@ -7,7 +7,11 @@ from pathlib import Path
 
 import pytest
 
-SOURCE = Path(__file__).resolve().parents[1] / "src" / "robustmean"
+ROOT = Path(__file__).resolve().parents[1]
+SOURCE = ROOT / "src" / "robustmean"
+# The package, the tests and the demos: no two of their files share a name.
+MODULES = sorted([*SOURCE.glob("*.py"), *ROOT.glob("tests/*.py"),
+                  *ROOT.glob("demos/*.py")])
 
 
 def imported_names(tree):
@@ -32,8 +36,7 @@ def referenced_names(tree):
     return names
 
 
-@pytest.mark.parametrize("path", sorted(SOURCE.glob("*.py")),
-                         ids=lambda path: path.name)
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
 def test_no_unused_imports(path):
     tree = ast.parse(path.read_text())
     assert imported_names(tree) - referenced_names(tree) == set()
@@ -43,11 +46,10 @@ def test_ci_runs_the_tier1_command():
     # The workflow's test step is the Tier-1 command that ROADMAP.md gives.
     # The job's lines are read with the stdlib, since the job installs no
     # YAML parser: its last "run:" is the last step's plain one-line command.
-    root = SOURCE.parents[1]
-    workflow = (root / ".github/workflows/tier1.yml").read_text()
+    workflow = (ROOT / ".github/workflows/tier1.yml").read_text()
     job = re.search(r"^  tests:\n((?:(?:    .*)?\n)*)", workflow, re.M).group(1)
     command = re.search(r"\*\*Tier-1 verify:\*\* `([^`]*)`",
-                        (root / "ROADMAP.md").read_text()).group(1)
+                        (ROOT / "ROADMAP.md").read_text()).group(1)
     assert re.findall(r"^ +(?:- )?run: (.*)$", job, re.M)[-1] == command
     versions = re.search(r"^ +python-version: (\[.*\])$", job, re.M).group(1)
     assert json.loads(versions) == ["3.10", "3.11"]
