@@ -310,8 +310,8 @@ def summarize(records: Sequence[TrialRecord], delta: float):
     """Group records by (method, n, p) and report the delta-quantile error of
     successful trials, the mean loss, and the failure rate, as one dict per
     group with the keys ``SUMMARY_FIELDS``."""
-    if not records:
-        raise ValueError("no records to summarize")
+    model.check_range("delta", delta, 0.0, 1.0, closed=False)
+    model.check_range("number of records", len(records), 1, kind=int)
     groups: Dict[tuple, List[TrialRecord]] = {}
     for rec in records:
         groups.setdefault((rec.method, rec.n, rec.p), []).append(rec)

@@ -2,14 +2,14 @@
 
 The first half of the data picks the shortest interval holding a prescribed
 number of points; the estimate is the mean of second-half points landing in
-that interval.  Natural logarithms throughout.
+that interval, column by column in one pass.  Natural logarithms throughout.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -59,17 +59,24 @@ class Interval:
         return (x >= self.a) & (x <= self.b)
 
 
+def _shortest_windows(z: np.ndarray, m: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Left and right ends of the shortest closed m-point window of each
+    ascending column of z; ties go to the smallest left index."""
+    i = (z[m - 1:] - z[:z.shape[0] - m + 1]).argmin(axis=0)  # first on ties
+    cols = np.arange(z.shape[1])
+    return z[i, cols], z[i + m - 1, cols]
+
+
 def shortest_interval(values: Sequence[float], m: int) -> Interval:
     """Shortest closed interval [values[i], values[i+m-1]] over a sorted
-    ascending sequence; ties broken by the smallest left index."""
-    arr = np.asarray(values, dtype=float).ravel()
-    if not 1 <= m <= arr.size:
-        raise ValueError(f"m={m} out of range for {arr.size} values")
-    if np.any(np.diff(arr) < 0):
-        raise ValueError("values must be sorted ascending")
-    widths = arr[m - 1 :] - arr[: arr.size - m + 1]
-    i = int(np.argmin(widths))  # argmin keeps the first (smallest i) on ties
-    return Interval(float(arr[i]), float(arr[i + m - 1]))
+    ascending sequence; ties broken by the smallest left index.  Non-finite
+    or unsorted values, or m out of range, raise ``ConfigurationError``."""
+    arr = as_finite_matrix(values, univariate=True, what="values")
+    check_range("m", m, 1, arr.shape[0] + 1, kind=int)
+    if np.any(np.diff(arr, axis=0) < 0):
+        raise ConfigurationError("values must be sorted ascending")
+    a, b = _shortest_windows(arr, m)
+    return Interval(float(a[0]), float(b[0]))
 
 
 def interval_count(n: int, config: IntervalConfig) -> int:
@@ -97,24 +104,28 @@ def check_precondition(n: int, config: IntervalConfig) -> None:
         )
 
 
-def interval_estimate(samples, config: IntervalConfig) -> float:
-    """Two-split robust mean of 2n reals, given as a sequence or one column.
-
-    The first n values select the interval; the estimate averages the last n
-    values lying in it (closed membership).  The split follows the given
-    order; shuffle beforehand if the order is not exchangeable.  Data the
-    gate ``as_finite_matrix(samples, univariate=True)`` refuses raise
-    ``ConfigurationError``.
-    """
-    data = as_finite_matrix(samples, univariate=True)[:, 0]
-    if data.size < 4 or data.size % 2 != 0:
+def interval_columns(samples, config: IntervalConfig) -> np.ndarray:
+    """``interval_estimate`` of each column of a 2n x k matrix, bit for bit,
+    in one pass; ``EmptySelectionError`` if any column's interval is empty."""
+    data = as_finite_matrix(samples)
+    if data.shape[0] < 4 or data.shape[0] % 2 != 0:
         raise ConfigurationError("need an even number of samples, at least 4")
-    n = data.size // 2
+    n = data.shape[0] // 2
     check_precondition(n, config)
     z1, z2 = data[:n], data[n:]
-    m = interval_count(n, config)
-    window = shortest_interval(np.sort(z1), m)
-    inside = z2[window.contains(z2)]
-    if inside.size == 0:
+    a, b = _shortest_windows(np.sort(z1, axis=0), interval_count(n, config))
+    inside = (z2 >= a) & (z2 <= b)
+    if not inside.any(axis=0).all():
         raise EmptySelectionError("no second-half point lies in the interval")
-    return float(inside.mean())
+    # A 1D array per column: the pairwise sum of one column's selection.
+    return np.array([z2[inside[:, j], j].mean() for j in range(data.shape[1])])
+
+
+def interval_estimate(samples, config: IntervalConfig) -> float:
+    """Two-split robust mean of 2n reals, given as a sequence or one column:
+    the first n values, in the given order (shuffle beforehand if it is not
+    exchangeable), select the interval; the estimate averages the last n
+    values in it (closed membership).  Data the gate
+    ``as_finite_matrix(samples, univariate=True)`` refuses raise
+    ``ConfigurationError``."""
+    return float(interval_columns(as_finite_matrix(samples, univariate=True), config)[0])

@@ -7,6 +7,8 @@ from typing import Sequence
 
 import numpy as np
 
+from .model import check_range
+
 
 def l2_loss(estimate: Sequence[float], true_mean: Sequence[float]) -> float:
     """Euclidean distance between an estimate and the target mean."""
@@ -23,14 +25,11 @@ def quantile_error(losses: Sequence[float], delta: float) -> float:
     With sorted losses l_(1) <= ... <= l_(N) this is l_(m) for
     m = ceil((1 - delta) N); no interpolation.
     """
+    check_range("delta", delta, 0.0, 1.0, closed=False)
     arr = np.sort(np.asarray(losses, dtype=float).ravel())
-    if arr.size == 0:
-        raise ValueError("losses must be nonempty")
-    if not 0.0 < delta < 1.0:
-        raise ValueError("delta must lie in (0, 1)")
-    m = math.ceil((1.0 - delta) * arr.size)
-    m = min(max(m, 1), arr.size)
-    return float(arr[m - 1])
+    check_range("number of losses", arr.size, 1, kind=int)
+    # (1 - delta) N lies in (0, N] for delta in (0, 1), so 1 <= m <= N.
+    return float(arr[math.ceil((1.0 - delta) * arr.size) - 1])
 
 
 def opt_bound(
@@ -38,12 +37,10 @@ def opt_bound(
 ) -> float:
     """Sub-Gaussian deviation benchmark:
     sqrt(tr/n) + sqrt(opnorm * ln(1/delta) / n)."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if not 0.0 < delta < 1.0:
-        raise ValueError("delta must lie in (0, 1)")
-    if trace_sigma < 0 or opnorm_sigma < 0:
-        raise ValueError("moment summaries must be >= 0")
+    check_range("n", n, 1, kind=int)
+    check_range("delta", delta, 0.0, 1.0, closed=False)
+    check_range("trace_sigma", trace_sigma, 0.0)
+    check_range("opnorm_sigma", opnorm_sigma, 0.0)
     return math.sqrt(trace_sigma / n) + math.sqrt(
         opnorm_sigma * math.log(1.0 / delta) / n
     )

@@ -19,7 +19,7 @@ from scipy.optimize import linprog
 
 from .errors import ConfigurationError, EstimatorError
 from .filtering import EstimateReport, filter_columns
-from .interval import IntervalConfig, interval_estimate
+from .interval import IntervalConfig, interval_columns
 from .model import as_finite_matrix, check_range, check_type, derived_seed
 
 COVER_RADIUS = 0.5
@@ -205,8 +205,8 @@ def _first_uncovered(rows: np.ndarray, cover: np.ndarray) -> Optional[int]:
     The column maxima of a cover x row product of the raw rows (far cheaper
     than the row maxima of a row x cover product) settle every row but those
     within about 1e-12 of the boundary.  Only if one of those comes first is
-    the batch normalised and judged row by row, in order, by the full
-    squared-distance expression on the row x cover product.
+    the batch normalised and those rows judged, in order, by
+    ``_nearest_distances`` of the whole batch.
     """
     norms = np.sqrt(_square_norms(rows))
     best = (cover @ np.ascontiguousarray(rows.T)).max(axis=0)
@@ -215,17 +215,17 @@ def _first_uncovered(rows: np.ndarray, cover: np.ndarray) -> Optional[int]:
         return None
     if best[near[0]] < _SURELY_UNCOVERED * norms[near[0]]:
         return int(near[0])
-    probes = _unit(rows)
-    g = 2.0 * probes @ cover.T
-    probe_sq = np.sum(probes**2, axis=1)
-    # The cover rows' squared norms, summed over the whole cover, so bit for
-    # bit those that the full distance matrix uses.
-    sq_norms = np.sum(cover**2, axis=1)
-    for i in near:
-        d2 = (probe_sq[i] - g[i]) + sq_norms
-        if math.sqrt(max(float(d2.min()), 0.0)) > COVER_RADIUS:
-            return int(i)
-    return None
+    far = near[_nearest_distances(_unit(rows), cover)[near] > COVER_RADIUS]
+    return int(far[0]) if far.size else None
+
+
+def _nearest_distances(probes: np.ndarray, cover: np.ndarray) -> np.ndarray:
+    """Each unit probe's distance to its nearest cover row, from the whole
+    probe x cover matrix of (|q|^2 - 2 q.c) + |c|^2: a row of a product over
+    fewer probes can round differently."""
+    d2 = (np.sum(probes**2, axis=1)[:, None] - 2.0 * probes @ cover.T
+          + np.sum(cover**2, axis=1)[None, :])
+    return np.sqrt(np.maximum(d2.min(axis=1), 0.0))
 
 
 def certify_cover(
@@ -235,15 +235,9 @@ def certify_cover(
     to the nearest cover point.  Raises if it exceeds the radius + slack."""
     rng = np.random.default_rng(np.random.SeedSequence([seed, cover.p]))
     worst = 0.0
-    dirs = cover.directions
     for _ in range(probes // 2048 + 1):
         qs = _unit(_draw_rows(rng, 2048, cover.p, cover.sparsity))
-        d2 = (
-            np.sum(qs**2, axis=1)[:, None]
-            - 2.0 * qs @ dirs.T
-            + np.sum(dirs**2, axis=1)[None, :]
-        )
-        worst = max(worst, float(np.sqrt(np.maximum(d2.min(axis=1), 0.0)).max()))
+        worst = max(worst, float(_nearest_distances(qs, cover.directions).max()))
     if worst > COVER_RADIUS + slack:
         raise EstimatorError(
             f"cover certification failed: worst probe distance {worst:.6f}"
@@ -295,16 +289,15 @@ def minimax_center(
     Returns ``(theta, diagnostics)``; ``diagnostics['objective']`` is the
     achieved sup-gap.  The sparse path enumerates supports exhaustively when
     C(p, s) <= 10^4, otherwise hard-thresholds the dense solution and
-    re-solves on that support (flagged ``heuristic``).
+    re-solves on that support (flagged ``heuristic``).  Empty, non-finite or
+    mismatched input (one target per direction) raises ``ConfigurationError``.
     """
-    dirs = directions.directions if isinstance(directions, CoverSet) else None
-    if dirs is None:
-        dirs = np.atleast_2d(np.asarray(directions, dtype=float))
-    m = np.asarray(targets, dtype=float).ravel()
-    if dirs.shape[0] == 0:
-        raise ValueError("empty cover")
+    dirs = as_finite_matrix(
+        np.atleast_2d(getattr(directions, "directions", directions)),
+        what="directions")
+    m = as_finite_matrix(np.ravel(targets), what="targets")[:, 0]
     if m.size != dirs.shape[0]:
-        raise ValueError("one target per direction required")
+        raise ConfigurationError("one target per direction required")
     p = dirs.shape[1]
 
     if constraint is None or constraint >= p:
@@ -340,7 +333,8 @@ def minimax_center(
 
 def net_estimate(samples, config: NetConfig, seed: int = 0):
     """Cover-based multivariate estimate: robust 1D estimation along every
-    cover direction followed by minimax-center aggregation.
+    cover direction followed by minimax-center aggregation.  The inner
+    estimator runs once, on the projections on all directions as columns.
 
     Returns an ``EstimateReport`` whose diagnostics carry the minimax
     objective, cover size, inner-estimator settings and ``targets``, the 1D
@@ -352,17 +346,15 @@ def net_estimate(samples, config: NetConfig, seed: int = 0):
     p = data.shape[1]
     lid = config.log_inv_delta_inner(p)
     cover = build_half_cover(p, sparsity=config.sparsity, seed=seed)
-
-    targets = np.empty(cover.size)
+    # One product per direction: data @ cover.directions.T rounds some
+    # projections differently.
+    projections = np.column_stack([data @ u for u in cover.directions])
     if config.inner == "interval1d":
-        inner_cfg = IntervalConfig(epsilon=config.epsilon, log_inv_delta=lid)
-        for j, u in enumerate(cover.directions):
-            targets[j] = interval_estimate(data @ u, inner_cfg)
+        targets = interval_columns(projections, IntervalConfig(
+            epsilon=config.epsilon, log_inv_delta=lid))
     else:
-        # One filter per direction, run in lockstep on the projections.
-        targets[:] = filter_columns(
-            np.column_stack([data @ u for u in cover.directions]),
-            math.ceil(2.0 * lid),
+        targets = filter_columns(
+            projections, math.ceil(2.0 * lid),
             [derived_seed(seed, 1 + j) for j in range(cover.size)])
 
     theta, diag = minimax_center(cover, targets, constraint=config.sparsity)

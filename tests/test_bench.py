@@ -275,6 +275,14 @@ class TestSummaries:
         assert rows[0]["q_delta"] == 1.0
         assert rows[0]["failure_rate"] == 0.5
 
+    @pytest.mark.parametrize("delta", [1.5, math.nan])
+    def test_delta_checked_without_a_successful_trial(self, delta):
+        # With every trial failed no quantile is taken, so delta must be
+        # checked before the records are grouped.
+        recs = [TrialRecord("mean", "lognormal", 10, 2, 0.1, 0.0, 0, math.inf)]
+        with pytest.raises(ConfigurationError, match="delta"):
+            summarize(recs, delta)
+
     def test_csv_round_trip(self, tmp_path):
         cfg = tiny_config(methods=[MethodSpec("mean"),
                                    MethodSpec("oracle", {"radius": 1e-9})],

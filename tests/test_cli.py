@@ -447,6 +447,17 @@ class TestBench:
         assert err.startswith(f"configuration error: {rec_path} line {line}")
         assert named in err
 
+    @pytest.mark.parametrize("delta", ["1.5", "nan"])
+    def test_delta_out_of_range_exits_2_on_all_failed_records(
+            self, tmp_path, capsys, delta):
+        rec_path = tmp_path / "records.csv"
+        rec_path.write_text(HEADER + "\nmean,gaussian,40,1,0.1,0,0,,1\n")
+        code, out, err = run(
+            ["bench", "summarize", "--in", str(rec_path), "--delta", delta],
+            capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith("configuration error: delta must lie in (0, 1)")
+
     def test_missing_file_exits_2(self, tmp_path, capsys):
         code, _, _ = run(
             ["bench", "summarize", "--in", str(tmp_path / "nope.csv"),

@@ -11,6 +11,7 @@ from robustmean import (
     interval_estimate,
     shortest_interval,
 )
+from robustmean.interval import interval_columns
 
 
 def brute_shortest(values, m):
@@ -40,11 +41,19 @@ class TestShortestInterval:
         assert (win.a, win.b) == (0.0, 1.0)
 
     def test_requires_sorted_input(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigurationError):
             shortest_interval([3.0, 1.0, 2.0], 2)
 
+    @pytest.mark.parametrize("values", [[np.nan, 1.0, 2.0], [1.0, np.nan, 0.5],
+                                        [0.0, 1.0, np.inf]])
+    def test_rejects_non_finite(self, values):
+        # Unchecked, the first gives Interval(nan, 1.0), and the NaN in the
+        # second hides that 0.5 follows 1.0.
+        with pytest.raises(ConfigurationError, match="finite"):
+            shortest_interval(values, 2)
+
     def test_m_bounds(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigurationError):
             shortest_interval([1.0, 2.0], 3)
         win = shortest_interval([1.0, 2.0], 2)
         assert win.length == 1.0
@@ -122,6 +131,22 @@ class TestIntervalEstimate:
         cfg = IntervalConfig(epsilon=0.0, delta=0.1)
         with pytest.raises(ConfigurationError):
             interval_estimate(np.zeros(7), cfg)
+
+    def test_columns_match_per_column_calls(self):
+        # One column pass gives each column's interval_estimate bit for bit:
+        # lognormal columns, one rounded to force ties, and one whose
+        # interval holds no second-half point, where both raise.
+        rng = np.random.default_rng(4)
+        data = rng.lognormal(size=(400, 5))
+        data[:, 1] = np.round(data[:, 1], 1)
+        cfg = IntervalConfig(epsilon=0.02, delta=0.05)
+        expected = [interval_estimate(column, cfg) for column in data.T]
+        assert interval_columns(data, cfg).tolist() == expected
+        empty = np.concatenate([np.zeros(200), np.full(200, 100.0)])
+        with pytest.raises(EmptySelectionError):
+            interval_estimate(empty, cfg)
+        with pytest.raises(EmptySelectionError):
+            interval_columns(np.column_stack([data, empty]), cfg)
 
     def test_log_inv_delta_equivalent_to_delta(self):
         rng = np.random.default_rng(1)

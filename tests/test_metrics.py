@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from robustmean import l2_loss, opt_bound, quantile_error
+from robustmean import ConfigurationError, l2_loss, opt_bound, quantile_error
 
 
 def brute_quantile(losses, delta):
@@ -36,9 +36,9 @@ class TestQuantileError:
             assert quantile_error(losses, d) in losses
 
     def test_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigurationError):
             quantile_error([], 0.1)
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigurationError):
             quantile_error([1.0], 0.0)
 
 
@@ -59,8 +59,8 @@ class TestOptBound:
             math.sqrt(0.1) + math.sqrt(math.log(20) / 200))
 
     def test_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigurationError):
             opt_bound(0, 1.0, 1.0, 0.05)
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigurationError):
             opt_bound(10, -1.0, 1.0, 0.05)
 

@@ -7,11 +7,13 @@ import pytest
 from robustmean import (
     ConfigurationError,
     CoverSet,
+    IntervalConfig,
     NetConfig,
     build_half_cover,
     certify_cover,
     cover_from_csv,
     cover_to_csv,
+    interval_estimate,
     minimax_center,
     net_estimate,
 )
@@ -329,8 +331,18 @@ class TestMinimaxCenter:
         assert diag["objective"] >= dense["objective"]
 
     def test_input_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigurationError):
             minimax_center(np.eye(2), [1.0])  # target count mismatch
+        with pytest.raises(ConfigurationError):
+            minimax_center(np.empty((0, 2)), [])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite(self, bad):
+        # Unchecked, a NaN target reaches linprog as "Invalid input".
+        with pytest.raises(ConfigurationError, match="targets must be finite"):
+            minimax_center(np.eye(2), [1.0, bad])
+        with pytest.raises(ConfigurationError, match="directions must be finite"):
+            minimax_center([[1.0, 0.0], [bad, 1.0]], [1.0, 0.0])
 
 
 class TestNetConfig:
@@ -411,6 +423,22 @@ class TestNetEstimate:
                 )).estimate[0]
                 for j, u in enumerate(cover.directions)
             ]
+            assert rep.diagnostics["targets"] == expected
+
+    def test_interval_targets_match_per_direction_calls(self):
+        # The column pass gives each direction's target as one
+        # interval_estimate call on its projection; the last dataset is
+        # rounded so that many projections tie.
+        datasets = [(seed, np.random.default_rng([12, seed]).lognormal(size=(400, 3)))
+                    for seed in range(3)]
+        datasets.append((0, np.round(datasets[0][1], 1)))
+        for seed, data in datasets:
+            cfg = NetConfig(epsilon=0.0, delta=0.1)
+            rep = net_estimate(data, cfg, seed=seed)
+            inner = IntervalConfig(
+                epsilon=0.0, log_inv_delta=cfg.log_inv_delta_inner(3))
+            expected = [interval_estimate(data @ u, inner)
+                        for u in build_half_cover(3, seed=seed).directions]
             assert rep.diagnostics["targets"] == expected
 
     def test_filter_inner_on_one_row_is_a_configuration_error(self):
