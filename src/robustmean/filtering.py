@@ -5,7 +5,7 @@ squared projection on the leading eigenvector of the survivors' sample
 covariance, until a stop rule holds.  Sample covariances use the 1/|S|
 (population) convention throughout.
 
-One loop runs k filters ("lanes") in lockstep, each step of a round one array
+One loop runs k filters ("lanes") in lockstep, a round's statistics one array
 operation over them: ``filter_multivariate`` is one lane, ``filter_columns``
 one univariate lane per column, with the removals of separate calls.
 """
@@ -107,7 +107,7 @@ class _Univariate:
     def __init__(self, data: np.ndarray):
         self.data = data.T.reshape(-1, 1)
 
-    def round(self, alive: np.ndarray) -> Tuple[np.ndarray, ...]:
+    def round(self, alive: np.ndarray) -> Tuple[list, np.ndarray, np.ndarray]:
         # Row sums of the C-contiguous survivor matrix are the 1D sum() of
         # each row bit for bit, and sum()/m is mean() without its overhead.
         survivors = self.data.take(alive)
@@ -115,9 +115,9 @@ class _Univariate:
         survivors -= (survivors.sum(axis=1) / m)[:, None]
         scores = np.square(survivors, out=survivors)
         totals = scores.sum(axis=1)
-        return totals / m, scores, totals
+        return (totals / m).tolist(), scores, totals
 
-    def remove(self, rows: np.ndarray) -> None:
+    def remove(self, rows: List[int]) -> None:
         pass
 
 
@@ -138,20 +138,24 @@ class _Multivariate:
 
     def _moments(self, m: int) -> Tuple[np.ndarray, np.ndarray]:
         mu = self.total / m
-        # np.outer(mu, mu) and np.trace bit for bit, without their wrappers.
-        return mu, self.gram / m - mu[:, None] * mu
+        # np.outer(mu, mu) and np.trace bit for bit, without their wrappers,
+        # and G/m - mu mu^T with one temporary fewer.
+        cov = self.gram / m
+        cov -= mu[:, None] * mu
+        return mu, cov
 
-    def round(self, alive: np.ndarray) -> Tuple[np.ndarray, ...]:
+    def round(self, alive: np.ndarray) -> Tuple[list, np.ndarray, np.ndarray]:
         m = alive.shape[1]
         mu, cov = self._moments(m)
         if self.exact_trace > _DRIFT_RATIO * m * cov.trace():
             self._recentre(alive[0])
             mu, cov = self._moments(m)
         lam, v = top_eigenpair(cov)
-        scores = np.square((self.shifted @ v).take(alive) - mu @ v)
-        return np.array([lam]), scores, scores.sum(axis=1)
+        scores = (self.shifted @ v).take(alive)
+        np.square(np.subtract(scores, mu @ v, out=scores), out=scores)
+        return [lam], scores, scores.sum(axis=1)
 
-    def remove(self, rows: np.ndarray) -> None:
+    def remove(self, rows: List[int]) -> None:
         x = self.shifted[rows[0]]
         self.total -= x
         self.gram -= x[:, None] * x
@@ -160,79 +164,88 @@ class _Multivariate:
 def _weighted_picks(rngs: Sequence[np.random.Generator],
                     p: np.ndarray) -> List[int]:
     """For each row of ``p`` and its generator, ``rng.choice(p.shape[1],
-    p=row)`` without its checks of ``row``: the same cdf and uniform draw,
-    so the same index, the first cdf entry above the draw (on a cdf ending
-    at 1.0, the count of entries <= it, as ``choice``'s right-side search
-    finds), and the same generator state afterwards."""
+    p=row)`` without its checks of ``row``: the same index, the count of the
+    row's cdf entries with cdf[i] / c <= u for its last entry c and the draw
+    u = rng.random(), and the same generator state afterwards.  Division by c
+    is monotone under rounding, so those are the entries <= x, the largest
+    float with x / c <= u (a few ``nextafter`` steps from u * c): a binary
+    search counts them for one lane, one comparison pass for several."""
     cdf = p.cumsum(axis=1)
-    draws = np.array([rng.random() for rng in rngs])
-    return (cdf / cdf[:, -1:] > draws[:, None]).argmax(axis=1).tolist()
+    xs = []
+    for rng, c in zip(rngs, cdf[:, -1].tolist()):
+        u = rng.random()
+        x = u * c
+        while x / c > u:
+            x = math.nextafter(x, -math.inf)
+        while (up := math.nextafter(x, math.inf)) / c <= u:
+            x = up
+        xs.append(x)
+    if len(xs) == 1:
+        return [int(cdf[0].searchsorted(xs[0], side="right"))]
+    return (cdf > np.array(xs)[:, None]).argmax(axis=1).tolist()
 
 
 def _filter(lane_stats, data: np.ndarray, config: FilterConfig,
             seeds: Sequence[int]) -> List[EstimateReport]:
     """The filter loop on the n rows of ``data``, one lane per seed, with
     round statistics ``lane_stats(data)``.  The lanes run in lockstep: each
-    remaining lane removes one row a round, so all have m survivors.  Each
-    step of a round (stop rule, picks, removal, record) is one array operation
-    over the lanes; a lane's record becomes its report when it leaves."""
+    remaining lane removes one row a round, so all have m survivors.  A
+    round's statistics are array operations over the lanes, its stop rule and
+    records plain Python; a lane's record becomes its report when it leaves."""
     n = data.shape[0]
     if n < 2:
         raise ConfigurationError(f"filtering needs at least 2 rows, got n={n}")
     stats = lane_stats(data)
-    # Row i of alive holds lane lanes[i]'s survivors, in index order, as rows
-    # of stats.data (lane j's from j * n), rngs[i] its default_rng(s), made
-    # at the first pick, and eigenvalues[r, i], removed[r, i] its round-r top
-    # eigenvalue and removal.
-    lanes = positions = np.arange(len(seeds))
-    rngs = [None] * lanes.size
-    alive = np.arange(lanes.size * n).reshape(lanes.size, n)
-    reports: List[EstimateReport] = [None] * lanes.size
+    # lanes[i] is (lane, its eigenvalues, its removals), buf[i, :m] its
+    # survivors in index order as rows of stats.data (lane j's from j * n),
+    # and rngs[i] its default_rng(seed), made at the first pick.
+    lanes = [(lane, [], []) for lane in range(len(seeds))]
+    buf = np.arange(len(lanes) * n).reshape(len(lanes), n)
+    rngs = [None] * len(lanes)
+    reports: List[EstimateReport] = [None] * len(lanes)
     # The threshold rule is off under fixed_steps, the budget under threshold.
     threshold = -math.inf if config.stop_mode == STOP_FIXED_STEPS \
         else config.threshold_factor * config.cov_bound
     budget = math.inf if config.stop_mode == STOP_THRESHOLD else config.steps
     rounds = min(n - 1, budget + 1)  # the last spends the budget or leaves 1 row
-    eigenvalues = np.empty((rounds, lanes.size))
-    removed = np.empty((rounds, lanes.size), dtype=np.intp)
     for r in range(rounds):  # round r starts with n - r survivors
+        m = n - r
+        alive = buf[:, :m]
         lams, scores, totals = stats.round(alive)
-        eigenvalues[r] = lams
+        for (_, history, _), lam in zip(lanes, lams):
+            history.append(lam)
         # A lane stops below the threshold or at zero scatter (lam <= 0: no
         # point can be scored); every lam <= 0 is below a positive threshold.
-        stop = lams < threshold if threshold > 0.0 else lams <= 0.0
+        stop = [lam < threshold or lam <= 0.0 for lam in lams]
         spent = r >= budget
-        if spent or stop.any():
-            below = lams < threshold
-            if not spent:
-                eigenvalues[r, stop & ~below] = 0.0  # zero scatter, clipped
-            leaving = positions if spent else np.flatnonzero(stop)
-            left = lanes[leaving]
-            reasons = np.where(below[leaving], "threshold",
-                               "budget" if spent else "zero_scatter")
-            for lane, mean, removal, reason, history in zip(
-                    left.tolist(), stats.data[alive[leaving]].mean(axis=1),
-                    (removed[:r, leaving] - left * n).T.tolist(),
-                    reasons.tolist(), eigenvalues[:r + 1, leaving].T.tolist()):
+        if spent or any(stop):
+            leaving = [i for i, s in enumerate(stop) if s or spent]
+            for i, mean in zip(leaving, stats.data[alive[leaving]].mean(axis=1)):
+                lane, history, removal = lanes[i]
+                reason = "threshold" if lams[i] < threshold \
+                    else "budget" if spent else "zero_scatter"
+                if reason == "zero_scatter":
+                    history[-1] = 0.0  # clipped
                 reports[lane] = EstimateReport(mean, tuple(removal), {
                     "stop_reason": reason, "eigenvalues": history})
-            if leaving.size == positions.size:
+            if len(leaving) == len(lanes):
                 return reports
-            going = np.flatnonzero(~stop)
+            going = [i for i, s in enumerate(stop) if not s]
+            lanes = [lanes[i] for i in going]
             rngs = [rngs[i] for i in going]
-            lanes, positions = lanes[going], np.arange(going.size)
-            alive, scores, totals = alive[going], scores[going], totals[going]
-            eigenvalues, removed = eigenvalues[:, going], removed[:, going]
-        if not totals.all():  # scores are squares: a total is 0 or more
+            buf, scores, totals = buf[going], scores[going], totals[going]
+        if 0.0 in totals.tolist():  # scores are squares: a total is 0 or more
             raise DegenerateScoresError("zero scores with a positive eigenvalue")
         scores /= totals[:, None]
         if r == 0:  # the first pick: lanes that left make no generator
-            rngs = [np.random.default_rng(seeds[lane]) for lane in lanes.tolist()]
-        rows = alive[positions, np.array(_weighted_picks(rngs, scores))]
+            rngs = [np.random.default_rng(seeds[lane]) for lane, _, _ in lanes]
+        rows = []
+        for (lane, _, removal), row, j in zip(lanes, buf,
+                                              _weighted_picks(rngs, scores)):
+            rows.append(int(row[j]))
+            removal.append(rows[-1] - lane * n)
+            row[j:m - 1] = row[j + 1:m]  # the survivors after j move left
         stats.remove(rows)
-        removed[r] = rows
-        # One boolean-mask compaction, which keeps index order.
-        alive = alive[alive != rows[:, None]].reshape(positions.size, -1)
     raise FilterExhaustedError("fewer than 2 survivors before the stop condition held")
 
 
@@ -242,7 +255,10 @@ def filter_multivariate(samples, config: FilterConfig) -> EstimateReport:
     Accepts a ``SampleSet`` or a raw array.  Deterministic given
     ``config.seed``: each round draws one survivor, in index order, with
     probability proportional to its score, exactly as ``rng.choice`` with
-    those probabilities would.
+    those probabilities would.  ``choice`` picks the first entry of the cdf
+    divided by its last entry c that exceeds its draw u; as division by c is
+    monotone under rounding, a binary search of the undivided cdf for the
+    largest float x with x / c <= u finds the same entry.
 
     For p > 1 each round takes the survivors' top eigenpair exactly with
     ``top_eigenpair``.  Its covariance comes from the rows shifted by a

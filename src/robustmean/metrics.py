@@ -7,6 +7,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .errors import ConfigurationError
 from .model import check_range
 
 
@@ -15,7 +16,7 @@ def l2_loss(estimate: Sequence[float], true_mean: Sequence[float]) -> float:
     a = np.asarray(estimate, dtype=float).ravel()
     b = np.asarray(true_mean, dtype=float).ravel()
     if a.shape != b.shape:
-        raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
+        raise ConfigurationError(f"dimension mismatch: {a.shape} vs {b.shape}")
     return float(np.linalg.norm(a - b))
 
 

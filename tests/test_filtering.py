@@ -57,6 +57,16 @@ class TestTopEigenpair:
             top_eigenpair(np.diag([1.0, 2.0, 3.0]))
 
 
+class StubGenerator:
+    """A generator whose ``random()`` returns the given draws in turn."""
+
+    def __init__(self, *draws):
+        self.draws = [float(u) for u in draws]
+
+    def random(self):
+        return self.draws.pop(0)
+
+
 class TestWeightedPick:
     """The filter's draw is ``Generator.choice`` with ``p`` given, minus its
     checks: same index, same generator state afterwards, for every lane of
@@ -110,6 +120,51 @@ class TestWeightedPick:
         self.assert_same_lanes(p, seeds)
         assert filtering._weighted_picks(
             [np.random.default_rng(seed) for seed in seeds], p) == [1] * 50
+
+    def test_draws_on_and_beside_each_cdf_quotient(self):
+        # Draws u equal to some cdf[i] / c, one ulp either side of it, 0 and
+        # the largest draw below 1, on cdfs ending above, below and at 1.0
+        # and on flat runs of zero scores, through one lane and seven.
+        rng = np.random.default_rng(49)
+        rows = [np.array([0.0, 0.0, 1.0, 0.0, 0.0, 2.0, 0.0]),
+                np.array([5.0, 0.0, 0.0, 0.0]),
+                np.array([0.0, 0.0, 0.0, 3.0]),
+                np.array([0.25, 0.25, 0.5])]
+        for scale in (1.0, 0.7, 3.0, 1.0 + 2.0**-40):
+            for m in (2, 9, 60):
+                scores = rng.standard_normal(m) ** 2
+                scores[rng.random(m) < 0.3] = 0.0
+                scores[rng.integers(m)] = 1.0
+                rows.append(scale * scores / scores.sum())
+        lane_draws = []
+        for row in rows:
+            cdf = row.cumsum()
+            quotients = cdf / cdf[-1]
+            draws = {0.0, np.nextafter(1.0, 0.0)}
+            for q in quotients[quotients < 1.0]:
+                draws.update((np.nextafter(q, 0.0), q, np.nextafter(q, 1.0)))
+            lane_draws.append(sorted(draws))
+        assert any(row.cumsum()[-1] != 1.0 for row in rows)
+        for row, draws in zip(rows, lane_draws):
+            for u in draws:
+                self.assert_picks_as_before(row[None], [u])
+        for start in range(0, len(rows) - 6):
+            p = rows[start:start + 7]
+            m = max(row.size for row in p)
+            p = np.array([np.pad(row, (0, m - row.size)) for row in p])
+            draws = lane_draws[start:start + 7]
+            for t in range(max(len(d) for d in draws)):
+                self.assert_picks_as_before(p, [d[t % len(d)] for d in draws])
+
+    @staticmethod
+    def assert_picks_as_before(p, draws):
+        """``_weighted_picks`` with generators that draw ``draws`` picks what
+        dividing the whole cdf by its last entry picks, and draws once."""
+        rngs = [StubGenerator(u) for u in draws]
+        cdf = p.cumsum(axis=1)
+        expected = (cdf / cdf[:, -1:] > np.array(draws)[:, None]).argmax(axis=1)
+        assert filtering._weighted_picks(rngs, p) == expected.tolist(), draws
+        assert all(rng.draws == [] for rng in rngs)
 
     def test_lanes_with_different_scores_in_one_call(self):
         rng = np.random.default_rng(46)

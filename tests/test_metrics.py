@@ -48,7 +48,7 @@ class TestL2Loss:
         assert l2_loss([1.0], [1.0]) == 0.0
 
     def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigurationError, match="dimension mismatch"):
             l2_loss([1.0, 2.0], [1.0])
 
 

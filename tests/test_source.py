@@ -53,3 +53,14 @@ def test_ci_runs_the_tier1_command():
     assert re.findall(r"^ +(?:- )?run: (.*)$", job, re.M)[-1] == command
     versions = re.search(r"^ +python-version: (\[.*\])$", job, re.M).group(1)
     assert json.loads(versions) == ["3.10", "3.11"]
+
+
+def test_every_ci_job_has_a_timeout():
+    # A hung step fails its job instead of holding the runner for GitHub's
+    # 6-hour default.
+    workflow = (ROOT / ".github/workflows/tier1.yml").read_text()
+    jobs = workflow.split("\njobs:\n", 1)[1]
+    bodies = re.findall(r"^  (\S+):\n((?:(?:    .*)?\n)*)", jobs, re.M)
+    assert [name for name, _ in bodies] == ["tests", "perfbench", "demos"]
+    for name, body in bodies:
+        assert re.search(r"^    timeout-minutes: \d+$", body, re.M), name
