@@ -138,11 +138,8 @@ class _Multivariate:
 
     def _moments(self, m: int) -> Tuple[np.ndarray, np.ndarray]:
         mu = self.total / m
-        # np.outer(mu, mu) and np.trace bit for bit, without their wrappers,
-        # and G/m - mu mu^T with one temporary fewer.
-        cov = self.gram / m
-        cov -= mu[:, None] * mu
-        return mu, cov
+        # np.outer(mu, mu) and np.trace bit for bit, without their wrappers.
+        return mu, self.gram / m - mu[:, None] * mu
 
     def round(self, alive: np.ndarray) -> Tuple[list, np.ndarray, np.ndarray]:
         m = alive.shape[1]
@@ -151,8 +148,7 @@ class _Multivariate:
             self._recentre(alive[0])
             mu, cov = self._moments(m)
         lam, v = top_eigenpair(cov)
-        scores = (self.shifted @ v).take(alive)
-        np.square(np.subtract(scores, mu @ v, out=scores), out=scores)
+        scores = np.square((self.shifted @ v).take(alive) - mu @ v)
         return [lam], scores, scores.sum(axis=1)
 
     def remove(self, rows: List[int]) -> None:
@@ -164,25 +160,16 @@ class _Multivariate:
 def _weighted_picks(rngs: Sequence[np.random.Generator],
                     p: np.ndarray) -> List[int]:
     """For each row of ``p`` and its generator, ``rng.choice(p.shape[1],
-    p=row)`` without its checks of ``row``: the same index, the count of the
-    row's cdf entries with cdf[i] / c <= u for its last entry c and the draw
-    u = rng.random(), and the same generator state afterwards.  Division by c
-    is monotone under rounding, so those are the entries <= x, the largest
-    float with x / c <= u (a few ``nextafter`` steps from u * c): a binary
-    search counts them for one lane, one comparison pass for several."""
+    p=row)`` without its checks of ``row``: the same cdf over its last entry
+    and draw, so the same index, the first entry above the draw (``choice``'s
+    right-side binary search for one lane, one comparison pass for several; 0
+    on an all-NaN row), and the same generator state afterwards."""
     cdf = p.cumsum(axis=1)
-    xs = []
-    for rng, c in zip(rngs, cdf[:, -1].tolist()):
-        u = rng.random()
-        x = u * c
-        while x / c > u:
-            x = math.nextafter(x, -math.inf)
-        while (up := math.nextafter(x, math.inf)) / c <= u:
-            x = up
-        xs.append(x)
-    if len(xs) == 1:
-        return [int(cdf[0].searchsorted(xs[0], side="right"))]
-    return (cdf > np.array(xs)[:, None]).argmax(axis=1).tolist()
+    cdf /= cdf[:, -1:].copy()  # a copy spares numpy's buffering of the overlap
+    if len(rngs) == 1:
+        return [int(cdf[0].searchsorted(rngs[0].random(), side="right"))]
+    draws = np.array([rng.random() for rng in rngs])
+    return (cdf > draws[:, None]).argmax(axis=1).tolist()
 
 
 def _filter(lane_stats, data: np.ndarray, config: FilterConfig,
@@ -196,11 +183,11 @@ def _filter(lane_stats, data: np.ndarray, config: FilterConfig,
     if n < 2:
         raise ConfigurationError(f"filtering needs at least 2 rows, got n={n}")
     stats = lane_stats(data)
-    # lanes[i] is (lane, its eigenvalues, its removals), buf[i, :m] its
+    # lanes[i] is (lane, its eigenvalues, its removals), alive[i] its
     # survivors in index order as rows of stats.data (lane j's from j * n),
     # and rngs[i] its default_rng(seed), made at the first pick.
     lanes = [(lane, [], []) for lane in range(len(seeds))]
-    buf = np.arange(len(lanes) * n).reshape(len(lanes), n)
+    alive = np.arange(len(lanes) * n).reshape(len(lanes), n)
     rngs = [None] * len(lanes)
     reports: List[EstimateReport] = [None] * len(lanes)
     # The threshold rule is off under fixed_steps, the budget under threshold.
@@ -209,8 +196,6 @@ def _filter(lane_stats, data: np.ndarray, config: FilterConfig,
     budget = math.inf if config.stop_mode == STOP_THRESHOLD else config.steps
     rounds = min(n - 1, budget + 1)  # the last spends the budget or leaves 1 row
     for r in range(rounds):  # round r starts with n - r survivors
-        m = n - r
-        alive = buf[:, :m]
         lams, scores, totals = stats.round(alive)
         for (_, history, _), lam in zip(lanes, lams):
             history.append(lam)
@@ -233,19 +218,20 @@ def _filter(lane_stats, data: np.ndarray, config: FilterConfig,
             going = [i for i, s in enumerate(stop) if not s]
             lanes = [lanes[i] for i in going]
             rngs = [rngs[i] for i in going]
-            buf, scores, totals = buf[going], scores[going], totals[going]
+            alive, scores, totals = alive[going], scores[going], totals[going]
         if 0.0 in totals.tolist():  # scores are squares: a total is 0 or more
             raise DegenerateScoresError("zero scores with a positive eigenvalue")
         scores /= totals[:, None]
         if r == 0:  # the first pick: lanes that left make no generator
             rngs = [np.random.default_rng(seeds[lane]) for lane, _, _ in lanes]
         rows = []
-        for (lane, _, removal), row, j in zip(lanes, buf,
+        for (lane, _, removal), row, j in zip(lanes, alive,
                                               _weighted_picks(rngs, scores)):
             rows.append(int(row[j]))
             removal.append(rows[-1] - lane * n)
-            row[j:m - 1] = row[j + 1:m]  # the survivors after j move left
+            row[j:-1] = row[j + 1:]  # the survivors after j move left
         stats.remove(rows)
+        alive = alive[:, :-1]
     raise FilterExhaustedError("fewer than 2 survivors before the stop condition held")
 
 
@@ -253,12 +239,9 @@ def filter_multivariate(samples, config: FilterConfig) -> EstimateReport:
     """Run the iterative spectral filter on an n x p dataset.
 
     Accepts a ``SampleSet`` or a raw array.  Deterministic given
-    ``config.seed``: each round draws one survivor, in index order, with
-    probability proportional to its score, exactly as ``rng.choice`` with
-    those probabilities would.  ``choice`` picks the first entry of the cdf
-    divided by its last entry c that exceeds its draw u; as division by c is
-    monotone under rounding, a binary search of the undivided cdf for the
-    largest float x with x / c <= u finds the same entry.
+    ``config.seed``: each round draws one survivor exactly as ``rng.choice``
+    would with probabilities proportional to the scores in index order, by a
+    right-side binary search of their cdf, over its last entry, for a draw.
 
     For p > 1 each round takes the survivors' top eigenpair exactly with
     ``top_eigenpair``.  Its covariance comes from the rows shifted by a

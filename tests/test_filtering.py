@@ -166,6 +166,26 @@ class TestWeightedPick:
         assert filtering._weighted_picks(rngs, p) == expected.tolist(), draws
         assert all(rng.draws == [] for rng in rngs)
 
+    def test_overflowed_scores_pick_the_first_row_as_before(self):
+        # Squared deviations of values near 1e200 overflow: the total is inf,
+        # the scores over it NaN or 0, the cdf all NaN, and the pick is row 0,
+        # through one lane and beside finite lanes.
+        nan_row = np.array([np.nan, 0.0, 0.0, 0.0])
+        for u in (0.0, 0.5, np.nextafter(1.0, 0.0)):
+            self.assert_picks_as_before(nan_row[None], [u])
+            self.assert_picks_as_before(
+                np.array([[0.5, 0.5, 0.0, 0.0], nan_row, [0.0, 0.0, 0.0, 1.0]]),
+                [u, u, u])
+        cfg = FilterConfig(stop_mode=STOP_FIXED_STEPS, steps=1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for values in ([1e200, 0.0, 0.0, 0.0], [0.0, 0.0, 1e200, 0.0]):
+                report = filter_univariate(values, cfg)
+                assert report.removed_indices == (0,)
+                assert report.diagnostics["eigenvalues"][0] == math.inf
+            assert report.estimate.tolist() == [1e200 / 3]
+            data = np.array([[1e200, 0.0, 0.0, 0.0], [1.0, 2.0, 3.0, 4.0]]).T
+            assert filtering.filter_columns(data, 1, [5, 6])[0] == 0.0
+
     def test_lanes_with_different_scores_in_one_call(self):
         rng = np.random.default_rng(46)
         for case in range(300):

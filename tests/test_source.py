@@ -61,6 +61,6 @@ def test_every_ci_job_has_a_timeout():
     workflow = (ROOT / ".github/workflows/tier1.yml").read_text()
     jobs = workflow.split("\njobs:\n", 1)[1]
     bodies = re.findall(r"^  (\S+):\n((?:(?:    .*)?\n)*)", jobs, re.M)
-    assert [name for name, _ in bodies] == ["tests", "perfbench", "demos"]
+    assert bodies
     for name, body in bodies:
         assert re.search(r"^    timeout-minutes: \d+$", body, re.M), name
