@@ -27,7 +27,6 @@ from .model import (
     ContaminationSpec,
     DistributionSpec,
     MomentProfile,
-    SampleSet,
     population_moments,
     sample_dataset,
 )
@@ -83,7 +82,6 @@ __all__ = [
     "ContaminationSpec",
     "DistributionSpec",
     "MomentProfile",
-    "SampleSet",
     "population_moments",
     "sample_dataset",
     "EstimateReport",

@@ -169,8 +169,8 @@ def srm_bruteforce(samples, epsilon: float) -> np.ndarray:
     n, p = data.shape
     if n > SRM_MAX_N:
         raise ConfigurationError(
-            f"subset search is exhaustive and limited to n <= {SRM_MAX_N}; "
-            "use a sampled search (not provided) for larger n"
+            f"subset search is exhaustive and limited to n <= {SRM_MAX_N}, "
+            f"got n={n}"
         )
     check_range("epsilon", epsilon, 0.0, 1.0)
     size = math.floor((1.0 - epsilon) * n)

@@ -195,7 +195,7 @@ def _mean(samples, s, ctx):
 def _gmom(samples, s, ctx):
     blocks = s.get("blocks")
     if blocks is None:
-        blocks = min(filtering.default_steps(ctx.delta), samples.n)
+        blocks = min(filtering.default_steps(ctx.delta), samples.shape[0])
     return baselines.geometric_median_of_means(samples, blocks=blocks)
 
 
@@ -208,17 +208,17 @@ def _coord(samples, s, ctx):
 @_method("filter", stop_mode=filtering.STOP_MODES, cov_bound=float, steps=int,
          threshold_factor=float)
 def _filter(samples, s, ctx):
+    n, p = samples.shape
     cov_bound = s.get("cov_bound")
     stop_mode = s.get("stop_mode", filtering.STOP_FIXED_STEPS
                       if cov_bound is None else filtering.STOP_THRESHOLD)
     if cov_bound is None and stop_mode != filtering.STOP_FIXED_STEPS:
         cov_bound = filtering.cov_bound_hint(
-            ctx.moments("cov_bound"), n=samples.n, p=samples.p,
+            ctx.moments("cov_bound"), n=n, p=p,
             delta=ctx.delta, epsilon=ctx.epsilon)
     steps = s.get("steps")
     if steps is None and stop_mode != filtering.STOP_THRESHOLD:
-        steps = filtering.clamp_steps(filtering.default_steps(ctx.delta),
-                                      samples.n)
+        steps = filtering.clamp_steps(filtering.default_steps(ctx.delta), n)
     cfg = filtering.FilterConfig(
         cov_bound=cov_bound or 0.0,
         threshold_factor=s.get("threshold_factor",
@@ -235,9 +235,9 @@ def _oracle(samples, s, ctx):
     radius = s.get("radius")
     if radius is None:
         radius = baselines.oracle_radius(
-            ctx.moments("radius"), n=samples.n, delta=ctx.delta,
+            ctx.moments("radius"), n=samples.shape[0], delta=ctx.delta,
             epsilon=ctx.epsilon)
-    center = np.zeros(samples.p) if ctx.center is None else ctx.center
+    center = np.zeros(samples.shape[1]) if ctx.center is None else ctx.center
     return baselines.oracle_truncated_mean(samples, center, radius)
 
 

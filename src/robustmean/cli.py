@@ -98,7 +98,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_estimate(args) -> int:
-    samples = model.SampleSet(np.loadtxt(args.infile, delimiter=",", ndmin=2))
+    samples = model.as_finite_matrix(
+        np.loadtxt(args.infile, delimiter=",", ndmin=2))
     spec = bench.MethodSpec(args.method, {
         key: getattr(args, key) for key in _settings()
         if getattr(args, key) is not None

@@ -18,7 +18,9 @@ class FilterExhaustedError(EstimatorError):
 
 
 class DegenerateScoresError(EstimatorError):
-    """All removal scores are zero while the stop condition is unmet."""
+    """The removal scores cannot weight a pick: all are zero while the stop
+    condition is unmet, or they or the covariance overflow to non-finite
+    values."""
 
 
 class EmptySelectionError(EstimatorError):

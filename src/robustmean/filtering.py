@@ -144,7 +144,10 @@ class _Multivariate:
     def round(self, alive: np.ndarray) -> Tuple[list, np.ndarray, np.ndarray]:
         m = alive.shape[1]
         mu, cov = self._moments(m)
-        if self.exact_trace > _DRIFT_RATIO * m * cov.trace():
+        trace = cov.trace()
+        if not math.isfinite(trace):  # overflow: inf, or NaN from inf - inf
+            raise DegenerateScoresError("the survivors' covariance is not finite")
+        if self.exact_trace > _DRIFT_RATIO * m * trace:
             self._recentre(alive[0])
             mu, cov = self._moments(m)
         lam, v = top_eigenpair(cov)
@@ -219,8 +222,11 @@ def _filter(lane_stats, data: np.ndarray, config: FilterConfig,
             lanes = [lanes[i] for i in going]
             rngs = [rngs[i] for i in going]
             alive, scores, totals = alive[going], scores[going], totals[going]
-        if 0.0 in totals.tolist():  # scores are squares: a total is 0 or more
+        listed = totals.tolist()  # scores are squares: a total is 0 or more
+        if 0.0 in listed:
             raise DegenerateScoresError("zero scores with a positive eigenvalue")
+        if not all(map(math.isfinite, listed)):
+            raise DegenerateScoresError("squared deviations overflow")
         scores /= totals[:, None]
         if r == 0:  # the first pick: lanes that left make no generator
             rngs = [np.random.default_rng(seeds[lane]) for lane, _, _ in lanes]
@@ -236,9 +242,8 @@ def _filter(lane_stats, data: np.ndarray, config: FilterConfig,
 
 
 def filter_multivariate(samples, config: FilterConfig) -> EstimateReport:
-    """Run the iterative spectral filter on an n x p dataset.
-
-    Accepts a ``SampleSet`` or a raw array.  Deterministic given
+    """Run the iterative spectral filter on an n x p dataset, an array that
+    ``model.as_finite_matrix`` accepts.  Deterministic given
     ``config.seed``: each round draws one survivor exactly as ``rng.choice``
     would with probabilities proportional to the scores in index order, by a
     right-side binary search of their cdf, over its last entry, for a draw.
@@ -257,7 +262,10 @@ def filter_multivariate(samples, config: FilterConfig) -> EstimateReport:
     ``diagnostics`` holds ``stop_reason`` (``threshold``, ``budget`` or
     ``zero_scatter``) and ``eigenvalues``, the top eigenvalue of every round,
     the last being the one the filter stopped on (clipped to 0.0 on a
-    ``zero_scatter`` stop).
+    ``zero_scatter`` stop).  Statistics that overflow, as squares of values
+    near 1e200 do, raise ``DegenerateScoresError``: a score total that is not
+    finite where a round would pick, and for p > 1 a covariance trace that is
+    not finite in any round.
     """
     data = as_finite_matrix(samples)
     lane_stats = _Univariate if data.shape[1] == 1 else _Multivariate

@@ -27,31 +27,16 @@ LOGNORMAL_VAR = (math.e - 1.0) * math.e
 LOGNORMAL_SHIFT = math.exp(0.5)
 
 
-@dataclass(frozen=True)
-class SampleSet:
-    """An n x p table of finite real observations, one row per sample."""
-
-    data: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "data", as_finite_matrix(self.data))
-
-    @property
-    def n(self) -> int:
-        return self.data.shape[0]
-
-    @property
-    def p(self) -> int:
-        return self.data.shape[1]
-
-
 def as_finite_matrix(samples, univariate: bool = False,
                      what: str = "samples") -> np.ndarray:
-    """The rows of a ``SampleSet`` or an array as an n x p float matrix, the
-    one gate of every estimator's data: 1D input becomes one column, and
-    anything but n >= 1 rows of p >= 1 finite values (p = 1 if
-    ``univariate``) raises ``ConfigurationError`` naming the shape."""
-    data = np.asarray(getattr(samples, "data", samples), dtype=float)
+    """An array as an n x p float matrix, the one gate of every estimator's
+    data and of the arrays in covers and specs: 1D input becomes one column,
+    and anything but n >= 1 rows of p >= 1 finite numbers (p = 1 if
+    ``univariate``) raises ``ConfigurationError`` naming ``what``."""
+    try:
+        data = np.asarray(samples, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ConfigurationError(f"{what} must be an array of numbers: {exc}") from None
     if data.ndim == 1:
         data = data[:, None]
     if data.ndim != 2 or 0 in data.shape or univariate and data.shape[1] != 1:
@@ -97,16 +82,14 @@ class ContaminationSpec:
         if self.kind == "point_mass":
             if self.location is None:
                 raise ConfigurationError("point_mass contamination needs a location")
-            object.__setattr__(
-                self, "location", np.asarray(self.location, dtype=float).ravel()
-            )
+            object.__setattr__(self, "location", as_finite_matrix(
+                np.ravel(self.location), what="contamination location")[:, 0])
         else:
             if self.shift is None:
                 raise ConfigurationError("shifted_gaussian contamination needs a shift")
             check_range("contamination scale", self.scale, 0.0)
-            object.__setattr__(
-                self, "shift", np.asarray(self.shift, dtype=float).ravel()
-            )
+            object.__setattr__(self, "shift", as_finite_matrix(
+                np.ravel(self.shift), what="contamination shift")[:, 0])
 
     __eq__ = _same_fields
 
@@ -149,7 +132,7 @@ class DistributionSpec:
         if self.family == "gaussian":
             if self.covariance is None:
                 raise ConfigurationError("gaussian spec needs a covariance matrix")
-            cov = np.asarray(self.covariance, dtype=float)
+            cov = as_finite_matrix(self.covariance, what="covariance")
             if cov.shape != (self.p, self.p):
                 raise ConfigurationError("covariance must be p x p")
             if not np.allclose(cov, cov.T, atol=_PSD_TOL):
@@ -304,8 +287,9 @@ def derived_seed(*entropy: int) -> int:
     return int(np.random.SeedSequence(entropy).generate_state(1)[0])
 
 
-def sample_dataset(spec: DistributionSpec, n: int, seed: int) -> SampleSet:
-    """Draw n i.i.d. rows from ``spec``, deterministic given ``seed``.
+def sample_dataset(spec: DistributionSpec, n: int, seed: int) -> np.ndarray:
+    """Draw n i.i.d. rows from ``spec``, deterministic given ``seed``, as an
+    n x p float64 matrix.
 
     With contamination, each row is independently replaced by a contaminated
     draw with probability ``spec.epsilon`` (a true mixture, not a fixed
@@ -320,7 +304,7 @@ def sample_dataset(spec: DistributionSpec, n: int, seed: int) -> SampleSet:
         rows = (rng.random(n) < spec.epsilon).nonzero()[0]
         if rows.size:
             data[rows] = spec.q_spec.draw(rng, rows.size, spec.p)
-    return SampleSet(data)
+    return data
 
 
 def population_moments(spec: DistributionSpec) -> MomentProfile:

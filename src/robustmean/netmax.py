@@ -38,10 +38,9 @@ class CoverSet:
     sparsity: Optional[int] = None  # max nonzeros per direction (2s)
 
     def __post_init__(self):
-        arr = np.atleast_2d(np.asarray(self.directions, dtype=float))
+        arr = as_finite_matrix(np.atleast_2d(self.directions),
+                               what="cover directions")
         norms = np.linalg.norm(arr, axis=1)
-        if arr.shape[0] == 0:
-            raise ConfigurationError("cover must contain at least one direction")
         if np.any(np.abs(norms - 1.0) > 1e-12):
             raise ConfigurationError("cover directions must be unit vectors")
         if self.sparsity is not None:
@@ -292,9 +291,7 @@ def minimax_center(
     re-solves on that support (flagged ``heuristic``).  Empty, non-finite or
     mismatched input (one target per direction) raises ``ConfigurationError``.
     """
-    dirs = as_finite_matrix(
-        np.atleast_2d(getattr(directions, "directions", directions)),
-        what="directions")
+    dirs = as_finite_matrix(np.atleast_2d(directions), what="directions")
     m = as_finite_matrix(np.ravel(targets), what="targets")[:, 0]
     if m.size != dirs.shape[0]:
         raise ConfigurationError("one target per direction required")
@@ -357,7 +354,8 @@ def net_estimate(samples, config: NetConfig, seed: int = 0):
             projections, math.ceil(2.0 * lid),
             [derived_seed(seed, 1 + j) for j in range(cover.size)])
 
-    theta, diag = minimax_center(cover, targets, constraint=config.sparsity)
+    theta, diag = minimax_center(cover.directions, targets,
+                                 constraint=config.sparsity)
     diag.update(
         cover_size=cover.size,
         inner=config.inner,

@@ -505,7 +505,7 @@ class TestSubsetSearch:
             "gaussian", p=1, covariance=np.eye(1), epsilon=0.2,
             q_spec=ContaminationSpec("point_mass", location=[5.0]))
         for seed in range(3):
-            assert_matches_loop(sample_dataset(spec, 25, seed).data, 0.2)
+            assert_matches_loop(sample_dataset(spec, 25, seed), 0.2)
 
     def test_matches_loop_when_squares_overflow(self):
         # Subsets with the far row have an infinite loss in the loop, and
@@ -639,7 +639,7 @@ class TestSubsetSearchWindows:
             "gaussian", p=1, covariance=np.eye(1), epsilon=0.2,
             q_spec=ContaminationSpec("point_mass", location=[5.0]))
         for seed in range(3, 8):
-            assert_matches_loop(sample_dataset(spec, 25, seed).data, 0.2)
+            assert_matches_loop(sample_dataset(spec, 25, seed), 0.2)
         assert len(calls) == 5
 
     def test_many_copies_of_both_window_end_values(self, monkeypatch):

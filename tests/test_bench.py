@@ -10,7 +10,6 @@ from robustmean import (
     DistributionSpec,
     MethodSpec,
     MomentProfile,
-    SampleSet,
     TrialConfig,
     TrialRecord,
     filtering,
@@ -133,13 +132,13 @@ class TestMethods:
 
     @pytest.mark.parametrize("stop_mode", ["threshold", "capped"])
     def test_threshold_stop_without_bound_or_spec_rejected(self, stop_mode):
-        samples = SampleSet(np.random.default_rng(0).standard_normal((50, 2)))
+        samples = np.random.default_rng(0).standard_normal((50, 2))
         settings = {"stop_mode": stop_mode, "steps": 5}
         with pytest.raises(ConfigurationError, match="cov_bound"):
             METHODS["filter"](samples, settings, RunContext(delta=0.1))
 
     def test_oracle_without_radius_or_spec_rejected(self):
-        samples = SampleSet(np.zeros((5, 2)))
+        samples = np.zeros((5, 2))
         with pytest.raises(ConfigurationError, match="radius"):
             METHODS["oracle"](samples, {}, RunContext(delta=0.1))
 
@@ -150,7 +149,7 @@ class TestMethods:
         q = ContaminationSpec("point_mass", location=[30.0, 0.0])
         spec = DistributionSpec("gaussian", p=2, covariance=np.eye(2),
                                 epsilon=epsilon, q_spec=q if epsilon else None)
-        samples = SampleSet(np.random.default_rng(1).standard_normal((80, 2)))
+        samples = np.random.default_rng(1).standard_normal((80, 2))
         ctx = RunContext(delta=0.1, epsilon=epsilon, seed=3, spec=spec)
         moments = MomentProfile(2, 2.0, 1.0)
         radius = oracle_radius(moments, n=80, delta=0.1, epsilon=epsilon)
@@ -165,7 +164,7 @@ class TestMethods:
             METHODS["filter"](samples, dict(settings, cov_bound=bound), ctx))
 
     def test_gmom_clamps_only_the_default_blocks(self):
-        samples = SampleSet(np.random.default_rng(2).standard_normal((3, 2)))
+        samples = np.random.default_rng(2).standard_normal((3, 2))
         ctx = RunContext(delta=0.01)  # default blocks ceil(2 ln 100) = 10
         np.testing.assert_array_equal(
             METHODS["gmom"](samples, {}, ctx),

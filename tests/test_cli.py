@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from robustmean import SampleSet, cli
+from robustmean import cli
 from robustmean.bench import METHOD_NAMES, METHODS, RunContext
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -272,7 +272,7 @@ class TestParity:
         code, out, _ = run(argv, capsys)
         assert code == 0
 
-        data = SampleSet(np.loadtxt(path, delimiter=",", ndmin=2))
+        data = np.loadtxt(path, delimiter=",", ndmin=2)
         expected = METHODS[name](data, settings, ctx)
         assert out.strip() == ",".join(f"{x:.17g}" for x in expected)
 

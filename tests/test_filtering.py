@@ -176,15 +176,19 @@ class TestWeightedPick:
             self.assert_picks_as_before(
                 np.array([[0.5, 0.5, 0.0, 0.0], nan_row, [0.0, 0.0, 0.0, 1.0]]),
                 [u, u, u])
+        # The filters refuse to pick from such scores, or to stop on the
+        # eigenvalue of a covariance that overflowed.
         cfg = FilterConfig(stop_mode=STOP_FIXED_STEPS, steps=1)
         with np.errstate(over="ignore", invalid="ignore"):
             for values in ([1e200, 0.0, 0.0, 0.0], [0.0, 0.0, 1e200, 0.0]):
-                report = filter_univariate(values, cfg)
-                assert report.removed_indices == (0,)
-                assert report.diagnostics["eigenvalues"][0] == math.inf
-            assert report.estimate.tolist() == [1e200 / 3]
+                with pytest.raises(DegenerateScoresError):
+                    filter_univariate(values, cfg)
             data = np.array([[1e200, 0.0, 0.0, 0.0], [1.0, 2.0, 3.0, 4.0]]).T
-            assert filtering.filter_columns(data, 1, [5, 6])[0] == 0.0
+            with pytest.raises(DegenerateScoresError):
+                filtering.filter_columns(data, 1, [5, 6])
+            with pytest.raises(DegenerateScoresError):
+                filter_multivariate([[1e200, 0.0], [0.0, 1.0], [1.0, 0.0],
+                                     [0.0, 0.0]], FilterConfig(cov_bound=1.0))
 
     def test_lanes_with_different_scores_in_one_call(self):
         rng = np.random.default_rng(46)

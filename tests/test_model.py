@@ -21,9 +21,9 @@ from robustmean.model import LOGNORMAL_SHIFT, LOGNORMAL_VAR, SPEC_KEYS
 
 def test_sampling_is_deterministic_given_seed():
     spec = DistributionSpec("lognormal", p=4)
-    a = sample_dataset(spec, 50, seed=42).data
-    b = sample_dataset(spec, 50, seed=42).data
-    c = sample_dataset(spec, 50, seed=43).data
+    a = sample_dataset(spec, 50, seed=42)
+    b = sample_dataset(spec, 50, seed=42)
+    c = sample_dataset(spec, 50, seed=43)
     np.testing.assert_array_equal(a, b)
     assert not np.array_equal(a, c)
 
@@ -31,7 +31,7 @@ def test_sampling_is_deterministic_given_seed():
 def test_gaussian_respects_covariance():
     cov = np.diag([4.0, 1.0])
     spec = DistributionSpec("gaussian", p=2, covariance=cov)
-    data = sample_dataset(spec, 200_000, seed=0).data
+    data = sample_dataset(spec, 200_000, seed=0)
     emp = data.T @ data / data.shape[0]
     np.testing.assert_allclose(emp, cov, atol=0.05)
 
@@ -112,13 +112,13 @@ def test_sampling_matches_the_full_factor_matmul(cov, diagonal, q_spec):
     assert (spec.factor.ndim == 1) == diagonal
     for seed in range(20):
         for n in (1, 9, 200):
-            assert (sample_dataset(spec, n, seed).data.tobytes()
+            assert (sample_dataset(spec, n, seed).tobytes()
                     == _reference_dataset(spec, n, seed).tobytes())
 
 
 def test_lognormal_is_centered():
     spec = DistributionSpec("lognormal", p=1)
-    data = sample_dataset(spec, 400_000, seed=7).data
+    data = sample_dataset(spec, 400_000, seed=7)
     # se of the mean is sqrt(var/n) ~ 0.0034; allow 4 sigma
     assert abs(data.mean()) < 4 * math.sqrt(LOGNORMAL_VAR / data.shape[0])
     assert abs(LOGNORMAL_SHIFT - math.exp(0.5)) < 1e-15
@@ -126,7 +126,7 @@ def test_lognormal_is_centered():
 
 def test_pareto_is_centered_and_positive_skewed():
     spec = DistributionSpec("pareto", p=1, tail_beta=5.0)
-    data = sample_dataset(spec, 400_000, seed=11).data
+    data = sample_dataset(spec, 400_000, seed=11)
     var = 5.0 / (16.0 * 3.0)
     assert abs(data.mean()) < 4 * math.sqrt(var / data.shape[0])
     assert data.min() >= 1.0 - 5.0 / 4.0 - 1e-12  # support is [1, inf) shifted
@@ -135,7 +135,7 @@ def test_pareto_is_centered_and_positive_skewed():
 def test_contamination_rate_matches_epsilon():
     q = ContaminationSpec("point_mass", location=[100.0])
     spec = DistributionSpec("lognormal", p=1, epsilon=0.2, q_spec=q)
-    data = sample_dataset(spec, 100_000, seed=3).data
+    data = sample_dataset(spec, 100_000, seed=3)
     frac = np.mean(data[:, 0] == 100.0)
     assert abs(frac - 0.2) < 0.006  # ~4.7 binomial sd
 
@@ -145,7 +145,7 @@ def test_shifted_gaussian_contamination_center():
     spec = DistributionSpec(
         "gaussian", p=2, covariance=np.eye(2), epsilon=0.3, q_spec=q
     )
-    data = sample_dataset(spec, 50_000, seed=9).data
+    data = sample_dataset(spec, 50_000, seed=9)
     outliers = data[data[:, 0] > 25.0]
     assert abs(outliers.shape[0] / data.shape[0] - 0.3) < 0.01
     np.testing.assert_allclose(outliers.mean(axis=0), [50.0, 0.0], atol=0.05)
@@ -377,11 +377,11 @@ GATE_CASES = {
     "n x p": (lambda: model.as_finite_matrix(np.ones((4, 3))).shape, (4, 3)),
     "n x 1, univariate": (lambda: model.as_finite_matrix(
         np.ones((4, 1)), univariate=True).shape, (4, 1)),
-    "SampleSet rows": (lambda: model.as_finite_matrix(
-        model.SampleSet(np.ones(5))).shape, (5, 1)),
+    "gated rows": (lambda: model.as_finite_matrix(
+        model.as_finite_matrix(np.ones(5))).shape, (5, 1)),
     "(0, p)": (lambda: model.as_finite_matrix(np.ones((0, 3))), ConfigurationError),
     "(n, 0)": (lambda: model.as_finite_matrix(np.ones((5, 0))), ConfigurationError),
-    "empty 1-D": (lambda: model.SampleSet(np.ones(0)), ConfigurationError),
+    "empty 1-D": (lambda: model.as_finite_matrix(np.ones(0)), ConfigurationError),
     "3-D": (lambda: model.as_finite_matrix(np.ones((4, 2, 2))), ConfigurationError),
     "scalar": (lambda: model.as_finite_matrix(3.0), ConfigurationError),
     "n x 2, univariate": (lambda: model.as_finite_matrix(
@@ -389,8 +389,23 @@ GATE_CASES = {
     "1 x n, univariate": (lambda: model.as_finite_matrix(
         np.ones((1, 4)), univariate=True), ConfigurationError),
     "NaN": (lambda: model.as_finite_matrix(_with(math.nan)), ConfigurationError),
-    "+inf": (lambda: model.SampleSet(_with(math.inf)), ConfigurationError),
+    "+inf": (lambda: model.as_finite_matrix(_with(math.inf)), ConfigurationError),
     "-inf": (lambda: model.as_finite_matrix(_with(-math.inf)), ConfigurationError),
+    "a string value": (lambda: model.as_finite_matrix(["x", 1.0]),
+                       ConfigurationError),
+    "ragged rows": (lambda: model.as_finite_matrix([[1.0], [2.0, 3.0]]),
+                    ConfigurationError),
+    "a dict": (lambda: model.as_finite_matrix({"a": 1}), ConfigurationError),
+    # The arrays of covers and specs go through the same gate.
+    "cover with a NaN row": (lambda: netmax.certify_cover(netmax.CoverSet(
+        [[1.0, 0.0], [math.nan, 0.0]])), ConfigurationError),
+    "covariance with inf": (lambda: DistributionSpec(
+        "gaussian", p=2, covariance=[[math.inf, 0.0], [0.0, 1.0]]),
+                            ConfigurationError),
+    "contamination location NaN": (lambda: ContaminationSpec(
+        "point_mass", location=[math.nan]), ConfigurationError),
+    "contamination shift inf": (lambda: ContaminationSpec(
+        "shifted_gaussian", shift=[math.inf]), ConfigurationError),
     # The range check: (0, 1) for delta, [0, 1/2) for epsilon, [0, inf) or
     # (0, inf) for a scale.
     "delta 0": (_in_range(0.0, 0.0, 1.0, closed=False), ConfigurationError),
