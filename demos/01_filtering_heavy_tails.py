@@ -33,7 +33,7 @@ for t in range(TRIALS):
     losses["mean"].append(l2_loss(sample_mean(samples), np.zeros(P)))
     losses["gmom"].append(
         l2_loss(geometric_median_of_means(samples, blocks=6), np.zeros(P)))
-    cfg = FilterConfig(stop_mode="fixed_steps", steps=steps, seed=t)
+    cfg = FilterConfig(steps=steps, seed=t)
     rep = filter_multivariate(samples, cfg)
     losses["filter"].append(l2_loss(rep.estimate, np.zeros(P)))
 

@@ -11,7 +11,8 @@ import numpy as np
 
 from .errors import ConfigurationError, ConvergenceError, EmptySelectionError
 from .filtering import default_steps, filter_columns
-from .model import MomentProfile, as_finite_matrix, check_range, derived_seed
+from .model import (
+    MomentProfile, as_finite_matrix, as_float_array, check_range, derived_seed)
 
 SRM_MAX_N = 25
 # Sets R (see srm_bruteforce) enumerated per vectorised step of its screen.
@@ -73,9 +74,8 @@ def geometric_median(points: np.ndarray) -> np.ndarray:
 def geometric_median_of_means(samples, blocks: int) -> np.ndarray:
     """Geometric median of the means of contiguous near-equal blocks."""
     data = as_finite_matrix(samples)
-    if not 1 <= blocks <= data.shape[0]:
-        raise ConfigurationError(
-            f"blocks must lie in [1, n], got {blocks} with n={data.shape[0]}")
+    check_range(f"blocks with n={data.shape[0]}", blocks, 1, data.shape[0] + 1,
+                kind=int)
     block_means = np.stack(
         [chunk.mean(axis=0) for chunk in np.array_split(data, blocks)]
     )
@@ -107,6 +107,7 @@ def oracle_radius(moments: MomentProfile, n: int, delta: float,
     where k, tr and r = tr / opnorm (the effective rank) come from
     ``moments``, the clean law's ``MomentProfile``.
     """
+    check_range("n", n, 1, kind=int)
     check_range("delta", delta, 0.0, 1.0, closed=False)
     check_range("epsilon", epsilon, 0.0, 0.5)
     if moments.opnorm_sigma <= 0:
@@ -127,7 +128,8 @@ def oracle_truncated_mean(samples, center, radius: float) -> np.ndarray:
     ``center``, the true mean given as side information."""
     data = as_finite_matrix(samples)
     p = data.shape[1]
-    center = as_finite_matrix(np.ravel(center), what="center")[:, 0]
+    center = as_finite_matrix(
+        as_float_array(center, "center").ravel(), what="center")[:, 0]
     if center.shape != (p,):
         raise ConfigurationError(
             f"center has length {center.size}; data has p={p}")

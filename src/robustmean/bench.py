@@ -205,28 +205,25 @@ def _coord(samples, s, ctx):
         samples, delta=ctx.delta, seed=ctx.seed)
 
 
-@_method("filter", stop_mode=filtering.STOP_MODES, cov_bound=float, steps=int,
-         threshold_factor=float)
+@_method("filter", stop_mode=("threshold", "fixed_steps", "capped"),
+         cov_bound=float, steps=int)
 def _filter(samples, s, ctx):
+    # stop_mode picks the limits passed on: the bound under threshold, the
+    # steps under fixed_steps, both under capped; each absent one is derived.
     n, p = samples.shape
-    cov_bound = s.get("cov_bound")
-    stop_mode = s.get("stop_mode", filtering.STOP_FIXED_STEPS
-                      if cov_bound is None else filtering.STOP_THRESHOLD)
-    if cov_bound is None and stop_mode != filtering.STOP_FIXED_STEPS:
+    cov_bound, steps = s.get("cov_bound"), s.get("steps")
+    stop_mode = s.get("stop_mode", "fixed_steps" if cov_bound is None else "threshold")
+    if stop_mode == "fixed_steps":
+        cov_bound = None
+    elif cov_bound is None:
         cov_bound = filtering.cov_bound_hint(
             ctx.moments("cov_bound"), n=n, p=p,
             delta=ctx.delta, epsilon=ctx.epsilon)
-    steps = s.get("steps")
-    if steps is None and stop_mode != filtering.STOP_THRESHOLD:
+    if stop_mode == "threshold":
+        steps = None
+    elif steps is None:
         steps = filtering.clamp_steps(filtering.default_steps(ctx.delta), n)
-    cfg = filtering.FilterConfig(
-        cov_bound=cov_bound or 0.0,
-        threshold_factor=s.get("threshold_factor",
-                               filtering.DEFAULT_THRESHOLD_FACTOR),
-        stop_mode=stop_mode,
-        steps=steps,
-        seed=ctx.seed,
-    )
+    cfg = filtering.FilterConfig(cov_bound=cov_bound, steps=steps, seed=ctx.seed)
     return filtering.filter_multivariate(samples, cfg).estimate
 
 

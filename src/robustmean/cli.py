@@ -16,8 +16,8 @@ the type or the choices that the table declares.  A setting flag or a
 context flag (``--epsilon``, ``--true-mean``) is passed on only when given,
 so the method's defaults apply, and giving one the method does not read
 (``--blocks`` or ``--epsilon`` with ``--method filter``) is a configuration
-error.  File data has no distribution spec, so a threshold or capped
-filter stop needs ``--cov-bound`` and the oracle needs ``--radius``.
+error.  File data has no distribution spec, so ``--stop-mode threshold``
+or ``capped`` needs ``--cov-bound`` and the oracle needs ``--radius``.
 
 Exit codes: 0 success, 2 configuration error, 3 estimator failure.
 """

@@ -25,39 +25,27 @@ from .errors import (
     DegenerateScoresError,
     FilterExhaustedError,
 )
-from .model import as_finite_matrix, check_range, check_type
+from .model import as_finite_matrix, check_range
 
-DEFAULT_THRESHOLD_FACTOR = 32.0
-
-STOP_THRESHOLD = "threshold"
-STOP_FIXED_STEPS = "fixed_steps"
-STOP_CAPPED = "capped"
-STOP_MODES = (STOP_THRESHOLD, STOP_FIXED_STEPS, STOP_CAPPED)
+THRESHOLD_FACTOR = 32.0
 
 
 @dataclass(frozen=True)
 class FilterConfig:
-    """Configuration of a filtering run.
+    """A filtering run's limits, each on when given: with ``cov_bound`` it
+    stops once the top eigenvalue drops below ``THRESHOLD_FACTOR *
+    cov_bound``, with ``steps`` after ``steps`` removals, with both at
+    whichever comes first, and always at zero scatter."""
 
-    ``stop_mode`` is one of:
-      - ``threshold``: stop once the top eigenvalue drops below
-        ``threshold_factor * cov_bound``;
-      - ``fixed_steps``: remove exactly ``steps`` points, then stop;
-      - ``capped``: threshold rule with a hard cap of ``steps`` removals.
-    """
-
-    cov_bound: float = 0.0
-    threshold_factor: float = DEFAULT_THRESHOLD_FACTOR
-    stop_mode: str = STOP_THRESHOLD
+    cov_bound: Optional[float] = None
     steps: Optional[int] = None
     seed: int = 0
 
     def __post_init__(self):
-        check_range("cov_bound", self.cov_bound, 0.0)
-        check_range("threshold_factor", self.threshold_factor, 0.0, closed=False)
-        check_type("stop_mode", self.stop_mode, STOP_MODES)
-        if self.stop_mode in (STOP_FIXED_STEPS, STOP_CAPPED):
-            check_range(f"{self.stop_mode} steps", self.steps, 0, kind=int)
+        if self.cov_bound is not None:
+            check_range("cov_bound", self.cov_bound, 0.0)
+        if self.steps is not None:
+            check_range("steps", self.steps, 0, kind=int)
         check_range("seed", self.seed, 0, kind=int)
 
 
@@ -193,10 +181,9 @@ def _filter(lane_stats, data: np.ndarray, config: FilterConfig,
     alive = np.arange(len(lanes) * n).reshape(len(lanes), n)
     rngs = [None] * len(lanes)
     reports: List[EstimateReport] = [None] * len(lanes)
-    # The threshold rule is off under fixed_steps, the budget under threshold.
-    threshold = -math.inf if config.stop_mode == STOP_FIXED_STEPS \
-        else config.threshold_factor * config.cov_bound
-    budget = math.inf if config.stop_mode == STOP_THRESHOLD else config.steps
+    threshold = -math.inf if config.cov_bound is None \
+        else THRESHOLD_FACTOR * config.cov_bound
+    budget = math.inf if config.steps is None else config.steps
     rounds = min(n - 1, budget + 1)  # the last spends the budget or leaves 1 row
     for r in range(rounds):  # round r starts with n - r survivors
         lams, scores, totals = stats.round(alive)
@@ -259,13 +246,14 @@ def filter_multivariate(samples, config: FilterConfig) -> EstimateReport:
     squared deviations of the survivors: no matrix and no eigensolve.  The
     estimate is the survivors' mean, computed from the data.
 
-    ``diagnostics`` holds ``stop_reason`` (``threshold``, ``budget`` or
-    ``zero_scatter``) and ``eigenvalues``, the top eigenvalue of every round,
-    the last being the one the filter stopped on (clipped to 0.0 on a
-    ``zero_scatter`` stop).  Statistics that overflow, as squares of values
-    near 1e200 do, raise ``DegenerateScoresError``: a score total that is not
-    finite where a round would pick, and for p > 1 a covariance trace that is
-    not finite in any round.
+    ``diagnostics`` holds ``stop_reason`` (the limit of ``config`` that
+    ended the run, ``threshold`` or ``budget``, or ``zero_scatter``) and
+    ``eigenvalues``, the top eigenvalue of every round, the last being the
+    one the filter stopped on (clipped to 0.0 on a ``zero_scatter`` stop).
+    Statistics that overflow, as squares of values near 1e200 do, raise
+    ``DegenerateScoresError``: a score total that is not finite where a round
+    would pick, and for p > 1 a covariance trace that is not finite in any
+    round.
     """
     data = as_finite_matrix(samples)
     lane_stats = _Univariate if data.shape[1] == 1 else _Multivariate
@@ -285,8 +273,7 @@ def filter_columns(samples, steps: int, seeds: Sequence[int]) -> np.ndarray:
     fixed steps and seed ``seeds[j]`` on each column j of an n x k dataset,
     the k filters run in lockstep: the same removals as k separate calls."""
     data = as_finite_matrix(samples)
-    cfg = FilterConfig(stop_mode=STOP_FIXED_STEPS,
-                       steps=clamp_steps(steps, data.shape[0]))
+    cfg = FilterConfig(steps=clamp_steps(steps, data.shape[0]))
     return np.array([r.estimate[0] for r in _filter(_Univariate, data, cfg, seeds)])
 
 
@@ -327,6 +314,8 @@ def cov_bound_hint(
       - epsilon > 0, k=1:  opnorm + trace * ln(p/delta) / (n*eps + ln(1/delta))
       - epsilon > 0, k=2:  opnorm + trace * ln(p/delta) / sqrt(n^2*eps + n*ln(1/delta))
     """
+    check_range("n", n, 1, kind=int)
+    check_range("p", p, 1, kind=int)
     check_range("delta", delta, 0.0, 1.0, closed=False)
     check_range("epsilon", epsilon, 0.0, 0.5)
     log_pd = math.log(p / delta)

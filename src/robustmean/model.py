@@ -27,16 +27,26 @@ LOGNORMAL_VAR = (math.e - 1.0) * math.e
 LOGNORMAL_SHIFT = math.exp(0.5)
 
 
-def as_finite_matrix(samples, univariate: bool = False,
-                     what: str = "samples") -> np.ndarray:
-    """An array as an n x p float matrix, the one gate of every estimator's
-    data and of the arrays in covers and specs: 1D input becomes one column,
-    and anything but n >= 1 rows of p >= 1 finite numbers (p = 1 if
-    ``univariate``) raises ``ConfigurationError`` naming ``what``."""
+def as_float_array(values, what: str) -> np.ndarray:
+    """An array of numbers as a float array of its own shape, converted once;
+    a ragged array, or one whose own dtype is not of an integer or float kind
+    (bool, string, complex, object), raises ``ConfigurationError``."""
     try:
-        data = np.asarray(samples, dtype=float)
+        data = np.asarray(values)
     except (TypeError, ValueError) as exc:
         raise ConfigurationError(f"{what} must be an array of numbers: {exc}") from None
+    if data.dtype.kind not in "iuf":
+        raise ConfigurationError(f"{what} must be an array of numbers, not {data.dtype}")
+    return data.astype(float, copy=False)
+
+
+def as_finite_matrix(samples, univariate: bool = False,
+                     what: str = "samples") -> np.ndarray:
+    """``as_float_array(samples)`` as an n x p matrix, the one gate of every
+    estimator's data and of the arrays in covers and specs: 1D input becomes
+    one column, and anything but n >= 1 rows of p >= 1 finite numbers (p = 1
+    if ``univariate``) raises ``ConfigurationError`` naming ``what``."""
+    data = as_float_array(samples, what)
     if data.ndim == 1:
         data = data[:, None]
     if data.ndim != 2 or 0 in data.shape or univariate and data.shape[1] != 1:
@@ -79,17 +89,14 @@ class ContaminationSpec:
     def __post_init__(self):
         if self.kind not in ("point_mass", "shifted_gaussian"):
             raise ConfigurationError(f"unknown contamination kind {self.kind!r}")
-        if self.kind == "point_mass":
-            if self.location is None:
-                raise ConfigurationError("point_mass contamination needs a location")
-            object.__setattr__(self, "location", as_finite_matrix(
-                np.ravel(self.location), what="contamination location")[:, 0])
-        else:
-            if self.shift is None:
-                raise ConfigurationError("shifted_gaussian contamination needs a shift")
+        name = "location" if self.kind == "point_mass" else "shift"
+        if getattr(self, name) is None:
+            raise ConfigurationError(f"{self.kind} contamination needs a {name}")
+        if name == "shift":
             check_range("contamination scale", self.scale, 0.0)
-            object.__setattr__(self, "shift", as_finite_matrix(
-                np.ravel(self.shift), what="contamination shift")[:, 0])
+        what = f"contamination {name}"  # any shape, flattened to a vector
+        object.__setattr__(self, name, as_finite_matrix(
+            as_float_array(getattr(self, name), what).ravel(), what=what)[:, 0])
 
     __eq__ = _same_fields
 

@@ -20,7 +20,8 @@ from scipy.optimize import linprog
 from .errors import ConfigurationError, EstimatorError
 from .filtering import EstimateReport, filter_columns
 from .interval import IntervalConfig, interval_columns
-from .model import as_finite_matrix, check_range, check_type, derived_seed
+from .model import (
+    as_finite_matrix, as_float_array, check_range, check_type, derived_seed)
 
 COVER_RADIUS = 0.5
 DENSE_P_CAP = 12
@@ -38,8 +39,9 @@ class CoverSet:
     sparsity: Optional[int] = None  # max nonzeros per direction (2s)
 
     def __post_init__(self):
-        arr = as_finite_matrix(np.atleast_2d(self.directions),
-                               what="cover directions")
+        what = "cover directions"
+        arr = as_finite_matrix(
+            np.atleast_2d(as_float_array(self.directions, what)), what=what)
         norms = np.linalg.norm(arr, axis=1)
         if np.any(np.abs(norms - 1.0) > 1e-12):
             raise ConfigurationError("cover directions must be unit vectors")
@@ -291,8 +293,10 @@ def minimax_center(
     re-solves on that support (flagged ``heuristic``).  Empty, non-finite or
     mismatched input (one target per direction) raises ``ConfigurationError``.
     """
-    dirs = as_finite_matrix(np.atleast_2d(directions), what="directions")
-    m = as_finite_matrix(np.ravel(targets), what="targets")[:, 0]
+    dirs = as_finite_matrix(
+        np.atleast_2d(as_float_array(directions, "directions")), what="directions")
+    m = as_finite_matrix(
+        as_float_array(targets, "targets").ravel(), what="targets")[:, 0]
     if m.size != dirs.shape[0]:
         raise ConfigurationError("one target per direction required")
     p = dirs.shape[1]

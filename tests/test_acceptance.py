@@ -61,7 +61,7 @@ def _loss_sweep(spec, n, estimators, trials, master_seed=0):
 
 def _fixed_steps_filter(steps):
     def fn(samples, seed):
-        cfg = FilterConfig(stop_mode="fixed_steps", steps=steps, seed=seed)
+        cfg = FilterConfig(steps=steps, seed=seed)
         return filter_multivariate(samples, cfg).estimate
     return fn
 
@@ -108,8 +108,7 @@ def test_03_contamination_bias_filter_vs_mean():
     cap = stopping_cap(n, round((1 - eps) * n), DELTA)
 
     def filt(samples, seed):
-        cfg = FilterConfig(cov_bound=cb, stop_mode="capped", steps=cap,
-                           seed=seed)
+        cfg = FilterConfig(cov_bound=cb, steps=cap, seed=seed)
         return filter_multivariate(samples, cfg).estimate
 
     losses = _loss_sweep(spec, n, {
@@ -277,8 +276,7 @@ def test_08_filter_removal_distribution_and_invariants():
 
     hits = 0
     for s in range(100_000):
-        rep = filter_multivariate(data, FilterConfig(
-            cov_bound=1.0, stop_mode="threshold", seed=s))
+        rep = filter_multivariate(data, FilterConfig(cov_bound=1.0, seed=s))
         hits += rep.removed_indices[0] == 99
     assert abs(hits / 100_000 - 9801 / 9900) <= 0.005, hits
 
@@ -288,8 +286,7 @@ def test_08_filter_removal_distribution_and_invariants():
         n = int(rng.integers(10, 40))
         p = int(rng.integers(1, 5))
         pts = rng.standard_normal((n, p)) * rng.uniform(0.5, 2.0)
-        cfg = FilterConfig(cov_bound=float(rng.uniform(0.01, 0.2)),
-                           stop_mode="capped", steps=n - 2,
+        cfg = FilterConfig(cov_bound=float(rng.uniform(0.01, 0.2)), steps=n - 2,
                            seed=int(rng.integers(2**32)))
         rep = filter_multivariate(pts, cfg)
         survivors = np.delete(pts, list(rep.removed_indices), axis=0)

@@ -24,7 +24,6 @@ from robustmean import (
 from robustmean import baselines
 from robustmean.filtering import (
     FilterConfig,
-    STOP_FIXED_STEPS,
     default_steps,
     filter_univariate,
 )
@@ -233,7 +232,6 @@ def reference_coordinatewise_filter(samples, delta, seed=0):
     out = np.empty(data.shape[1])
     for j in range(data.shape[1]):
         cfg = FilterConfig(
-            stop_mode=STOP_FIXED_STEPS,
             steps=steps,
             seed=int(np.random.SeedSequence([seed, j]).generate_state(1)[0]),
         )
@@ -282,8 +280,7 @@ class TestCoordinatewiseLockstep:
         data[:, 0] = 0.0
         data[8:, 0] = [1e3, -1e3]
         seed0 = int(np.random.SeedSequence([0, 0]).generate_state(1)[0])
-        rep = filter_univariate(data[:, 0], FilterConfig(
-            stop_mode=STOP_FIXED_STEPS, steps=6, seed=seed0))
+        rep = filter_univariate(data[:, 0], FilterConfig(steps=6, seed=seed0))
         assert rep.diagnostics["stop_reason"] == "zero_scatter"
         assert sorted(rep.removed_indices) == [8, 9]
         self.assert_identical(data, 0)

@@ -1,5 +1,6 @@
 import io
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -130,6 +131,44 @@ class TestMethods:
         assert lone == loss({"cov_bound": 0.5, "stop_mode": "threshold"})
         assert lone != loss({"cov_bound": 0.5, "stop_mode": "fixed_steps"})
 
+    # (stop_mode, cov_bound, steps) -> the (cov_bound, steps) of the runner's
+    # FilterConfig: "hint" is cov_bound_hint's, "default" the clamped
+    # default_steps.  A mode passes on only its own limits.
+    @pytest.mark.parametrize("stop_mode, cov_bound, steps, expected", [
+        (None, None, None, (None, "default")),
+        (None, None, 3, (None, 3)),
+        (None, 0.5, None, (0.5, None)),
+        (None, 0.5, 3, (0.5, None)),
+        ("threshold", None, None, ("hint", None)),
+        ("threshold", None, 3, ("hint", None)),  # steps ignored
+        ("threshold", 0.5, None, (0.5, None)),
+        ("threshold", 0.5, 3, (0.5, None)),
+        ("fixed_steps", None, None, (None, "default")),
+        ("fixed_steps", None, 3, (None, 3)),
+        ("fixed_steps", 0.5, None, (None, "default")),  # cov_bound ignored
+        ("fixed_steps", 0.5, 3, (None, 3)),
+        ("capped", None, None, ("hint", "default")),
+        ("capped", None, 3, ("hint", 3)),
+        ("capped", 0.5, None, (0.5, "default")),
+        ("capped", 0.5, 3, (0.5, 3)),
+    ])
+    def test_stop_mode_picks_the_limits_passed_on(self, monkeypatch, stop_mode,
+                                                  cov_bound, steps, expected):
+        spec = DistributionSpec("lognormal", p=2)
+        ctx = RunContext(delta=0.01, seed=9, spec=spec)
+        settings = {key: value for key, value in [
+            ("stop_mode", stop_mode), ("cov_bound", cov_bound), ("steps", steps)]
+            if value is not None}
+        derived = {"hint": filtering.cov_bound_hint(spec.moments, n=8, p=2,
+                                                    delta=0.01),
+                   "default": 6}  # ceil(2 ln 100) = 10, clamped to n - 2
+        configs = []
+        monkeypatch.setattr(filtering, "filter_multivariate", lambda samples, cfg:
+                            configs.append(cfg) or SimpleNamespace(estimate=None))
+        METHODS["filter"](np.zeros((8, 2)), settings, ctx)
+        assert configs == [filtering.FilterConfig(
+            *[derived.get(limit, limit) for limit in expected], seed=9)]
+
     @pytest.mark.parametrize("stop_mode", ["threshold", "capped"])
     def test_threshold_stop_without_bound_or_spec_rejected(self, stop_mode):
         samples = np.random.default_rng(0).standard_normal((50, 2))
@@ -194,9 +233,8 @@ class TestMethods:
             "mean": (),
             "gmom": (("blocks", int),),
             "coord": (),
-            "filter": (("stop_mode", filtering.STOP_MODES),
-                       ("cov_bound", float), ("steps", int),
-                       ("threshold_factor", float)),
+            "filter": (("stop_mode", ("threshold", "fixed_steps", "capped")),
+                       ("cov_bound", float), ("steps", int)),
             "oracle": (("radius", float),),
             "interval": (),
             "net": (("inner", netmax.INNER_ESTIMATORS), ("sparsity", int)),
@@ -205,11 +243,11 @@ class TestMethods:
 
     @pytest.mark.parametrize("name, key, value, expected", [
         ("filter", "cov_bound", "0.5", "float"),
-        ("filter", "threshold_factor", "2", "float"),
         ("filter", "steps", 3.0, "int"),
         ("filter", "steps", True, "int"),
         ("filter", "cov_bound", False, "float"),
         ("filter", "stop_mode", "thresh", "one of ['threshold'"),
+        ("oracle", "radius", "2", "float"),
         ("net", "inner", 1, "one of ['interval1d'"),
         ("net", "sparsity", None, "int"),
         ("gmom", "blocks", "5", "int"),
@@ -226,8 +264,7 @@ class TestMethods:
         def loss(settings):
             return run_trial(cfg, MethodSpec("filter", settings), 60, 2, 0).loss
 
-        assert loss({"cov_bound": 1, "threshold_factor": 2}) == \
-            loss({"cov_bound": 1.0, "threshold_factor": 2.0})
+        assert loss({"cov_bound": 1}) == loss({"cov_bound": 1.0})
 
 
 class TestRespec:

@@ -104,11 +104,9 @@ class TestEstimate:
          "center"),
         (["--method", "filter", "--cov-bound", "nan"], "cov_bound"),
         (["--method", "filter", "--cov-bound", "inf"], "cov_bound"),
-        (["--method", "filter", "--cov-bound", "1", "--threshold-factor",
-          "nan"], "threshold_factor"),
         (["--method", "oracle", "--radius", "inf"], "radius"),
     ], ids=["mean-delta", "srm-delta", "nan-center", "nan-cov-bound",
-            "inf-cov-bound", "nan-threshold-factor", "inf-radius"])
+            "inf-cov-bound", "inf-radius"])
     def test_value_out_of_range_exits_2(self, tmp_path, capsys, argv, named):
         # Before, these exited 0 (the value unread or harmless) or 3 (an
         # estimator failure); srm's data has n <= 25 so only delta is wrong.
@@ -133,7 +131,7 @@ class TestEstimate:
             ["estimate", "--method", "gmom", "--in", str(data_csv),
              "--blocks", "0"], capsys)
         assert code == 2
-        assert "blocks must lie in [1, n]" in err
+        assert "blocks with n=100 must lie in [1, 101)" in err
 
     def test_flag_the_method_does_not_read_exits_2(self, data_csv, capsys):
         code, _, err = run(
@@ -174,7 +172,7 @@ class TestEstimate:
             ["estimate", "--method", "gmom", "--in", str(data_csv),
              "--blocks", "1000"], capsys)
         assert code == 2
-        assert "blocks must lie in [1, n]" in err
+        assert "blocks with n=100 must lie in [1, 101)" in err
 
     def test_net(self, data_csv, capsys):
         code, out, _ = run(
@@ -216,8 +214,8 @@ PARITY_CASES = [
     ("mean", 100, 2, {}, {}),
     ("gmom", 100, 2, {"blocks": 7}, {}),
     ("coord", 100, 2, {}, {"seed": 4}),
-    ("filter", 100, 2, {"stop_mode": "capped", "cov_bound": 0.5,
-                        "steps": 10, "threshold_factor": 2.0}, {"seed": 4}),
+    ("filter", 100, 2, {"stop_mode": "capped", "cov_bound": 0.5 * 2.0 / 32,
+                        "steps": 10}, {"seed": 4}),
     ("oracle", 100, 2, {"radius": 2.5}, {"center": [1.0, -1.0]}),
     ("interval", 400, 1, {}, {"epsilon": 0.02}),
     ("net", 100, 2, {"inner": "filter1d"}, {"epsilon": 0.05, "seed": 4}),
@@ -247,7 +245,7 @@ class TestParity:
         assert sorted(flags) == sorted(
             ["-h", "--method", "--in", "--epsilon", "--delta", "--seed",
              "--true-mean", "--blocks", "--stop-mode", "--cov-bound",
-             "--steps", "--threshold-factor", "--radius", "--inner",
+             "--steps", "--radius", "--inner",
              "--sparsity"])
 
     def test_cases_cover_every_method(self):

@@ -20,7 +20,6 @@ from robustmean import (
     top_eigenpair,
 )
 from robustmean import filtering
-from robustmean.filtering import STOP_CAPPED, STOP_FIXED_STEPS, STOP_THRESHOLD
 
 
 class TestTopEigenpair:
@@ -178,7 +177,7 @@ class TestWeightedPick:
                 [u, u, u])
         # The filters refuse to pick from such scores, or to stop on the
         # eigenvalue of a covariance that overflowed.
-        cfg = FilterConfig(stop_mode=STOP_FIXED_STEPS, steps=1)
+        cfg = FilterConfig(steps=1)
         with np.errstate(over="ignore", invalid="ignore"):
             for values in ([1e200, 0.0, 0.0, 0.0], [0.0, 0.0, 1e200, 0.0]):
                 with pytest.raises(DegenerateScoresError):
@@ -206,8 +205,7 @@ class TestFilterMechanics:
     def test_fixed_steps_removes_exactly_that_many(self):
         rng = np.random.default_rng(1)
         data = rng.standard_normal((60, 3))
-        rep = filter_multivariate(data, FilterConfig(
-            stop_mode=STOP_FIXED_STEPS, steps=7, seed=5))
+        rep = filter_multivariate(data, FilterConfig(steps=7, seed=5))
         assert len(rep.removed_indices) == 7
         assert len(set(rep.removed_indices)) == 7
         survivors = np.delete(data, list(rep.removed_indices), axis=0)
@@ -215,8 +213,7 @@ class TestFilterMechanics:
 
     def test_zero_steps_returns_sample_mean(self):
         data = np.arange(12.0).reshape(6, 2)
-        rep = filter_multivariate(data, FilterConfig(
-            stop_mode=STOP_FIXED_STEPS, steps=0))
+        rep = filter_multivariate(data, FilterConfig(steps=0))
         np.testing.assert_allclose(rep.estimate, data.mean(axis=0))
         assert len(rep.removed_indices) == 0
 
@@ -224,8 +221,7 @@ class TestFilterMechanics:
         rng = np.random.default_rng(2)
         data = rng.standard_normal((500, 4))
         data[:10] += 40.0
-        cfg = FilterConfig(cov_bound=1.0, threshold_factor=32.0,
-                           stop_mode=STOP_THRESHOLD, seed=3)
+        cfg = FilterConfig(cov_bound=1.0, seed=3)
         rep = filter_multivariate(data, cfg)
         assert rep.diagnostics["eigenvalues"][-1] < 32.0
         # most gross outliers gone, and the estimate is near the inlier mean
@@ -235,7 +231,7 @@ class TestFilterMechanics:
     def test_capped_mode_stops_at_cap(self):
         rng = np.random.default_rng(3)
         data = rng.standard_normal((100, 3))
-        cfg = FilterConfig(cov_bound=1e-9, stop_mode=STOP_CAPPED, steps=4)
+        cfg = FilterConfig(cov_bound=1e-9, steps=4)
         rep = filter_multivariate(data, cfg)
         assert len(rep.removed_indices) == 4  # threshold unreachable, cap binds
 
@@ -256,8 +252,7 @@ class TestFilterMechanics:
         hits = 0
         trials = 400
         for s in range(trials):
-            rep = filter_multivariate(data, FilterConfig(
-                stop_mode=STOP_FIXED_STEPS, steps=1, seed=s))
+            rep = filter_multivariate(data, FilterConfig(steps=1, seed=s))
             hits += rep.removed_indices[0] == 99
         # binomial(400, p_outlier): allow 4 standard deviations of slack
         sd = math.sqrt(trials * p_outlier * (1 - p_outlier))
@@ -266,7 +261,7 @@ class TestFilterMechanics:
     def test_deterministic_given_seed(self):
         rng = np.random.default_rng(4)
         data = rng.standard_normal((40, 2))
-        cfg = FilterConfig(stop_mode=STOP_FIXED_STEPS, steps=5, seed=11)
+        cfg = FilterConfig(steps=5, seed=11)
         r1 = filter_multivariate(data, cfg)
         r2 = filter_multivariate(data, cfg)
         assert r1.removed_indices == r2.removed_indices
@@ -274,15 +269,14 @@ class TestFilterMechanics:
 
     def test_identical_points_stop_without_scores(self):
         data = np.ones((10, 3))
-        rep = filter_multivariate(data, FilterConfig(
-            cov_bound=0.0, stop_mode=STOP_THRESHOLD))
+        rep = filter_multivariate(data, FilterConfig(cov_bound=0.0))
         np.testing.assert_allclose(rep.estimate, np.ones(3))
         assert rep.diagnostics["eigenvalues"][-1] == 0.0
 
     @pytest.mark.parametrize("config", [
-        FilterConfig(stop_mode=STOP_FIXED_STEPS, steps=0),
+        FilterConfig(steps=0),
         FilterConfig(cov_bound=1.0),
-        FilterConfig(cov_bound=1.0, stop_mode=STOP_CAPPED, steps=3)])
+        FilterConfig(cov_bound=1.0, steps=3)])
     @pytest.mark.parametrize("p", [1, 3])
     def test_one_row_is_a_configuration_error(self, config, p):
         with pytest.raises(ConfigurationError, match="n=1"):
@@ -291,8 +285,7 @@ class TestFilterMechanics:
     def test_exhaustion_raises(self):
         data = np.array([[0.0], [1.0], [2.0]])
         with pytest.raises(FilterExhaustedError):
-            filter_multivariate(data, FilterConfig(
-                stop_mode=STOP_FIXED_STEPS, steps=3))
+            filter_multivariate(data, FilterConfig(steps=3))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     @pytest.mark.parametrize("p", [1, 4])
@@ -300,13 +293,11 @@ class TestFilterMechanics:
         data = np.random.default_rng(8).standard_normal((50, p))
         data[17, p - 1] = bad
         with pytest.raises(ConfigurationError):
-            filter_multivariate(data, FilterConfig(
-                stop_mode=STOP_FIXED_STEPS, steps=3, seed=0))
+            filter_multivariate(data, FilterConfig(steps=3, seed=0))
 
     def test_univariate_wraps_column(self):
         vals = [0.0, 0.1, -0.1, 0.05, 30.0]
-        rep = filter_univariate(vals, FilterConfig(
-            stop_mode=STOP_FIXED_STEPS, steps=1, seed=0))
+        rep = filter_univariate(vals, FilterConfig(steps=1, seed=0))
         assert rep.estimate.shape == (1,)
         assert rep.removed_indices == (4,)
 
@@ -326,10 +317,9 @@ def _reference_filter(data, config):
         centered = survivors - mean
         values, vectors = np.linalg.eigh(centered.T @ centered / alive.size)
         eigenvalues.append(values[-1])
-        if config.stop_mode == STOP_FIXED_STEPS:
-            done = len(removed) >= config.steps
-        else:
-            done = values[-1] < config.threshold_factor * config.cov_bound
+        done = (config.steps is not None and len(removed) >= config.steps
+                or config.cov_bound is not None
+                and values[-1] < filtering.THRESHOLD_FACTOR * config.cov_bound)
         if done:
             return tuple(removed), mean, eigenvalues
         scores = (centered @ vectors[:, -1]) ** 2
@@ -354,15 +344,13 @@ class TestAgainstExactReference:
     def test_lognormal_fixed_steps(self):
         for seed in range(5):
             data = np.random.default_rng([30, seed]).lognormal(size=(500, 20))
-            self.assert_matches(data, FilterConfig(
-                stop_mode=STOP_FIXED_STEPS, steps=6, seed=seed))
+            self.assert_matches(data, FilterConfig(steps=6, seed=seed))
 
     def test_contaminated_threshold(self):
         data = np.random.default_rng(31).standard_normal((1000, 20))
         data[:100] = 0.0
         data[:100, 0] = 50.0
-        rep = self.assert_matches(data, FilterConfig(
-            cov_bound=1.0, stop_mode=STOP_THRESHOLD, seed=2))
+        rep = self.assert_matches(data, FilterConfig(cov_bound=1.0, seed=2))
         assert len(rep.removed_indices) >= 90
 
     @pytest.mark.parametrize("scale", [1e2, 1e6, 1e8, 1e12])
@@ -373,19 +361,17 @@ class TestAgainstExactReference:
             data = np.random.default_rng([32, seed]).standard_normal((303, 5))
             data[:3] = 0.0
             data[:3, 0] = scale
-            self.assert_matches(data, FilterConfig(
-                stop_mode=STOP_FIXED_STEPS, steps=8, seed=seed))
+            self.assert_matches(data, FilterConfig(steps=8, seed=seed))
 
     def test_univariate(self):
         for seed in range(5):
             rng = np.random.default_rng([33, seed])
             self.assert_matches(rng.lognormal(size=500), FilterConfig(
-                stop_mode=STOP_FIXED_STEPS, steps=6, seed=seed),
+                steps=6, seed=seed),
                 filt=filter_univariate)
             values = rng.standard_normal(400)
             values[:40] = 20.0
-            self.assert_matches(values, FilterConfig(
-                cov_bound=1.0, threshold_factor=2.0, seed=seed),
+            self.assert_matches(values, FilterConfig(cov_bound=2.0 / 32, seed=seed),
                 filt=filter_univariate)
 
 
@@ -406,8 +392,7 @@ def test_a_call_that_stops_in_round_zero_makes_no_generator(monkeypatch, p):
     assert report.diagnostics["stop_reason"] == "threshold"
     assert made == []
     # A call that removes a row makes its generator at the first pick.
-    report = filter_multivariate(data, FilterConfig(
-        stop_mode=STOP_FIXED_STEPS, steps=2, seed=5))
+    report = filter_multivariate(data, FilterConfig(steps=2, seed=5))
     assert len(report.removed_indices) == 2
     assert made == [5]
 
@@ -448,9 +433,8 @@ class TestLanes:
             for j in range(6):
                 data[:3 * j, j] += 30.0  # column j has 3j outliers
             for config in (
-                    FilterConfig(cov_bound=1.0, threshold_factor=1.5),
-                    FilterConfig(cov_bound=1.0, threshold_factor=1.5,
-                                 stop_mode=STOP_CAPPED, steps=9)):
+                    FilterConfig(cov_bound=1.5 / 32),
+                    FilterConfig(cov_bound=1.5 / 32, steps=9)):
                 reports = self.assert_matches_separate_calls(
                     data, config, lane_seeds(case, 6))
                 assert len({len(r.removed_indices) for r in reports}) > 1
@@ -459,13 +443,13 @@ class TestLanes:
         data = np.random.default_rng(71).standard_normal((30, 3))
         data[:, 1] = 4.0
         reports = self.assert_matches_separate_calls(
-            data, FilterConfig(stop_mode=STOP_FIXED_STEPS, steps=5), [0, 1, 2])
+            data, FilterConfig(steps=5), [0, 1, 2])
         assert reports[1].diagnostics["stop_reason"] == "zero_scatter"
         assert reports[0].diagnostics["stop_reason"] == "budget"
 
     def test_twenty_lognormal_lanes(self):
         # coord's shape on heavy-tailed data: 20 lanes of 500 values, 6 steps.
-        config = FilterConfig(stop_mode=STOP_FIXED_STEPS, steps=6)
+        config = FilterConfig(steps=6)
         for seed in range(50):
             data = np.random.default_rng([73, seed]).lognormal(size=(500, 20))
             reports = self.assert_matches_separate_calls(
@@ -478,7 +462,7 @@ class TestLanes:
         data = np.random.default_rng(74).standard_normal((60, 7))
         data[:, [0, 3, 4]] = [2.0, -1.0, 0.0]
         reports = self.assert_matches_separate_calls(
-            data, FilterConfig(stop_mode=STOP_FIXED_STEPS, steps=9),
+            data, FilterConfig(steps=9),
             lane_seeds(75, 7))
         for j, rep in enumerate(reports):
             if j in (0, 3, 4):
@@ -495,7 +479,7 @@ class TestLanes:
         seeds = lane_seeds(77, 7)
         made = count_generators(monkeypatch)
         reports = filtering._filter(filtering._Univariate, data, FilterConfig(
-            stop_mode=STOP_FIXED_STEPS, steps=4), seeds)
+            steps=4), seeds)
         assert made == [seeds[j] for j in (1, 2, 5, 6)]
         assert [len(r.removed_indices) for r in reports] == [0, 4, 4, 0, 0, 4, 4]
 
@@ -511,21 +495,19 @@ class TestLanes:
                 return np.ones(k), np.zeros(alive.shape), np.zeros(k)
 
         with pytest.raises(DegenerateScoresError):
-            filtering._filter(Flat, np.zeros((6, 2)), FilterConfig(
-                stop_mode=STOP_FIXED_STEPS, steps=3), [0, 1])
+            filtering._filter(Flat, np.zeros((6, 2)), FilterConfig(steps=3), [0, 1])
 
     def test_exhaustion_raises(self):
         with pytest.raises(FilterExhaustedError):
             filtering._filter(filtering._Univariate, np.arange(6.0).reshape(3, 2),
-                              FilterConfig(stop_mode=STOP_FIXED_STEPS, steps=3),
+                              FilterConfig(steps=3),
                               [0, 1])
 
     def test_filter_columns_clamps_the_budget(self):
         data = np.random.default_rng(72).standard_normal((5, 3))
         np.testing.assert_array_equal(
             filtering.filter_columns(data, 100, [7, 8, 9]),
-            [filter_univariate(data[:, j], FilterConfig(
-                stop_mode=STOP_FIXED_STEPS, steps=3, seed=seed)).estimate[0]
+            [filter_univariate(data[:, j], FilterConfig(steps=3, seed=seed)).estimate[0]
              for j, seed in enumerate([7, 8, 9])])
         with pytest.raises(ConfigurationError, match="n=1"):
             filtering.filter_columns(np.ones((1, 3)), 6, [0, 1, 2])
@@ -537,10 +519,10 @@ class TestDiagnostics:
         data = rng.standard_normal((300, 4))
         data[:20] += 40.0
         cases = [
-            (FilterConfig(stop_mode=STOP_FIXED_STEPS, steps=3), "budget"),
-            (FilterConfig(cov_bound=1e-9, stop_mode=STOP_CAPPED, steps=2),
+            (FilterConfig(steps=3), "budget"),
+            (FilterConfig(cov_bound=1e-9, steps=2),
              "budget"),
-            (FilterConfig(cov_bound=1.0, stop_mode=STOP_THRESHOLD), "threshold"),
+            (FilterConfig(cov_bound=1.0), "threshold"),
         ]
         for samples in (data, data[:, 0]):
             for cfg, reason in cases:
@@ -557,12 +539,10 @@ class TestDiagnostics:
         assert lams[0] == pytest.approx(np.var(data[:, 0]), rel=1e-12)
 
     def test_zero_scatter(self):
-        rep = filter_multivariate(np.ones((10, 3)), FilterConfig(
-            cov_bound=0.0, stop_mode=STOP_THRESHOLD))
+        rep = filter_multivariate(np.ones((10, 3)), FilterConfig(cov_bound=0.0))
         assert rep.diagnostics["stop_reason"] == "zero_scatter"
         assert rep.diagnostics["eigenvalues"] == [0.0]
-        rep = filter_univariate(np.full(5, 2.0), FilterConfig(
-            cov_bound=0.0, stop_mode=STOP_THRESHOLD))
+        rep = filter_univariate(np.full(5, 2.0), FilterConfig(cov_bound=0.0))
         assert rep.diagnostics["stop_reason"] == "zero_scatter"
 
 
@@ -581,9 +561,7 @@ class TestBudgets:
         with pytest.raises(ConfigurationError):
             FilterConfig(cov_bound=-1.0)
         with pytest.raises(ConfigurationError):
-            FilterConfig(stop_mode="fixed_steps")  # steps missing
-        with pytest.raises(ConfigurationError):
-            FilterConfig(stop_mode="bogus")
+            FilterConfig(steps=-1)
 
 
 class TestCovBoundHint:

@@ -363,7 +363,7 @@ def _with(value, at=(3, 1), shape=(8, 2)):
     return data
 
 
-FIXED = filtering.FilterConfig(stop_mode="fixed_steps", steps=1)
+FIXED = filtering.FilterConfig(steps=1)
 ROWS = np.random.default_rng(12).standard_normal((20, 2))
 MOMENTS = MomentProfile(2, trace_sigma=2.0, opnorm_sigma=1.0)
 
@@ -396,6 +396,15 @@ GATE_CASES = {
     "ragged rows": (lambda: model.as_finite_matrix([[1.0], [2.0, 3.0]]),
                     ConfigurationError),
     "a dict": (lambda: model.as_finite_matrix({"a": 1}), ConfigurationError),
+    # Only arrays of an integer or float dtype are numbers: numeric strings,
+    # bools and complex values were converted before.
+    "numeric strings": (lambda: baselines.sample_mean(["1e3", "2"]),
+                        ConfigurationError),
+    "bools": (lambda: model.as_finite_matrix([True, False]), ConfigurationError),
+    "complex": (lambda: model.as_finite_matrix(np.array([1.0 + 1.0j, 2.0])),
+                ConfigurationError),
+    "a bool among floats is a float": (lambda: model.as_finite_matrix(
+        [1.0, True]).ravel().tolist(), [1.0, 1.0]),
     # The arrays of covers and specs go through the same gate.
     "cover with a NaN row": (lambda: netmax.certify_cover(netmax.CoverSet(
         [[1.0, 0.0], [math.nan, 0.0]])), ConfigurationError),
@@ -406,6 +415,24 @@ GATE_CASES = {
         "point_mass", location=[math.nan]), ConfigurationError),
     "contamination shift inf": (lambda: ContaminationSpec(
         "shifted_gaussian", shift=[math.inf]), ConfigurationError),
+    # A ragged array is refused where each call site shapes it.
+    "ragged cover": (lambda: netmax.CoverSet([[1.0], [0.6, 0.8]]),
+                     ConfigurationError),
+    "ragged minimax directions": (lambda: netmax.minimax_center(
+        [[1.0], [0.6, 0.8]], [0.0, 0.0]), ConfigurationError),
+    "ragged minimax targets": (lambda: netmax.minimax_center(
+        [[1.0, 0.0], [0.0, 1.0]], [[0.0], [1.0, 2.0]]), ConfigurationError),
+    "ragged contamination location": (lambda: ContaminationSpec(
+        "point_mass", location=[[1.0], [2.0, 3.0]]), ConfigurationError),
+    "ragged contamination shift": (lambda: ContaminationSpec(
+        "shifted_gaussian", shift=[[1.0], [2.0, 3.0]]), ConfigurationError),
+    "ragged oracle centre": (lambda: baselines.oracle_truncated_mean(
+        ROWS, [[0.0], [1.0, 2.0]], 3.0), ConfigurationError),
+    # The shapes they flatten or lift stay accepted.
+    "scalar contamination location": (lambda: ContaminationSpec(
+        "point_mass", location=5).location.tolist(), [5.0]),
+    "1-D cover direction": (lambda: netmax.CoverSet([0.6, 0.8]).directions.shape,
+                            (1, 2)),
     # The range check: (0, 1) for delta, [0, 1/2) for epsilon, [0, inf) or
     # (0, inf) for a scale.
     "delta 0": (_in_range(0.0, 0.0, 1.0, closed=False), ConfigurationError),
@@ -455,10 +482,8 @@ GATE_CASES = {
                       ConfigurationError),
     "cov_bound inf": (lambda: filtering.FilterConfig(cov_bound=math.inf),
                       ConfigurationError),
-    "threshold_factor NaN": (lambda: filtering.FilterConfig(
-        cov_bound=1.0, threshold_factor=math.nan), ConfigurationError),
-    "fractional steps": (lambda: filtering.FilterConfig(
-        stop_mode="fixed_steps", steps=1.5), ConfigurationError),
+    "fractional steps": (lambda: filtering.FilterConfig(steps=1.5),
+                         ConfigurationError),
     "RunContext delta 5": (lambda: bench.RunContext(delta=5.0), ConfigurationError),
     "log_inv_delta NaN": (lambda: interval.IntervalConfig(
         epsilon=0.1, log_inv_delta=math.nan), ConfigurationError),
@@ -498,6 +523,16 @@ GATE_CASES = {
                               ConfigurationError),
     "coordinatewise_filter seed 1.5": (lambda: baselines.coordinatewise_filter(
         ROWS, delta=0.1, seed=1.5), ConfigurationError),
+    "gmom blocks True": (lambda: baselines.geometric_median_of_means(
+        ROWS, blocks=True), ConfigurationError),
+    "gmom blocks 2.0": (lambda: baselines.geometric_median_of_means(
+        ROWS, blocks=2.0), ConfigurationError),
+    "oracle_radius n 0": (lambda: baselines.oracle_radius(
+        MOMENTS, n=0, delta=0.1), ConfigurationError),
+    "cov_bound_hint p 0": (lambda: filtering.cov_bound_hint(
+        MOMENTS, n=10, p=0, delta=0.1), ConfigurationError),
+    "cov_bound_hint n 0": (lambda: filtering.cov_bound_hint(
+        MOMENTS, n=0, p=2, delta=0.1, epsilon=0.1), ConfigurationError),
     "TrialConfig master_seed -1": (lambda: bench.TrialConfig(
         DistributionSpec("lognormal", p=2), [bench.MethodSpec("mean")], [10],
         [2], 0.1, master_seed=-1), ConfigurationError),

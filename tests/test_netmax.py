@@ -18,7 +18,7 @@ from robustmean import (
     net_estimate,
 )
 from robustmean import netmax
-from robustmean.filtering import FilterConfig, STOP_FIXED_STEPS, filter_univariate
+from robustmean.filtering import FilterConfig, filter_univariate
 from robustmean.netmax import _draw_rows, _unit, minimax_objective
 
 
@@ -417,7 +417,7 @@ class TestNetEstimate:
             steps = min(math.ceil(2.0 * cfg.log_inv_delta_inner(3)), 148)
             expected = [
                 filter_univariate(data @ u, FilterConfig(
-                    stop_mode=STOP_FIXED_STEPS, steps=steps,
+                    steps=steps,
                     seed=int(np.random.SeedSequence(
                         [seed, 1 + j]).generate_state(1)[0]),
                 )).estimate[0]
