@@ -11,21 +11,13 @@ from __future__ import annotations
 import csv
 import hashlib
 import math
-from dataclasses import MISSING, dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 from typing import IO, Callable, Dict, List, Optional, Sequence, get_type_hints
 
 import numpy as np
 
 from . import baselines, filtering, interval, metrics, model, netmax
 from .errors import ConfigurationError, EstimatorError
-
-
-def _json_keys(cls):
-    """The (required, optional) JSON keys of a dataclass: its fields without
-    and with a default."""
-    required = tuple(f.name for f in fields(cls)
-                     if f.default is MISSING and f.default_factory is MISSING)
-    return required, tuple(f.name for f in fields(cls) if f.name not in required)
 
 
 @dataclass(frozen=True)
@@ -64,21 +56,25 @@ class TrialConfig:
                 raise ConfigurationError(
                     f"{key!r} must be a nonempty list of int, got {values!r}")
             for value in values:
-                model.check_type(f"each of {key!r}", value, int)
+                model.check_range(f"each of {key!r}", value, 1, kind=int)
             object.__setattr__(self, key, tuple(values))
         methods = tuple(
             m if isinstance(m, MethodSpec) else MethodSpec(
-                **model.read_object(m, *_json_keys(MethodSpec), "a method entry"))
+                **model.read_object(m, *model.json_keys(MethodSpec), "a method entry"))
             for m in self.methods
         )
+        if not methods:
+            raise ConfigurationError("'methods' must name at least one method")
         object.__setattr__(self, "methods", methods)
+        for p in self.p_values:  # refuse a p the sweep cannot reach up front
+            respec(self.distribution, p)
 
     @classmethod
     def from_json_dict(cls, doc) -> "TrialConfig":
         """The config of a JSON object whose keys are the field names, and
         whose method entries are objects with the keys of ``MethodSpec``; a
         missing required key or an unknown key is a ``ConfigurationError``."""
-        doc = model.read_object(doc, *_json_keys(cls), "a sweep config")
+        doc = model.read_object(doc, *model.json_keys(cls), "a sweep config")
         return cls(**dict(doc, distribution=model.DistributionSpec.from_json_dict(
             doc["distribution"])))
 
@@ -350,7 +346,7 @@ def read_csv(path) -> List[TrialRecord]:
     length, a cell of another type, range or name than a trial's, or a line
     without failed=0 and a loss in [0, inf) or failed=1 and no loss is a
     ``ConfigurationError`` naming the line."""
-    required, optional = _json_keys(TrialRecord)
+    required, optional = model.json_keys(TrialRecord)
     records = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)

@@ -289,11 +289,11 @@ def default_steps(delta: float) -> int:
 
 
 def stopping_cap(n: int, n_good: int, delta: float) -> int:
-    """High-probability bound on removal rounds:
-    ceil(18 * ln(1/delta) + 3 * (n - n_good))."""
+    """High-probability bound on removal rounds for n >= 1 rows, n_good of
+    them clean: ceil(18 * ln(1/delta) + 3 * (n - n_good))."""
+    check_range("n", n, 1, kind=int)
+    check_range("n_good", n_good, 0, n + 1, kind=int)
     check_range("delta", delta, 0.0, 1.0, closed=False)
-    if n_good > n:
-        raise ConfigurationError("n_good cannot exceed n")
     return math.ceil(18.0 * math.log(1.0 / delta) + 3.0 * (n - n_good))
 
 

@@ -82,6 +82,7 @@ def shortest_interval(values: Sequence[float], m: int) -> Interval:
 def interval_count(n: int, config: IntervalConfig) -> int:
     """Number of first-half points the interval must hold, ceiled and clamped
     to [1, n]."""
+    check_range("n", n, 1, kind=int)
     lid = config.log_inv_delta
     log4d = LOG4 + lid
     alpha = max(config.epsilon, lid / n)
@@ -91,6 +92,7 @@ def interval_count(n: int, config: IntervalConfig) -> int:
 
 def check_precondition(n: int, config: IntervalConfig) -> None:
     """Feasibility requirement on (epsilon, delta, n) for the two-split rule."""
+    check_range("n", n, 1, kind=int)
     log4d = LOG4 + config.log_inv_delta
     lhs = (
         2.0 * config.epsilon

@@ -10,7 +10,7 @@ from __future__ import annotations
 import functools
 import math
 import numbers
-from dataclasses import dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields
 from typing import Optional
 
 import numpy as np
@@ -78,35 +78,29 @@ class ContaminationSpec:
     """How contaminated rows are drawn.
 
     ``point_mass`` puts all mass at ``location``; ``shifted_gaussian`` draws
-    N(shift, scale^2 I).
+    N(location, scale^2 I).
     """
 
     kind: str
     location: Optional[np.ndarray] = None
-    shift: Optional[np.ndarray] = None
     scale: float = 1.0
 
     def __post_init__(self):
         if self.kind not in ("point_mass", "shifted_gaussian"):
             raise ConfigurationError(f"unknown contamination kind {self.kind!r}")
-        name = "location" if self.kind == "point_mass" else "shift"
-        if getattr(self, name) is None:
-            raise ConfigurationError(f"{self.kind} contamination needs a {name}")
-        if name == "shift":
-            check_range("contamination scale", self.scale, 0.0)
-        what = f"contamination {name}"  # any shape, flattened to a vector
-        object.__setattr__(self, name, as_finite_matrix(
-            as_float_array(getattr(self, name), what).ravel(), what=what)[:, 0])
+        if self.location is None:
+            raise ConfigurationError(f"{self.kind} contamination needs a location")
+        check_range("contamination scale", self.scale, 0.0)
+        what = "contamination location"  # any shape, flattened to a vector
+        object.__setattr__(self, "location", as_finite_matrix(
+            as_float_array(self.location, what).ravel(), what=what)[:, 0])
 
     __eq__ = _same_fields
-
-    def center(self) -> np.ndarray:
-        return self.location if self.kind == "point_mass" else self.shift
 
     def draw(self, rng: np.random.Generator, count: int, p: int) -> np.ndarray:
         if self.kind == "point_mass":
             return np.broadcast_to(self.location, (count, p))
-        return self.shift + self.scale * rng.standard_normal((count, p))
+        return self.location + self.scale * rng.standard_normal((count, p))
 
 
 @dataclass(frozen=True)
@@ -155,11 +149,15 @@ class DistributionSpec:
                 factor, np.diag(diagonal)) else factor)
         elif self.family == "pareto":  # > 1, so the mean exists
             check_range("pareto tail_beta", self.tail_beta, 1.0, closed=False)
+        for key, family in (("covariance", "gaussian"), ("tail_beta", "pareto")):
+            if self.family != family and getattr(self, key) is not None:
+                raise ConfigurationError(f"a {self.family} spec reads no {key}")
         check_range("contamination epsilon", self.epsilon, 0.0, 0.5)
+        object.__setattr__(self, "epsilon", float(self.epsilon))
         if self.epsilon > 0 and self.q_spec is None:
             raise ConfigurationError("epsilon > 0 requires a contamination spec")
-        if self.q_spec is not None and self.q_spec.center().shape != (self.p,):
-            raise ConfigurationError("contamination center dimension must equal p")
+        if self.q_spec is not None and self.q_spec.location.shape != (self.p,):
+            raise ConfigurationError("contamination location dimension must equal p")
 
     @functools.cached_property
     def moments(self) -> "MomentProfile":
@@ -168,29 +166,16 @@ class DistributionSpec:
 
     @classmethod
     def from_json_dict(cls, doc) -> "DistributionSpec":
-        """The spec of a JSON object in the form of
-        ``schemas/distribution_spec.schema.json``; a missing required key or
-        an unknown key at any level is a ``ConfigurationError``."""
-        doc = read_object(doc, *SPEC_KEYS["spec"], "distribution", SPEC_NUMBERS)
-        epsilon, q_spec = 0.0, None
-        if "contamination" in doc:
-            cont = read_object(doc["contamination"], *SPEC_KEYS["contamination"],
-                               "distribution.contamination", SPEC_NUMBERS)
-            q = read_object(cont["q_spec"], *SPEC_KEYS["q_spec"],
-                            "distribution.contamination.q_spec", SPEC_NUMBERS)
-            epsilon = float(cont["epsilon"])
-            q_spec = ContaminationSpec(**{**q, "scale": float(q.get("scale", 1.0))})
-        return cls(family=doc["family"], p=doc["p"],
-                   covariance=doc.get("covariance"), tail_beta=doc.get("tail_beta"),
-                   epsilon=epsilon, q_spec=q_spec)
+        """The spec of a JSON object whose keys are the init fields, and whose
+        ``q_spec`` is an object with the keys of ``ContaminationSpec``; a
+        missing required key or an unknown key is a ``ConfigurationError``."""
+        doc = read_object(doc, *json_keys(cls), "distribution", SPEC_NUMBERS)
+        if "q_spec" in doc:
+            doc = dict(doc, q_spec=ContaminationSpec(**read_object(
+                doc["q_spec"], *json_keys(ContaminationSpec),
+                "distribution.q_spec", SPEC_NUMBERS)))
+        return cls(**doc)
 
-
-# (required, optional) keys per level, as in schemas/distribution_spec.schema.json.
-SPEC_KEYS = {
-    "spec": (("family", "p"), ("covariance", "tail_beta", "contamination")),
-    "contamination": (("epsilon", "q_spec"), ()),
-    "q_spec": (("kind",), ("location", "shift", "scale")),
-}
 
 # The numeric keys of the spec levels, each with the type it must have.
 SPEC_NUMBERS = {"p": int, "tail_beta": float, "epsilon": float, "scale": float}
@@ -222,6 +207,15 @@ def check_range(what: str, value, low: float, high: float = math.inf,
         raise ConfigurationError(
             f"{what} must lie in {'[' if closed else '('}{low:g}, {high:g}), "
             f"got {value!r}")
+
+
+def json_keys(cls):
+    """The (required, optional) JSON keys of a dataclass: its init fields
+    without and with a default."""
+    init = [f for f in fields(cls) if f.init]
+    required = tuple(f.name for f in init
+                     if f.default is MISSING and f.default_factory is MISSING)
+    return required, tuple(f.name for f in init if f.name not in required)
 
 
 def read_object(doc, required, optional, name: str, kinds=None) -> dict:

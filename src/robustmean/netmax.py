@@ -233,7 +233,12 @@ def certify_cover(
     cover: CoverSet, probes: int = 10_000, seed: int = 123, slack: float = 1e-9
 ) -> float:
     """Empirical coverage check: max over random unit probes of the distance
-    to the nearest cover point.  Raises if it exceeds the radius + slack."""
+    to the nearest cover point.  Raises if it exceeds the radius + slack;
+    an infinite slack returns the distance without judging it."""
+    check_range("probes", probes, 1, kind=int)
+    check_type("slack", slack, float)
+    if not slack >= 0.0:  # NaN too
+        raise ConfigurationError(f"slack must be >= 0, got {slack!r}")
     rng = np.random.default_rng(np.random.SeedSequence([seed, cover.p]))
     worst = 0.0
     for _ in range(probes // 2048 + 1):
@@ -300,7 +305,8 @@ def minimax_center(
     if m.size != dirs.shape[0]:
         raise ConfigurationError("one target per direction required")
     p = dirs.shape[1]
-
+    if constraint is not None:
+        check_range("constraint", constraint, 1, kind=int)
     if constraint is None or constraint >= p:
         theta, obj = _minimax_lp(dirs, m)
         return theta, {"objective": minimax_objective(dirs, m, theta), "mode": "dense"}

@@ -410,14 +410,13 @@ class TestConfig:
         ({"distribution": {"family": "lognormal", "p": "2"}}, "'p'"),
         ({"distribution": {"family": "pareto", "p": 2, "tail_beta": "3"}},
          "'tail_beta'"),
-        ({"distribution": {"family": "lognormal", "p": 2, "contamination": {
-            "epsilon": "0.1",
-            "q_spec": {"kind": "point_mass", "location": [5.0, 0.0]}}}},
+        ({"distribution": {"family": "lognormal", "p": 2, "epsilon": "0.1",
+                           "q_spec": {"kind": "point_mass", "location": [5.0, 0.0]}}},
          "'epsilon'"),
-        ({"distribution": {"family": "lognormal", "p": 2, "contamination": {
-            "epsilon": 0.1,
-            "q_spec": {"kind": "shifted_gaussian", "shift": [5.0, 0.0],
-                       "scale": "1"}}}}, "'scale'"),
+        ({"distribution": {"family": "lognormal", "p": 2, "epsilon": 0.1,
+                           "q_spec": {"kind": "shifted_gaussian",
+                                      "location": [5.0, 0.0], "scale": "1"}}},
+         "'scale'"),
     ])
     def test_json_number_of_wrong_type_rejected(self, change, named):
         with pytest.raises(ConfigurationError, match=named):
@@ -425,10 +424,11 @@ class TestConfig:
 
     def test_json_int_accepted_for_float_spec_keys(self):
         doc = dict(JSON_CONFIG, distribution={
-            "family": "lognormal", "p": 2, "contamination": {
-                "epsilon": 0, "q_spec": {"kind": "point_mass",
-                                         "location": [5, 0]}}})
-        assert TrialConfig.from_json_dict(doc).distribution.epsilon == 0.0
+            "family": "lognormal", "p": 2, "epsilon": 0,
+            "q_spec": {"kind": "shifted_gaussian", "location": [5, 0], "scale": 2}})
+        spec = TrialConfig.from_json_dict(doc).distribution
+        assert spec.epsilon == 0.0 and isinstance(spec.epsilon, float)
+        assert spec.q_spec.scale == 2.0
 
     @pytest.mark.parametrize("doc", [
         [JSON_CONFIG],

@@ -356,8 +356,9 @@ class TestBench:
         assert not rec_path.exists()
 
     @pytest.mark.parametrize("change, named", [
-        ({"distribution": {"family": "lognormal", "p": 2,
-                           "contamnation": {"epsilon": 0.3}}}, "'contamnation'"),
+        ({"distribution": {"family": "lognormal", "p": 2, "epsilom": 0.3,
+                           "q_spec": {"kind": "point_mass", "location": [5.0, 0.0]}}},
+         "'epsilom'"),
         ({"delta": None}, "'delta'"),
         ({"methods": [{"name": "filter",
                        "settings": {"cov_bound": "0.5"}}]}, "'cov_bound'"),
@@ -365,13 +366,15 @@ class TestBench:
         ({"n_values": ["30"]}, "'n_values'"),
         ({"p_values": [1.7]}, "'p_values'"),
         ({"distribution": {"family": "lognormal", "p": "2"}}, "'p'"),
-        ({"distribution": {"family": "lognormal", "p": 2, "contamination": {
-            "epsilon": "0.1",
-            "q_spec": {"kind": "point_mass", "location": [5.0, 0.0]}}}},
+        ({"distribution": {"family": "lognormal", "p": 2, "epsilon": "0.1",
+                           "q_spec": {"kind": "point_mass", "location": [5.0, 0.0]}}},
          "'epsilon'"),
+        ({"methods": []}, "'methods'"),
+        ({"distribution": {"family": "lognormal", "p": 2, "covariance": [[1.0]]}},
+         "covariance"),
     ], ids=["misspelt-contamination", "missing-delta", "string-cov-bound",
             "scalar-n-values", "string-n-value", "float-p-value", "string-p",
-            "string-epsilon"])
+            "string-epsilon", "no-methods", "lognormal-covariance"])
     def test_malformed_config_exits_2(self, tmp_path, capsys, change, named):
         config = {
             "distribution": {"family": "lognormal", "p": 2},

@@ -16,7 +16,7 @@ from robustmean import (
     sample_dataset,
 )
 from robustmean import baselines, bench, filtering, interval, model, netmax
-from robustmean.model import LOGNORMAL_SHIFT, LOGNORMAL_VAR, SPEC_KEYS
+from robustmean.model import LOGNORMAL_SHIFT, LOGNORMAL_VAR
 
 
 def test_sampling_is_deterministic_given_seed():
@@ -78,7 +78,7 @@ def _reference_dataset(spec, n, seed):
         count = int(mask.sum())
         q = spec.q_spec
         data[mask] = np.tile(q.location, (count, 1)) if q.kind == "point_mass" \
-            else q.shift + q.scale * rng.standard_normal((count, spec.p))
+            else q.location + q.scale * rng.standard_normal((count, spec.p))
     return data
 
 
@@ -100,7 +100,7 @@ _ROTATION = np.linalg.qr(np.random.default_rng(92).standard_normal((4, 4)))[0]
      ContaminationSpec("point_mass", location=[0.0, -0.0, 5.0])),
     (np.diag([1.0, 0.0]), True, ContaminationSpec("point_mass", location=[-0.0, 0.0])),
     (np.eye(2), True,
-     ContaminationSpec("shifted_gaussian", shift=[3.0, -0.0], scale=0.5)),
+     ContaminationSpec("shifted_gaussian", location=[3.0, -0.0], scale=0.5)),
 ], ids=["p1", "p3", "p20", "diag941", "diag14", "diag10", "dense",
         "point_mass_p1", "point_mass", "point_mass_diag10", "shifted"])
 def test_sampling_matches_the_full_factor_matmul(cov, diagonal, q_spec):
@@ -141,7 +141,7 @@ def test_contamination_rate_matches_epsilon():
 
 
 def test_shifted_gaussian_contamination_center():
-    q = ContaminationSpec("shifted_gaussian", shift=[50.0, 0.0], scale=0.5)
+    q = ContaminationSpec("shifted_gaussian", location=[50.0, 0.0], scale=0.5)
     spec = DistributionSpec(
         "gaussian", p=2, covariance=np.eye(2), epsilon=0.3, q_spec=q
     )
@@ -207,8 +207,7 @@ def test_spec_validation():
 
 CONTAMINATED_JSON = {
     "family": "gaussian", "p": 2, "covariance": [[1.0, 0.0], [0.0, 1.0]],
-    "contamination": {"epsilon": 0.1,
-                      "q_spec": {"kind": "point_mass", "location": [5.0, 0.0]}},
+    "epsilon": 0.1, "q_spec": {"kind": "point_mass", "location": [5.0, 0.0]},
 }
 
 
@@ -220,42 +219,38 @@ def test_json_decode():
     np.testing.assert_array_equal(spec.q_spec.location, [5.0, 0.0])
 
     shifted = DistributionSpec.from_json_dict({
-        "family": "lognormal", "p": 1,
-        "contamination": {"epsilon": 0.2, "q_spec": {
-            "kind": "shifted_gaussian", "shift": [3.0], "scale": 2}}})
-    assert shifted.q_spec.kind == "shifted_gaussian"
-    assert shifted.q_spec.shift.tolist() == [3.0]
-    assert shifted.q_spec.scale == 2.0
+        "family": "lognormal", "p": 1, "epsilon": 0.2, "q_spec": {
+            "kind": "shifted_gaussian", "location": [3.0], "scale": 2}})
+    assert shifted == DistributionSpec("lognormal", p=1, epsilon=0.2, q_spec=(
+        ContaminationSpec("shifted_gaussian", location=[3.0], scale=2.0)))
 
     plain = DistributionSpec("pareto", p=3, tail_beta=3.0)
     doc = {"family": "pareto", "p": 3, "tail_beta": 3.0}
     assert DistributionSpec.from_json_dict(doc) == plain
 
 
-def _level(doc, level):
-    """The object at ``level`` of a distribution document."""
-    if level == "spec":
-        return doc
-    cont = doc["contamination"]
-    return cont if level == "contamination" else cont["q_spec"]
+def test_json_nested_contamination_rejected():
+    # The contamination's keys sit on the spec itself, as its fields do.
+    doc = {"family": "gaussian", "p": 1, "covariance": [[1.0]], "contamination": {
+        "epsilon": 0.1, "q_spec": {"kind": "shifted_gaussian", "shift": [3.0]}}}
+    with pytest.raises(ConfigurationError, match="does not read \\['contamination'\\]"):
+        DistributionSpec.from_json_dict(doc)
 
 
-def _schema_level(schema, level):
-    if level == "spec":
-        return schema
-    cont = schema["properties"]["contamination"]
-    return cont if level == "contamination" else cont["properties"]["q_spec"]
-
-
+LEVELS = {"spec": DistributionSpec, "q_spec": ContaminationSpec}
 SCHEMA = json.loads((Path(__file__).resolve().parents[1] / "schemas"
                      / "distribution_spec.schema.json").read_text())
-LEVELS = ["spec", "contamination", "q_spec"]
+
+
+def _level(doc, level):
+    """The object at ``level`` of a distribution document."""
+    return doc if level == "spec" else doc["q_spec"]
 
 
 @pytest.mark.parametrize("level", LEVELS)
 def test_json_reader_keys_are_the_schema(level):
-    required, optional = SPEC_KEYS[level]
-    schema = _schema_level(SCHEMA, level)
+    required, optional = model.json_keys(LEVELS[level])
+    schema = SCHEMA if level == "spec" else SCHEMA["properties"]["q_spec"]
     assert set(required) | set(optional) == set(schema["properties"])
     assert set(required) == set(schema["required"])
 
@@ -269,7 +264,7 @@ def test_json_unknown_key_rejected(level):
 
 
 @pytest.mark.parametrize("level, key", [
-    (level, key) for level in LEVELS for key in SPEC_KEYS[level][0]])
+    (level, key) for level, cls in LEVELS.items() for key in model.json_keys(cls)[0]])
 def test_json_missing_key_rejected(level, key):
     doc = copy.deepcopy(CONTAMINATED_JSON)
     del _level(doc, level)[key]
@@ -279,7 +274,7 @@ def test_json_missing_key_rejected(level, key):
 
 @pytest.mark.parametrize("contamination", [None, [0.1], "point_mass"])
 def test_json_non_object_rejected(contamination):
-    doc = dict(CONTAMINATED_JSON, contamination=contamination)
+    doc = dict(CONTAMINATED_JSON, q_spec=contamination)
     with pytest.raises(ConfigurationError, match="must be a JSON object"):
         DistributionSpec.from_json_dict(doc)
 
@@ -297,8 +292,8 @@ def test_spec_equality_compares_arrays_by_value():
     assert a.covariance is not b.covariance
     assert a == b and not a != b
     assert DistributionSpec("lognormal", p=3) == DistributionSpec("lognormal", p=3)
-    shifted = ContaminationSpec("shifted_gaussian", shift=[1.0, 2.0], scale=0.5)
-    assert shifted == ContaminationSpec("shifted_gaussian", shift=np.array([1.0, 2.0]),
+    shifted = ContaminationSpec("shifted_gaussian", location=[1.0, 2.0], scale=0.5)
+    assert shifted == ContaminationSpec("shifted_gaussian", location=np.array([1.0, 2.0]),
                                         scale=0.5)
 
 
@@ -309,10 +304,10 @@ def test_spec_equality_tells_unequal_specs_apart():
     assert not base == DistributionSpec("gaussian", p=2, covariance=np.eye(2))
     assert DistributionSpec("pareto", p=1, tail_beta=3.0) != \
         DistributionSpec("pareto", p=1, tail_beta=4.0)
-    assert ContaminationSpec("shifted_gaussian", shift=[1.0], scale=0.5) != \
-        ContaminationSpec("shifted_gaussian", shift=[1.0], scale=1.0)
+    assert ContaminationSpec("shifted_gaussian", location=[1.0], scale=0.5) != \
+        ContaminationSpec("shifted_gaussian", location=[1.0], scale=1.0)
     assert ContaminationSpec("point_mass", location=[1.0]) != \
-        ContaminationSpec("shifted_gaussian", shift=[1.0])
+        ContaminationSpec("shifted_gaussian", location=[1.0])
     assert base != "gaussian"
 
 
@@ -414,7 +409,7 @@ GATE_CASES = {
     "contamination location NaN": (lambda: ContaminationSpec(
         "point_mass", location=[math.nan]), ConfigurationError),
     "contamination shift inf": (lambda: ContaminationSpec(
-        "shifted_gaussian", shift=[math.inf]), ConfigurationError),
+        "shifted_gaussian", location=[math.inf]), ConfigurationError),
     # A ragged array is refused where each call site shapes it.
     "ragged cover": (lambda: netmax.CoverSet([[1.0], [0.6, 0.8]]),
                      ConfigurationError),
@@ -425,7 +420,7 @@ GATE_CASES = {
     "ragged contamination location": (lambda: ContaminationSpec(
         "point_mass", location=[[1.0], [2.0, 3.0]]), ConfigurationError),
     "ragged contamination shift": (lambda: ContaminationSpec(
-        "shifted_gaussian", shift=[[1.0], [2.0, 3.0]]), ConfigurationError),
+        "shifted_gaussian", location=[[1.0], [2.0, 3.0]]), ConfigurationError),
     "ragged oracle centre": (lambda: baselines.oracle_truncated_mean(
         ROWS, [[0.0], [1.0, 2.0]], 3.0), ConfigurationError),
     # The shapes they flatten or lift stay accepted.
@@ -498,7 +493,7 @@ GATE_CASES = {
     "MomentProfile NaN trace": (lambda: MomentProfile(2, math.nan, 1.0),
                                 ConfigurationError),
     "contamination scale NaN": (lambda: ContaminationSpec(
-        "shifted_gaussian", shift=[1.0], scale=math.nan), ConfigurationError),
+        "shifted_gaussian", location=[1.0], scale=math.nan), ConfigurationError),
     "pareto tail_beta NaN": (lambda: DistributionSpec(
         "pareto", p=1, tail_beta=math.nan), ConfigurationError),
     # Counts and seeds must be ints, seeds >= 0.
@@ -536,6 +531,47 @@ GATE_CASES = {
     "TrialConfig master_seed -1": (lambda: bench.TrialConfig(
         DistributionSpec("lognormal", p=2), [bench.MethodSpec("mean")], [10],
         [2], 0.1, master_seed=-1), ConfigurationError),
+    "stopping_cap n 10.5": (lambda: filtering.stopping_cap(10.5, 2, 0.1),
+                            ConfigurationError),
+    "stopping_cap n_good 2.25": (lambda: filtering.stopping_cap(10, 2.25, 0.1),
+                                 ConfigurationError),
+    "interval_count n 0": (lambda: interval.interval_count(
+        0, interval.IntervalConfig(epsilon=0.1, delta=0.1)), ConfigurationError),
+    "check_precondition n 0": (lambda: interval.check_precondition(
+        0, interval.IntervalConfig(epsilon=0.1, delta=0.1)), ConfigurationError),
+    "minimax_center constraint 0": (lambda: netmax.minimax_center(
+        np.eye(3), [1.0, 2.0, 3.0], constraint=0), ConfigurationError),
+    "minimax_center constraint -1": (lambda: netmax.minimax_center(
+        np.eye(3), [1.0, 2.0, 3.0], constraint=-1), ConfigurationError),
+    "minimax_center constraint 1.5": (lambda: netmax.minimax_center(
+        np.eye(3), [1.0, 2.0, 3.0], constraint=1.5), ConfigurationError),
+    "minimax_center constraint True": (lambda: netmax.minimax_center(
+        np.eye(3), [1.0, 2.0, 3.0], constraint=True), ConfigurationError),
+    # A certificate drawn from no probes, or against a NaN slack, proves nothing.
+    "certify_cover probes -5": (lambda: netmax.certify_cover(
+        netmax.CoverSet([[1.0, 0.0], [-1.0, 0.0]]), probes=-5), ConfigurationError),
+    "certify_cover slack NaN": (lambda: netmax.certify_cover(
+        netmax.CoverSet([[1.0, 0.0], [-1.0, 0.0]]), slack=math.nan),
+                                ConfigurationError),
+    # A spec refuses the fields its family does not read.
+    "lognormal covariance": (lambda: DistributionSpec(
+        "lognormal", p=2, covariance=[[1.0, 0.0], [0.0, 1.0]]), ConfigurationError),
+    "gaussian tail_beta": (lambda: DistributionSpec(
+        "gaussian", p=1, covariance=[[1.0]], tail_beta=3.0), ConfigurationError),
+    "contamination without a location": (lambda: ContaminationSpec(
+        "shifted_gaussian"), ConfigurationError),
+    # A sweep config fails before its first trial.
+    "TrialConfig n 0": (lambda: bench.TrialConfig(
+        DistributionSpec("lognormal", p=2), [bench.MethodSpec("mean")], [0],
+        [2], 0.1), ConfigurationError),
+    "TrialConfig p 0": (lambda: bench.TrialConfig(
+        DistributionSpec("lognormal", p=2), [bench.MethodSpec("mean")], [10],
+        [0], 0.1), ConfigurationError),
+    "TrialConfig no methods": (lambda: bench.TrialConfig(
+        DistributionSpec("lognormal", p=2), [], [10], [2], 0.1), ConfigurationError),
+    "TrialConfig contaminated p sweep": (lambda: bench.TrialConfig(
+        _gaussian(np.eye(2)), [bench.MethodSpec("mean")], [10], [2, 3], 0.1),
+                                         ConfigurationError),
 }
 
 
