@@ -45,6 +45,7 @@ class TrialConfig:
     delta: float
     trials: int = 2000
     master_seed: int = 0
+    specs: dict = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         model.check_range("'delta'", self.delta, 0.0, 1.0, closed=False)
@@ -66,8 +67,8 @@ class TrialConfig:
         if not methods:
             raise ConfigurationError("'methods' must name at least one method")
         object.__setattr__(self, "methods", methods)
-        for p in self.p_values:  # refuse a p the sweep cannot reach up front
-            respec(self.distribution, p)
+        object.__setattr__(self, "specs", {  # refuses an unreachable p here
+            p: respec(self.distribution, p) for p in self.p_values})
 
     @classmethod
     def from_json_dict(cls, doc) -> "TrialConfig":
@@ -260,7 +261,7 @@ METHOD_NAMES = tuple(METHODS)
 def run_trial(
     config: TrialConfig, method: MethodSpec, n: int, p: int, trial_index: int
 ) -> TrialRecord:
-    spec = respec(config.distribution, p)
+    spec = config.specs[p]
     cell = cell_hash(spec.family, method.name, n, p)
     seed = model.derived_seed(config.master_seed, cell, trial_index)
     samples = model.sample_dataset(spec, n, seed)

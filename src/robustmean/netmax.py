@@ -16,6 +16,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 from scipy.optimize import linprog
+from scipy.spatial import ConvexHull
 
 from .errors import ConfigurationError, EstimatorError
 from .filtering import EstimateReport, filter_columns
@@ -27,6 +28,7 @@ COVER_RADIUS = 0.5
 DENSE_P_CAP = 12
 SPARSE_BUDGET = 20.0  # cap on s * ln(6 e p / s) so inner confidences stay sane
 CONSECUTIVE_COVERED = 100_000
+HULL_P_CAP = 3  # dense covers to this p stop on their hull (build_half_cover)
 SUPPORT_ENUM_CAP = 10_000
 INNER_ESTIMATORS = ("interval1d", "filter1d")
 
@@ -154,7 +156,8 @@ def build_half_cover(
     (restricted to random 2s-supports when ``sparsity`` = s is given) in
     batches of 2048: the first probe of a batch farther than 1/2 from the
     cover joins it, until 10^5 consecutive probes are all covered.  Only a
-    probe that joins is normalised (see ``_first_uncovered``).
+    probe that joins is normalised (see ``_first_uncovered``).  At p <= 3 a
+    dense cover below radius 1/2 stops early, with the cover of the streak.
     """
     check_range("p", p, 1, kind=int)
     check_range("seed", seed, 0, kind=int)
@@ -179,6 +182,12 @@ def build_half_cover(
         rows = _draw_rows(rng, batch, p, support_size)
         first = _first_uncovered(rows, cover)
         if first is None:
+            # Under 1/2 - 1e-9 each unit q has a row c with q.c > _SURELY_COVERED
+            # + 4.9e-10 (Qhull errs 1e-15, the screen 1e-14): every later probe
+            # passes.  At p = 4 a hull costs 3 batches and none is below 1/2.
+            if (not covered_streak and p <= HULL_P_CAP and (support_size or p) >= p
+                    and _covering_radius(cover) < COVER_RADIUS - 1e-9):
+                break
             covered_streak += batch
             continue
         covered_streak = 0  # probes before `first` were covered but a miss resets
@@ -196,6 +205,11 @@ def build_half_cover(
 # rounding.
 _SURELY_COVERED = 1.0 - (COVER_RADIUS**2 - 1e-12) / 2.0
 _SURELY_UNCOVERED = 1.0 - (COVER_RADIUS**2 + 1e-12) / 2.0
+
+
+def _covering_radius(cover: np.ndarray) -> float:
+    """Exact covering radius of unit rows around 0: at the nearest facet's normal."""
+    return math.sqrt(2.0 - 2.0 * (-ConvexHull(cover).equations[:, -1]).min())
 
 
 def _first_uncovered(rows: np.ndarray, cover: np.ndarray) -> Optional[int]:
@@ -236,6 +250,7 @@ def certify_cover(
     to the nearest cover point.  Raises if it exceeds the radius + slack;
     an infinite slack returns the distance without judging it."""
     check_range("probes", probes, 1, kind=int)
+    check_range("seed", seed, 0, kind=int)
     check_type("slack", slack, float)
     if not slack >= 0.0:  # NaN too
         raise ConfigurationError(f"slack must be >= 0, got {slack!r}")

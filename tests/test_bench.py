@@ -13,6 +13,7 @@ from robustmean import (
     MomentProfile,
     TrialConfig,
     TrialRecord,
+    bench,
     filtering,
     model,
     netmax,
@@ -284,6 +285,26 @@ class TestRespec:
         spec = DistributionSpec("lognormal", p=1, epsilon=0.1, q_spec=q)
         with pytest.raises(ConfigurationError):
             respec(spec, 2)
+
+    def test_sweep_respecs_once_per_p(self, monkeypatch):
+        calls, respec_ = [], bench.respec
+
+        def counted(spec, p):
+            calls.append(p)
+            return respec_(spec, p)
+
+        monkeypatch.setattr(bench, "respec", counted)
+        spec = DistributionSpec("gaussian", p=2, covariance=2.0 * np.eye(2))
+        cfg = tiny_config(distribution=spec, p_values=[2, 3, 4], trials=3)
+        swept = run_sweep(cfg)
+        assert sorted(calls) == [2, 3, 4]
+        assert "specs" not in sum(model.json_keys(TrialConfig), ())
+        # The same losses as one config per p, whose spec is not re-dimensioned.
+        direct = sorted((r for p in (2, 3, 4) for r in run_sweep(tiny_config(
+            distribution=DistributionSpec("gaussian", p=p,
+                                          covariance=2.0 * np.eye(p)),
+            p_values=[p], trials=3))), key=TrialRecord.sort_key)
+        assert [r.loss for r in swept] == [r.loss for r in direct]
 
     def test_same_p_passthrough(self):
         spec = DistributionSpec("pareto", p=3, tail_beta=3.0)

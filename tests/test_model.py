@@ -553,6 +553,10 @@ GATE_CASES = {
     "certify_cover slack NaN": (lambda: netmax.certify_cover(
         netmax.CoverSet([[1.0, 0.0], [-1.0, 0.0]]), slack=math.nan),
                                 ConfigurationError),
+    "certify_cover seed -1": (lambda: netmax.certify_cover(
+        netmax.CoverSet([[1.0, 0.0], [-1.0, 0.0]]), seed=-1), ConfigurationError),
+    "certify_cover seed 1.5": (lambda: netmax.certify_cover(
+        netmax.CoverSet([[1.0, 0.0], [-1.0, 0.0]]), seed=1.5), ConfigurationError),
     # A spec refuses the fields its family does not read.
     "lognormal covariance": (lambda: DistributionSpec(
         "lognormal", p=2, covariance=[[1.0, 0.0], [0.0, 1.0]]), ConfigurationError),

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.spatial import ConvexHull
 
 from robustmean import (
     ConfigurationError,
@@ -114,7 +115,9 @@ class ZeroFirstRow:
 class TestBatchedProbes:
     @pytest.mark.parametrize(
         "p, sparsity, seed",
-        [(p, None, seed) for p in (2, 3, 4) for seed in (0, 1, 2)] + [(6, 1, 1)],
+        [(p, None, seed) for p in (2, 3, 4) for seed in (0, 1, 2)] + [(6, 1, 1)]
+        # p = 3 covers that stop on their hull (radius 0.4956 and 0.4986).
+        + [(3, None, 3), (3, None, 5)],
     )
     def test_same_cover_and_certificate_as_per_probe_draws(
             self, p, sparsity, seed):
@@ -255,6 +258,55 @@ class TestCoverConstruction:
         bad = CoverSet(np.array([[1.0, 0, 0], [-1.0, 0, 0]]))
         with pytest.raises(Exception):
             certify_cover(bad, probes=5000)
+
+
+class TestHullExit:
+    """The exact covering radius, and the build's exit on it."""
+
+    @pytest.mark.parametrize("p, radius", [
+        (2, math.sqrt(2.0 - math.sqrt(2.0))),  # at (1, 1) / sqrt(2)
+        (3, math.sqrt(2.0 - 2.0 / math.sqrt(3.0))),  # at (1, 1, 1) / sqrt(3)
+    ])
+    def test_radius_of_signed_axes(self, p, radius):
+        eye = np.eye(p)
+        assert abs(netmax._covering_radius(np.vstack([eye, -eye])) - radius) <= 1e-12
+
+    @pytest.mark.parametrize("seed", [0, 1, 3])
+    def test_radius_is_attained_and_never_exceeded(self, seed):
+        cover = build_half_cover(3, seed=seed)
+        radius = netmax._covering_radius(cover.directions)
+        equations = ConvexHull(cover.directions).equations
+        normal = equations[np.argmax(equations[:, -1]), :-1]
+        assert abs(netmax._nearest_distances(normal[None], cover.directions)[0]
+                   - radius) <= 1e-12
+        assert certify_cover(cover, probes=10**6, slack=math.inf) <= radius
+
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_same_cover_as_the_streak(self, monkeypatch, p):
+        exits = [build_half_cover(p, seed=seed).directions for seed in range(50)]
+        monkeypatch.setattr(netmax, "_covering_radius", lambda cover: math.inf)
+        for seed, cover in enumerate(exits):
+            np.testing.assert_array_equal(
+                cover, build_half_cover(p, seed=seed).directions)
+
+    @pytest.mark.parametrize("seed, fires", [(3, True), (5, True), (0, False),
+                                             (1, False)])
+    def test_exit_fires_only_below_one_half(self, monkeypatch, seed, fires):
+        draws, draw_rows = [], netmax._draw_rows
+
+        def counted(*args):
+            draws.append(1)
+            return draw_rows(*args)
+
+        monkeypatch.setattr(netmax, "_draw_rows", counted)
+        build_half_cover(3, seed=seed)
+        with_exit = len(draws)
+        monkeypatch.setattr(netmax, "_covering_radius", lambda cover: math.inf)
+        draws.clear()
+        build_half_cover(3, seed=seed)
+        # The streak runs 49 covered batches after the last admission, the
+        # exit one.
+        assert len(draws) - with_exit == (48 if fires else 0)
 
 
 class TestCoverCsv:
