@@ -37,8 +37,6 @@ def geometric_median(points: np.ndarray) -> np.ndarray:
     (within 1e-12), which keeps the objective non-increasing.  Distances and
     norms are ``np.linalg.norm``'s square roots of sums of squares, unwrapped."""
     pts = as_finite_matrix(points)
-    if pts.shape[0] == 1:
-        return pts[0].copy()
     theta = pts.mean(axis=0)
     for _ in range(WEISZFELD_MAX_ITER):
         dists = np.sqrt(np.square(pts - theta).sum(axis=1))

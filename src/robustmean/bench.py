@@ -205,20 +205,22 @@ def _coord(samples, s, ctx):
 @_method("filter", stop_mode=("threshold", "fixed_steps", "capped"),
          cov_bound=float, steps=int)
 def _filter(samples, s, ctx):
-    # stop_mode picks the limits passed on: the bound under threshold, the
-    # steps under fixed_steps, both under capped; each absent one is derived.
+    # stop_mode passes on the bound (threshold), the steps (fixed_steps) or both
+    # (capped), derived if absent.  Unset: the limits given, or by epsilon if none.
     n, p = samples.shape
     cov_bound, steps = s.get("cov_bound"), s.get("steps")
-    stop_mode = s.get("stop_mode", "fixed_steps" if cov_bound is None else "threshold")
+    stop_mode = s.get("stop_mode")
+    if stop_mode is None and cov_bound is None and steps is None:
+        stop_mode = "threshold" if ctx.epsilon > 0 else "fixed_steps"
     if stop_mode == "fixed_steps":
         cov_bound = None
-    elif cov_bound is None:
+    elif stop_mode and cov_bound is None:
         cov_bound = filtering.cov_bound_hint(
             ctx.moments("cov_bound"), n=n, p=p,
             delta=ctx.delta, epsilon=ctx.epsilon)
     if stop_mode == "threshold":
         steps = None
-    elif steps is None:
+    elif stop_mode and steps is None:
         steps = filtering.clamp_steps(filtering.default_steps(ctx.delta), n)
     cfg = filtering.FilterConfig(cov_bound=cov_bound, steps=steps, seed=ctx.seed)
     return filtering.filter_multivariate(samples, cfg).estimate

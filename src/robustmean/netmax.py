@@ -101,6 +101,9 @@ class NetConfig:
             raise ConfigurationError(
                 "s * log(6 e p / s) too large for a usable inner confidence"
             )
+        if math.comb(p, s) > SUPPORT_ENUM_CAP:
+            raise ConfigurationError(f"C({p}, {s}) = {math.comb(p, s)} supports "
+                                     f"exceed the cap of {SUPPORT_ENUM_CAP}")
         return base + penalty
 
 
@@ -243,23 +246,23 @@ def _nearest_distances(probes: np.ndarray, cover: np.ndarray) -> np.ndarray:
     return np.sqrt(np.maximum(d2.min(axis=1), 0.0))
 
 
-def certify_cover(
-    cover: CoverSet, probes: int = 10_000, seed: int = 123, slack: float = 1e-9
-) -> float:
-    """Empirical coverage check: max over random unit probes of the distance
-    to the nearest cover point.  Raises if it exceeds the radius + slack;
-    an infinite slack returns the distance without judging it."""
-    check_range("probes", probes, 1, kind=int)
-    check_range("seed", seed, 0, kind=int)
-    check_type("slack", slack, float)
-    if not slack >= 0.0:  # NaN too
-        raise ConfigurationError(f"slack must be >= 0, got {slack!r}")
-    rng = np.random.default_rng(np.random.SeedSequence([seed, cover.p]))
+def _worst_probe_distance(cover: CoverSet, probes: int) -> float:
+    """Max over random unit probes (a fixed stream per p) of the distance to
+    the nearest cover point."""
+    rng = np.random.default_rng(np.random.SeedSequence([123, cover.p]))
     worst = 0.0
     for _ in range(probes // 2048 + 1):
         qs = _unit(_draw_rows(rng, 2048, cover.p, cover.sparsity))
         worst = max(worst, float(_nearest_distances(qs, cover.directions).max()))
-    if worst > COVER_RADIUS + slack:
+    return worst
+
+
+def certify_cover(cover: CoverSet, probes: int = 10_000) -> float:
+    """Empirical coverage check: the worst probe distance of ``probes``
+    random unit probes.  Raises if it exceeds the radius + 1e-9."""
+    check_range("probes", probes, 1, kind=int)
+    worst = _worst_probe_distance(cover, probes)
+    if worst > COVER_RADIUS + 1e-9:
         raise EstimatorError(
             f"cover certification failed: worst probe distance {worst:.6f}"
         )
@@ -308,10 +311,10 @@ def minimax_center(
     per-direction targets, optionally over s-sparse points.
 
     Returns ``(theta, diagnostics)``; ``diagnostics['objective']`` is the
-    achieved sup-gap.  The sparse path enumerates supports exhaustively when
-    C(p, s) <= 10^4, otherwise hard-thresholds the dense solution and
-    re-solves on that support (flagged ``heuristic``).  Empty, non-finite or
-    mismatched input (one target per direction) raises ``ConfigurationError``.
+    achieved sup-gap.  Each support of s = ``constraint`` coordinates (all p,
+    mode ``dense``, when None or >= p; else ``exhaustive``) gets one LP over
+    the directions touching it.  Over 10^4 supports, or empty, non-finite or
+    mismatched input (one target per direction), raises ``ConfigurationError``.
     """
     dirs = as_finite_matrix(
         np.atleast_2d(as_float_array(directions, "directions")), what="directions")
@@ -322,35 +325,22 @@ def minimax_center(
     p = dirs.shape[1]
     if constraint is not None:
         check_range("constraint", constraint, 1, kind=int)
-    if constraint is None or constraint >= p:
-        theta, obj = _minimax_lp(dirs, m)
-        return theta, {"objective": minimax_objective(dirs, m, theta), "mode": "dense"}
-
-    s = constraint
-
-    def solve_support(support):
+    s = p if constraint is None else min(constraint, p)
+    if math.comb(p, s) > SUPPORT_ENUM_CAP:
+        raise ConfigurationError(f"C({p}, {s}) = {math.comb(p, s)} supports "
+                                 f"exceed the cap of {SUPPORT_ENUM_CAP}")
+    best_theta, best_obj = None, math.inf
+    for support in combinations(range(p), s):
         cols = np.asarray(support)
         overlap = np.flatnonzero(np.any(dirs[:, cols] != 0.0, axis=1))
-        if overlap.size == 0:
-            theta_s = np.zeros(len(cols))
-        else:
-            theta_s, _ = _minimax_lp(dirs[np.ix_(overlap, cols)], m[overlap])
-        full = np.zeros(p)
-        full[cols] = theta_s
-        return full, minimax_objective(dirs, m, full)
-
-    if math.comb(p, s) <= SUPPORT_ENUM_CAP:
-        best_theta, best_obj = None, math.inf
-        for support in combinations(range(p), s):
-            theta, obj = solve_support(support)
-            if obj < best_obj - 1e-15:
-                best_theta, best_obj = theta, obj
-        return best_theta, {"objective": best_obj, "mode": "exhaustive"}
-
-    dense_theta, _ = _minimax_lp(dirs, m)
-    support = tuple(np.argsort(-np.abs(dense_theta))[:s])
-    theta, obj = solve_support(sorted(support))
-    return theta, {"objective": obj, "mode": "heuristic"}
+        theta = np.zeros(p)
+        if overlap.size:
+            theta[cols], _ = _minimax_lp(dirs[np.ix_(overlap, cols)], m[overlap])
+        obj = minimax_objective(dirs, m, theta)
+        if obj < best_obj - 1e-15:
+            best_theta, best_obj = theta, obj
+    return best_theta, {"objective": best_obj,
+                        "mode": "dense" if s == p else "exhaustive"}
 
 
 def net_estimate(samples, config: NetConfig, seed: int = 0):

@@ -54,8 +54,11 @@ class TestGeometricMedian:
         np.testing.assert_allclose(gm, [0.0, 0.0], atol=1e-8)
 
     def test_single_point(self):
-        np.testing.assert_array_equal(
-            geometric_median(np.array([[3.0, 4.0]])), [3.0, 4.0])
+        # One row takes the loop: its mean is the row, at distance 0.  Only a
+        # -0.0 comes back +0.0, as from any mean (numpy's sums start at +0.0).
+        for row in ([3.0, 4.0], [-0.0, 5e-324, 1e308]):
+            pts = np.array([row])
+            assert geometric_median(pts).tobytes() == (pts[0] + 0.0).tobytes()
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_rejects_non_finite_before_a_step(self, monkeypatch, bad):

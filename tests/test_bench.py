@@ -133,13 +133,14 @@ class TestMethods:
         assert lone != loss({"cov_bound": 0.5, "stop_mode": "fixed_steps"})
 
     # (stop_mode, cov_bound, steps) -> the (cov_bound, steps) of the runner's
-    # FilterConfig: "hint" is cov_bound_hint's, "default" the clamped
-    # default_steps.  A mode passes on only its own limits.
+    # FilterConfig at epsilon 0 and 0.1, or {epsilon: ...} where they differ:
+    # "hint" is cov_bound_hint's, "default" the clamped default_steps.  A mode
+    # passes on only its own limits; without one, the given limits pass.
     @pytest.mark.parametrize("stop_mode, cov_bound, steps, expected", [
-        (None, None, None, (None, "default")),
+        (None, None, None, {0.0: (None, "default"), 0.1: ("hint", None)}),
         (None, None, 3, (None, 3)),
         (None, 0.5, None, (0.5, None)),
-        (None, 0.5, 3, (0.5, None)),
+        (None, 0.5, 3, (0.5, 3)),
         ("threshold", None, None, ("hint", None)),
         ("threshold", None, 3, ("hint", None)),  # steps ignored
         ("threshold", 0.5, None, (0.5, None)),
@@ -156,19 +157,22 @@ class TestMethods:
     def test_stop_mode_picks_the_limits_passed_on(self, monkeypatch, stop_mode,
                                                   cov_bound, steps, expected):
         spec = DistributionSpec("lognormal", p=2)
-        ctx = RunContext(delta=0.01, seed=9, spec=spec)
         settings = {key: value for key, value in [
             ("stop_mode", stop_mode), ("cov_bound", cov_bound), ("steps", steps)]
             if value is not None}
-        derived = {"hint": filtering.cov_bound_hint(spec.moments, n=8, p=2,
-                                                    delta=0.01),
-                   "default": 6}  # ceil(2 ln 100) = 10, clamped to n - 2
         configs = []
         monkeypatch.setattr(filtering, "filter_multivariate", lambda samples, cfg:
                             configs.append(cfg) or SimpleNamespace(estimate=None))
-        METHODS["filter"](np.zeros((8, 2)), settings, ctx)
-        assert configs == [filtering.FilterConfig(
-            *[derived.get(limit, limit) for limit in expected], seed=9)]
+        for epsilon in (0.0, 0.1):
+            ctx = RunContext(delta=0.01, epsilon=epsilon, seed=9, spec=spec)
+            derived = {"hint": filtering.cov_bound_hint(
+                spec.moments, n=8, p=2, delta=0.01, epsilon=epsilon),
+                       "default": 6}  # ceil(2 ln 100) = 10, clamped to n - 2
+            limits = expected[epsilon] if isinstance(expected, dict) else expected
+            configs.clear()
+            METHODS["filter"](np.zeros((8, 2)), settings, ctx)
+            assert configs == [filtering.FilterConfig(
+                *[derived.get(limit, limit) for limit in limits], seed=9)]
 
     @pytest.mark.parametrize("stop_mode", ["threshold", "capped"])
     def test_threshold_stop_without_bound_or_spec_rejected(self, stop_mode):

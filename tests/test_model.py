@@ -547,16 +547,9 @@ GATE_CASES = {
         np.eye(3), [1.0, 2.0, 3.0], constraint=1.5), ConfigurationError),
     "minimax_center constraint True": (lambda: netmax.minimax_center(
         np.eye(3), [1.0, 2.0, 3.0], constraint=True), ConfigurationError),
-    # A certificate drawn from no probes, or against a NaN slack, proves nothing.
+    # A certificate drawn from no probes proves nothing.
     "certify_cover probes -5": (lambda: netmax.certify_cover(
         netmax.CoverSet([[1.0, 0.0], [-1.0, 0.0]]), probes=-5), ConfigurationError),
-    "certify_cover slack NaN": (lambda: netmax.certify_cover(
-        netmax.CoverSet([[1.0, 0.0], [-1.0, 0.0]]), slack=math.nan),
-                                ConfigurationError),
-    "certify_cover seed -1": (lambda: netmax.certify_cover(
-        netmax.CoverSet([[1.0, 0.0], [-1.0, 0.0]]), seed=-1), ConfigurationError),
-    "certify_cover seed 1.5": (lambda: netmax.certify_cover(
-        netmax.CoverSet([[1.0, 0.0], [-1.0, 0.0]]), seed=1.5), ConfigurationError),
     # A spec refuses the fields its family does not read.
     "lognormal covariance": (lambda: DistributionSpec(
         "lognormal", p=2, covariance=[[1.0, 0.0], [0.0, 1.0]]), ConfigurationError),

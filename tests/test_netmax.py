@@ -124,9 +124,9 @@ class TestBatchedProbes:
         cover = build_half_cover(p, sparsity=sparsity, seed=seed)
         np.testing.assert_array_equal(
             cover.directions, reference_half_cover(p, sparsity, seed))
-        # An infinite slack returns the worst distance without judging it:
-        # the p=4, seed=2 cover has a probe at 0.506 in either form.
-        assert (certify_cover(cover, slack=math.inf)
+        # The worst distance, unjudged: the p=4, seed=2 cover has a probe at
+        # 0.506 in either form.
+        assert (netmax._worst_probe_distance(cover, 10_000)
                 == reference_worst_distance(cover))
 
     @pytest.mark.parametrize("support_size", [None, 2])
@@ -279,7 +279,7 @@ class TestHullExit:
         normal = equations[np.argmax(equations[:, -1]), :-1]
         assert abs(netmax._nearest_distances(normal[None], cover.directions)[0]
                    - radius) <= 1e-12
-        assert certify_cover(cover, probes=10**6, slack=math.inf) <= radius
+        assert netmax._worst_probe_distance(cover, 10**6) <= radius
 
     @pytest.mark.parametrize("p", [2, 3])
     def test_same_cover_as_the_streak(self, monkeypatch, p):
@@ -368,19 +368,31 @@ class TestMinimaxCenter:
         _, sparse = minimax_center(dirs, targets, constraint=2)
         assert dense["objective"] <= sparse["objective"] + 1e-9
 
-    def test_sparse_heuristic_above_enumeration_cap(self):
-        # C(30, 4) = 27405 supports exceed the cap, so the dense solution's
-        # top-4 support is re-solved instead of enumerating.
+    def test_sparse_refused_above_enumeration_cap(self, monkeypatch):
+        # C(30, 4) = 27405 supports exceed the cap: refused before any LP.
+        def unreachable(*args):
+            raise AssertionError("an LP was solved")
+
         rng = np.random.default_rng(8)
         dirs = rng.standard_normal((120, 30))
         dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
         targets = dirs @ rng.standard_normal(30)
-        theta, diag = minimax_center(dirs, targets, constraint=4)
-        _, dense = minimax_center(dirs, targets)
-        assert diag["mode"] == "heuristic"
-        assert np.count_nonzero(theta) <= 4
-        assert diag["objective"] == minimax_objective(dirs, targets, theta)
-        assert diag["objective"] >= dense["objective"]
+        monkeypatch.setattr(netmax, "_minimax_lp", unreachable)
+        with pytest.raises(ConfigurationError, match="27405 supports"):
+            minimax_center(dirs, targets, constraint=4)
+
+    @pytest.mark.parametrize("p", [2, 3, 4])
+    def test_dense_is_the_one_lp_over_every_direction(self, p):
+        # The dense search is one support of all p columns, touched by every
+        # unit direction: the LP's theta, bit for bit.
+        for seed in range(5):
+            dirs = build_half_cover(p, seed=seed).directions
+            rng = np.random.default_rng([p, seed])
+            targets = dirs @ rng.standard_normal(p) + rng.standard_normal(len(dirs))
+            theta, diag = minimax_center(dirs, targets)
+            assert theta.tobytes() == netmax._minimax_lp(dirs, targets)[0].tobytes()
+            assert diag == {"objective": minimax_objective(dirs, targets, theta),
+                            "mode": "dense"}
 
     def test_input_validation(self):
         with pytest.raises(ConfigurationError):
@@ -412,6 +424,18 @@ class TestNetConfig:
         cfg = NetConfig(epsilon=0.05, delta=0.05, sparsity=1)
         assert cfg.log_inv_delta_inner(20) == pytest.approx(
             math.log(20) + math.log(6 * math.e * 20))
+
+    def test_supports_above_enumeration_cap_rejected_before_any_draw(
+            self, monkeypatch):
+        # s ln(6 e p / s) = 19.2 is within budget, but the C(30, 4) = 27405
+        # supports are not: refused before a cover is built.
+        def unreachable(*args):
+            raise AssertionError("a probe was drawn")
+
+        monkeypatch.setattr(netmax, "_draw_rows", unreachable)
+        data = np.random.default_rng(13).standard_normal((50, 30))
+        with pytest.raises(ConfigurationError, match="27405 supports"):
+            net_estimate(data, NetConfig(epsilon=0.0, delta=0.1, sparsity=4))
 
 
 class TestNetEstimate:
