@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 from scipy.optimize import linprog
-from scipy.spatial import ConvexHull
+from scipy.spatial import ConvexHull, HalfspaceIntersection, QhullError
 
 from .errors import ConfigurationError, EstimatorError
 from .filtering import EstimateReport, filter_columns
@@ -28,7 +28,7 @@ COVER_RADIUS = 0.5
 DENSE_P_CAP = 12
 SPARSE_BUDGET = 20.0  # cap on s * ln(6 e p / s) so inner confidences stay sane
 CONSECUTIVE_COVERED = 100_000
-HULL_P_CAP = 3  # dense covers to this p stop on their hull (build_half_cover)
+HULL_P_CAP = 3  # dense covers (build_half_cover) and LPs (_minimax_lp) to this p use Qhull
 SUPPORT_ENUM_CAP = 10_000
 INNER_ESTIMATORS = ("interval1d", "filter1d")
 
@@ -279,7 +279,34 @@ def cover_from_csv(path, sparsity: Optional[int] = None) -> CoverSet:
 
 
 def _minimax_lp(directions: np.ndarray, targets: np.ndarray):
-    """Minimize t subject to |u_j . theta - m_j| <= t via linear programming."""
+    """Minimize t subject to |u_j . theta - m_j| <= t: ``(theta, t)``, the
+    targets scaled exactly by a power of two to below 1.  At <= HULL_P_CAP
+    full-rank columns (HiGHS costs 10x more at p <= 3, 1/8 at p = 5) the
+    least-squares start theta0 of gap g is feasible for t >= g: the optimum
+    is the least-t vertex of the feasible set capped at t <= 2 g + 2^-10."""
+    exp = math.frexp(float(np.abs(targets).max()))[1]
+    m = np.ldexp(targets, -exp)
+    count, p = directions.shape
+    if p <= HULL_P_CAP:
+        start, _, rank, _ = np.linalg.lstsq(directions, m, rcond=None)
+    if p > HULL_P_CAP or rank < p:
+        theta, t = _minimax_highs(directions, m)
+        return np.ldexp(theta, exp), float(np.ldexp(t, exp))
+    gap = minimax_objective(directions, m, start)
+    cap = 2.0 * gap + 2.0**-10  # tight: 53-129 vertices on p = 3 nets, ~280 loose
+    # Rows [a, b] of a . (theta, t) + b <= 0, the cap last.
+    halfspaces = np.column_stack([np.vstack([directions, -directions, np.zeros(p)]),
+                                  np.r_[-np.ones(2 * count), 1.0], np.r_[-m, m, -cap]])
+    try:
+        hull = HalfspaceIntersection(halfspaces, np.append(start, (gap + cap) / 2.0))
+    except QhullError as exc:
+        raise EstimatorError(f"minimax hull failed: {exc}") from None
+    best = hull.intersections[np.argmin(hull.intersections[:, p])]
+    return np.ldexp(best[:p], exp), float(np.ldexp(best[p], exp))
+
+
+def _minimax_highs(directions: np.ndarray, targets: np.ndarray):
+    """The same LP solved by HiGHS (``scipy.optimize.linprog``)."""
     count, p = directions.shape
     # variables: [theta_1..theta_p, t]
     a_ub = np.zeros((2 * count, p + 1))
@@ -313,8 +340,10 @@ def minimax_center(
     Returns ``(theta, diagnostics)``; ``diagnostics['objective']`` is the
     achieved sup-gap.  Each support of s = ``constraint`` coordinates (all p,
     mode ``dense``, when None or >= p; else ``exhaustive``) gets one LP over
-    the directions touching it.  Over 10^4 supports, or empty, non-finite or
-    mismatched input (one target per direction), raises ``ConfigurationError``.
+    the directions touching it (Qhull at <= HULL_P_CAP full-rank columns, else
+    HiGHS; a non-unique optimum gives a vertex of the optimal face).  Targets
+    may have any finite magnitude.  Over 10^4 supports, or empty, non-finite
+    or mismatched input (one target per direction), raises ``ConfigurationError``.
     """
     dirs = as_finite_matrix(
         np.atleast_2d(as_float_array(directions, "directions")), what="directions")

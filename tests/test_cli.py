@@ -6,8 +6,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.spatial import QhullError
 
-from robustmean import cli
+from robustmean import cli, netmax
 from robustmean.bench import METHOD_NAMES, METHODS, RunContext
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -181,6 +182,31 @@ class TestEstimate:
         assert code == 0
         vals = np.array([float(x) for x in out.strip().split(",")])
         assert np.linalg.norm(vals - [1.0, -1.0]) < 1.5
+
+    def test_net_on_values_past_highs_infinity(self, data_csv, tmp_path,
+                                               capsys):
+        # HiGHS reads any |b| >= 1e20 as infinite: unscaled targets of this
+        # size were a "Model error" (exit 3).
+        big = tmp_path / "big.csv"
+        np.savetxt(big, 1e20 * np.loadtxt(data_csv, delimiter=","),
+                   delimiter=",")
+        argv = ["estimate", "--method", "net", "--delta", "0.1", "--in"]
+        _, out, _ = run(argv + [str(data_csv)], capsys)
+        code, big_out, _ = run(argv + [str(big)], capsys)
+        assert code == 0
+        np.testing.assert_allclose(
+            [float(x) for x in big_out.strip().split(",")],
+            [1e20 * float(x) for x in out.strip().split(",")], rtol=1e-12)
+
+    def test_net_hull_failure_exits_3(self, data_csv, capsys, monkeypatch):
+        def fail(*args):
+            raise QhullError("QH6023 qhull input error")
+
+        monkeypatch.setattr(netmax, "HalfspaceIntersection", fail)
+        code, _, err = run(
+            ["estimate", "--method", "net", "--in", str(data_csv)], capsys)
+        assert code == 3
+        assert "estimator failure: minimax hull failed: QH6023" in err
 
     @pytest.mark.parametrize("argv", [
         ["--method", "coord"],

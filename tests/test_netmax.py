@@ -3,11 +3,12 @@ import math
 
 import numpy as np
 import pytest
-from scipy.spatial import ConvexHull
+from scipy.spatial import ConvexHull, QhullError
 
 from robustmean import (
     ConfigurationError,
     CoverSet,
+    EstimatorError,
     IntervalConfig,
     NetConfig,
     build_half_cover,
@@ -407,6 +408,98 @@ class TestMinimaxCenter:
             minimax_center(np.eye(2), [1.0, bad])
         with pytest.raises(ConfigurationError, match="directions must be finite"):
             minimax_center([[1.0, 0.0], [bad, 1.0]], [1.0, 0.0])
+
+
+class TestMinimaxLp:
+    """The LP at <= HULL_P_CAP full-rank columns is one halfspace
+    intersection; HiGHS (``_minimax_highs``) is its reference."""
+
+    @staticmethod
+    def odd_targets(dirs, seed):
+        # m(-u) = -m(u), as a sign-equivariant 1D estimator gives: opposite
+        # directions never bind as a pair, so the optimum is unique.
+        rng = np.random.default_rng(seed)
+        p = dirs.shape[1]
+        return dirs @ rng.standard_normal(p) + np.sin(3.0 * dirs @ rng.standard_normal(p))
+
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    def test_hull_agrees_with_highs_on_covers(self, p):
+        for seed in range(10):
+            dirs = build_half_cover(p, seed=seed).directions
+            targets = self.odd_targets(dirs, [p, seed])
+            theta, t = netmax._minimax_lp(dirs, targets)
+            ref, ref_t = netmax._minimax_highs(dirs, targets)
+            assert np.all(np.abs(theta - ref) <= 1e-12 * (1.0 + np.abs(ref)))
+            assert t == pytest.approx(ref_t, rel=1e-12, abs=1e-12)
+            assert t == pytest.approx(minimax_objective(dirs, targets, theta),
+                                      rel=1e-12, abs=1e-15)
+
+    def test_no_linprog_at_full_rank_up_to_three_columns(self, monkeypatch):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("linprog was called")
+
+        monkeypatch.setattr(netmax, "linprog", unreachable)
+        for p in (1, 2, 3):
+            dirs = build_half_cover(p, seed=0).directions
+            netmax._minimax_lp(dirs, self.odd_targets(dirs, p))
+        # Demo 03's 1-sparse search: one 1-column LP per support.
+        dirs = build_half_cover(6, sparsity=1, seed=0).directions
+        minimax_center(dirs, self.odd_targets(dirs, 6), constraint=1)
+
+    @pytest.mark.parametrize("dirs, targets", [
+        ([[1.0, 0.0], [1.0, 0.0]], [0.0, 1.0]),  # rank 1 < 2 columns
+        (np.eye(4), [1.0, -2.0, 0.5, 0.0]),  # 4 columns
+    ], ids=["rank-1", "four-columns"])
+    def test_highs_above_the_cap_or_below_full_rank(self, monkeypatch, dirs,
+                                                    targets):
+        calls = []
+        highs = netmax._minimax_highs
+        monkeypatch.setattr(netmax, "_minimax_highs",
+                            lambda *args: calls.append(args) or highs(*args))
+        dirs, targets = np.array(dirs), np.array(targets)
+        theta, t = netmax._minimax_lp(dirs, targets)
+        assert len(calls) == 1
+        assert t == pytest.approx(minimax_objective(dirs, targets, theta), abs=1e-9)
+        assert t == pytest.approx(0.5 if len(dirs) == 2 else 0.0, abs=1e-9)
+
+    @pytest.mark.parametrize("dirs, targets", [
+        (np.eye(3), [1.0, -2.0, 0.5]),  # exact fit: t = 0
+        ([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.0, 1.0]], [0.0, 1.0, 2.0, 3.0]),
+        ([[1.0, 0.0], [0.0, 0.0], [0.0, 1.0]], [1.0, 5.0, 2.0]),  # zero row
+        # Non-unique: theta_2 is free in [-1/2, 1/2]; any vertex will do.
+        ([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]], [0.0, 1.0, 0.0]),
+    ], ids=["exact-fit", "duplicated", "zero-row", "non-unique"])
+    def test_degenerate_optimum_matches_highs_objective(self, dirs, targets):
+        dirs, targets = np.array(dirs), np.array(targets)
+        theta, t = netmax._minimax_lp(dirs, targets)
+        ref, _ = netmax._minimax_highs(dirs, targets)
+        objective = minimax_objective(dirs, targets, theta)
+        assert objective == pytest.approx(
+            minimax_objective(dirs, targets, ref), rel=1e-15, abs=1e-15)
+        assert t == pytest.approx(objective, rel=1e-15, abs=1e-15)
+
+    @pytest.mark.parametrize("scale", [5e-324, 1e-300, 1e-30, 1e30, 1e300,
+                                       np.finfo(float).max])
+    @pytest.mark.parametrize("dirs, targets, theta, t", [
+        ([[1.0], [-1.0]], [1.0, 0.5], [0.25], 0.75),
+        (np.eye(2), [1.0, -0.5], [1.0, -0.5], 0.0),
+        (np.eye(4), [1.0, -0.5, 0.25, 0.0], [1.0, -0.5, 0.25, 0.0], 0.0),
+    ], ids=["p1-hull", "p2-hull", "p4-highs"])
+    def test_any_finite_target_magnitude(self, scale, dirs, targets, theta, t):
+        # HiGHS reads |b| >= 1e20 as infinite and meets constraints to 1e-7:
+        # unscaled, 1e20 fails and 1e-300 returns the origin.
+        got, got_t = netmax._minimax_lp(np.array(dirs), scale * np.array(targets))
+        np.testing.assert_allclose(got, scale * np.array(theta), rtol=1e-15,
+                                   atol=5e-324)
+        assert got_t == pytest.approx(scale * t, rel=1e-15, abs=5e-324)
+
+    def test_qhull_failure_is_an_estimator_error(self, monkeypatch):
+        def fail(*args):
+            raise QhullError("QH6023 qhull input error")
+
+        monkeypatch.setattr(netmax, "HalfspaceIntersection", fail)
+        with pytest.raises(EstimatorError, match="minimax hull failed: QH6023"):
+            minimax_center(np.eye(2), [1.0, 0.0])
 
 
 class TestNetConfig:
