@@ -48,11 +48,10 @@ class CoverSet:
         if np.any(np.abs(norms - 1.0) > 1e-12):
             raise ConfigurationError("cover directions must be unit vectors")
         if self.sparsity is not None:
-            nnz = np.count_nonzero(arr, axis=1)
-            if np.any(nnz > self.sparsity):
+            check_range("cover sparsity", self.sparsity, 1, kind=int)
+            if np.any(np.count_nonzero(arr, axis=1) > self.sparsity):
                 raise ConfigurationError(
-                    f"cover directions must have <= {self.sparsity} nonzeros"
-                )
+                    f"cover directions must have <= {self.sparsity} nonzeros")
         object.__setattr__(self, "directions", arr)
 
     @property
@@ -128,18 +127,18 @@ def _draw_rows(
 
     The rows are exactly those of ``batch`` one-probe draws from the same
     stream: dense rows come from one ``standard_normal((batch, p))`` call,
-    sparse rows from one support and one draw on it each.  A row whose
-    squared norm (so its norm) is exactly zero is drawn again, the same way
-    and after the batch, until it is not.
+    sparse ones from one ``standard_normal((batch, 2 p))`` call, each row's
+    first p values kept at the 2s coordinates of its smallest last p values
+    (a uniform 2s-support) and zeroed elsewhere.  A row whose squared norm
+    (so its norm) is exactly zero is drawn again, the same way and after the
+    batch, until it is not.
     """
 
     def draw(count: int) -> np.ndarray:
         if support_size is None or support_size >= p:
             return rng.standard_normal((count, p))
-        rows = np.zeros((count, p))
-        for row in rows:
-            support = rng.choice(p, size=support_size, replace=False)
-            row[support] = rng.standard_normal(support_size)
+        rows, keys = np.hsplit(rng.standard_normal((count, 2 * p)), 2)
+        np.put_along_axis(rows, keys.argpartition(support_size)[:, support_size:], 0.0, 1)
         return rows
 
     rows = draw(batch)
@@ -155,11 +154,11 @@ def build_half_cover(
 ) -> CoverSet:
     """Greedy randomized half-cover construction.
 
-    Starts from the signed coordinate axes, then draws random unit probes
-    (restricted to random 2s-supports when ``sparsity`` = s is given) in
-    batches of 2048: the first probe of a batch farther than 1/2 from the
-    cover joins it, until 10^5 consecutive probes are all covered.  Only a
-    probe that joins is normalised (see ``_first_uncovered``).  At p <= 3 a
+    Starts from the signed coordinate axes, then draws random unit probes in
+    batches of 2048 (if ``sparsity`` = s, Gaussian at the 2s coordinates of
+    least Gaussian keys, 0 elsewhere): the first probe of a batch farther than
+    1/2 from the cover joins it, until 10^5 consecutive probes are all covered.
+    Only a joining probe is normalised (see ``_first_uncovered``).  At p <= 3 a
     dense cover below radius 1/2 stops early, with the cover of the streak.
     """
     check_range("p", p, 1, kind=int)

@@ -1,8 +1,6 @@
 """Smoke test of the demo scripts: each runs to completion against the
-package in ``src`` and writes nothing to stderr.
-
-Demo 03 is left out: it takes 9-14 s, most of it building its p = 8 sparse
-covers, while the three below take about 2-3 s together.
+package in ``src`` and writes nothing to stderr.  Together they take a few
+seconds.
 """
 
 import os
@@ -18,6 +16,7 @@ ROOT = Path(__file__).resolve().parent.parent
 @pytest.mark.parametrize("script", [
     "01_filtering_heavy_tails.py",
     "02_univariate_interval.py",
+    "03_sphere_cover_minimax.py",
     "04_oracle_and_subset_search.py",
 ])
 def test_demo_runs_cleanly(script):

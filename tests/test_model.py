@@ -511,6 +511,12 @@ GATE_CASES = {
         epsilon=0.1, delta=0.1, sparsity=1.5), ConfigurationError),
     "build_half_cover p 2.0": (lambda: netmax.build_half_cover(2.0),
                                ConfigurationError),
+    "CoverSet sparsity '2'": (lambda: netmax.CoverSet(np.eye(2), sparsity="2"),
+                              ConfigurationError),
+    "CoverSet sparsity 1.5": (lambda: netmax.CoverSet(np.eye(2), sparsity=1.5),
+                              ConfigurationError),
+    "CoverSet sparsity True": (lambda: netmax.CoverSet(np.eye(2), sparsity=True),
+                               ConfigurationError),
     "build_half_cover sparsity 1.5": (lambda: netmax.build_half_cover(
         4, sparsity=1.5), ConfigurationError),
     "net_estimate seed 1.5": (lambda: netmax.net_estimate(

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import stats
 from scipy.spatial import ConvexHull, QhullError
 
 from robustmean import (
@@ -35,16 +36,22 @@ def grid_minimax(directions, targets, grid):
 
 def reference_random_unit(rng, p, support_size):
     """Reference probe: one unit vector per call, the draw that
-    ``certify_cover`` batches: ``_unit(_draw_rows(...))``."""
-    if support_size is None or support_size >= p:
-        v = rng.standard_normal(p)
-    else:
-        v = np.zeros(p)
-        support = rng.choice(p, size=support_size, replace=False)
-        v[support] = rng.standard_normal(support_size)
+    ``certify_cover`` batches: ``_unit(_draw_rows(...))``.  A sparse probe is
+    one ``standard_normal(2 p)`` draw, its first p values kept at the
+    ``support_size`` coordinates of its least last p values; a zero probe is
+    drawn again the same way."""
+
+    def draw():
+        if support_size is None or support_size >= p:
+            return rng.standard_normal(p)
+        row = rng.standard_normal(2 * p)
+        row[np.argsort(row[p:])[support_size:]] = 0.0
+        return row[:p]
+
+    v = draw()
     norm = np.linalg.norm(v)
     while norm == 0.0:
-        v = rng.standard_normal(p)
+        v = draw()
         norm = np.linalg.norm(v)
     return v / norm
 
@@ -96,14 +103,11 @@ def reference_worst_distance(cover, probes=10_000, seed=123):
 
 class ZeroFirstRow:
     """Generator stand-in whose first ``standard_normal`` draw has an
-    all-zero first row (the whole draw, for a 1D sparse-support draw)."""
+    all-zero first row."""
 
     def __init__(self, seed):
         self.rng = np.random.default_rng(seed)
         self.zeroed = False
-
-    def choice(self, *args, **kwargs):
-        return self.rng.choice(*args, **kwargs)
 
     def standard_normal(self, size):
         out = self.rng.standard_normal(size)
@@ -146,6 +150,19 @@ class TestBatchedProbes:
             np.linalg.norm(probes, axis=1), 1.0, rtol=0, atol=1e-12)
         if support_size is not None:
             assert np.count_nonzero(rows, axis=1).max() <= support_size
+
+    def test_sparse_probe_law(self):
+        # Each 2-subset of 6 coordinates is a support with probability 1/15,
+        # and the values on it are iid standard normal.
+        rows = _draw_rows(np.random.default_rng(0), 60_000, 6, 2)
+        nonzero = rows != 0.0
+        assert np.all(nonzero.sum(axis=1) == 2)
+        # One code per support: the sum of 2^j over its coordinates j.
+        _, counts = np.unique(nonzero @ 2 ** np.arange(6), return_counts=True)
+        assert counts.size == 15
+        sd = math.sqrt(60_000 * (1 / 15) * (14 / 15))
+        assert np.abs(counts - 4000).max() < 5 * sd
+        assert stats.kstest(rows[nonzero], "norm").pvalue > 1e-6
 
 
 def boundary_probes(cover, row, rng, edge=0.875, ulps=40):
@@ -257,7 +274,7 @@ class TestCoverConstruction:
     def test_certify_detects_bad_cover(self):
         # Two antipodal points cannot half-cover S^2.
         bad = CoverSet(np.array([[1.0, 0, 0], [-1.0, 0, 0]]))
-        with pytest.raises(Exception):
+        with pytest.raises(EstimatorError, match="certification failed"):
             certify_cover(bad, probes=5000)
 
 
