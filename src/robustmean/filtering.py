@@ -5,9 +5,14 @@ squared projection on the leading eigenvector of the survivors' sample
 covariance, until a stop rule holds.  Sample covariances use the 1/|S|
 (population) convention throughout.
 
-One loop runs k filters ("lanes") in lockstep, a round's statistics one array
-operation over them: ``filter_multivariate`` is one lane, ``filter_columns``
-one univariate lane per column, with the removals of separate calls.
+One loop runs k filters ("lanes") in lockstep, a round's statistics and picks
+array operations over them: ``filter_multivariate`` is one lane,
+``filter_columns`` one univariate lane per column, with the removals of
+separate calls.  A univariate round reads block sums, not every survivor: it
+turns them into block masses, finds the block where the draw falls and scores
+only that block's rows.  Where a pick or stop decision lies within a rounding
+margin of its boundary, the lane takes the exact arithmetic on its survivors
+for that round, so every removal and estimate is the exact arithmetic's.
 """
 
 from __future__ import annotations
@@ -86,27 +91,205 @@ def top_eigenpair(matrix: np.ndarray) -> Tuple[float, np.ndarray]:
     return float(values[0]), vectors[:, 0]
 
 
+# Univariate lanes sum their rows in blocks of _BLOCK rows, and decide from
+# the sums only where their margin is at most _MARGIN_CAP (see _Univariate).
+_BLOCK = 32
+_MARGIN_CAP = 2.0**-20
+
+
 class _Univariate:
-    """Round statistics of k univariate lanes at once: a lane's top
-    eigenvalue is its survivors' variance and its scores are their squared
-    deviations.  ``data`` stacks the lanes in one column, lane j's n values
-    as rows j*n to j*n + n - 1."""
+    """Round statistics and picks of k univariate lanes, one per column of
+    ``data``, from block sums: a round costs O(n/b + b) a lane, b =
+    ``_BLOCK``, where scoring every survivor costs O(m).
+
+    A lane keeps its values centred once, y = x - c with c their mean, the
+    rows that pad its last block at 0; an alive mask; the sums of y, y^2 and
+    the alive count over each block of b rows; and the lane totals S and Q
+    of y and y^2.  A removal downdates its block and the totals.  Round 0 takes its variance
+    from the centring pass itself, which is the exact arithmetic; a later
+    round takes it as V~/m, V~ = Q - S^2/m.  A pick takes three steps: the
+    block masses Q_k - 2 mu S_k + m_k mu^2 about mu = S/m, the block where
+    the draw u times their sum falls, and the scores (y - mu)^2 of that
+    block's b rows only.
+
+    The exact arithmetic (``_exact``) scores the m survivors in index order
+    by their squared deviations from their mean, takes the variance as the
+    scores' total T over m, and picks the first entry above u of their
+    cumsum divided by T and then by its last entry: ``Generator.choice``'s
+    cdf c'_j.  Let F_j be the cdf of the survivors' squared deviations in
+    exact arithmetic, V its total, sigma^2 = V/m, Q_0 the lane's Q at the
+    last exact computation of its sums, rho = Q_0/V and eps = 2^-53.  To
+    first order:
+
+      - c'_j: the mean is off by at most d = (m+1) eps sum|x|/m, and sum|x|
+        <= m|c| + sqrt(m Q_0); a centre off by d moves each F_j by at most
+        2 d/sigma + 2 (d/sigma)^2, and the squares, the m-term sums, the
+        quotients and the cumsum add (2m + 7) eps.  So |c'_j - F_j| <=
+        2 (m+1) eps (|c| sqrt(m/V) + sqrt(rho)) + (2m + 7) eps.
+      - F~_j, the sums' cdf: each maintained sum has taken at most n + n/b
+        + 2b roundings since its exact computation, each at most eps times
+        Q_0 for squares and sqrt(n Q_0) for values.  Through the rounding of
+        y, mu, the block masses, their cumsum, the cdf before the block (its
+        end minus its mass), the b scores and the quotient, |F~_j - F_j| <=
+        20 (n+b) eps sqrt(n/m) rho.
+      - the variance: V~/m and T/m both lie within (5n + 7b) eps sqrt(n/m)
+        rho of V/m, relatively.
+
+    The margin E = 2^-47 [(n+b) sqrt(n/m) Q_0/V~ + m |c| sqrt(m/V~)] is 64
+    eps times the two terms that these bounds sum to at most 24 eps times;
+    the room covers V~ for V and the roundings of the tests themselves.  A
+    lane picks row j from its sums only if F~_{j-1} + E <= u < F~_j - E,
+    hence c'_{j-1} <= u < c'_j, and takes a stop decision from V~/m only if
+    E <= ``_MARGIN_CAP`` (so V~ > 0 and the first-order terms dominate) and
+    V~/m lies more than E V~/m from the threshold.  Otherwise the lane runs
+    the exact arithmetic on its compacted survivors that round and records
+    its exact variance.  The drift guard: a lane whose E exceeds the cap is
+    first re-centred on its survivors' mean and summed again exactly, as
+    after a far outlier's removal, whose downdates leave no digits of V (V~
+    may even be <= 0).  E is about 1e-11 rho at n = 2000: the chance that a
+    pick falls back.
+    """
 
     def __init__(self, data: np.ndarray):
-        self.data = data.T.reshape(-1, 1)
+        n, k = data.shape
+        self.n = self.m = n
+        self.data = data.T  # lane j's rows in row j, not copied
+        width = -(-n // _BLOCK) * _BLOCK  # dead padding rows fill the last block
+        self.alive = np.zeros((k, width), dtype=bool)
+        self.alive[:, :n] = True
+        self.values = np.zeros((k, width))
+        rows = self.values[:, :n]
+        rows[:] = self.data
+        centre = rows.sum(axis=1) / n
+        rows -= centre[:, None]  # the exact arithmetic's deviations in round 0
+        self.offset = np.abs(centre)
+        self.total, self.total_sq, self.exact_sq, self.mean, self.margin = \
+            np.zeros((5, k))
+        self.sums, self.squares, self.counts = np.zeros((3, k, width // _BLOCK))
+        self.counts[:] = _BLOCK
+        self.counts[:, -1] -= width - n
 
-    def round(self, alive: np.ndarray) -> Tuple[list, np.ndarray, np.ndarray]:
-        # Row sums of the C-contiguous survivor matrix are the 1D sum() of
-        # each row bit for bit, and sum()/m is mean() without its overhead.
-        survivors = self.data.take(alive)
-        m = alive.shape[1]
-        survivors -= (survivors.sum(axis=1) / m)[:, None]
+    def _recentre(self, lanes: np.ndarray) -> None:
+        """Centre ``lanes`` on their survivors' mean, the dead rows at 0."""
+        alive = self.alive[lanes, :self.n]
+        data = self.data[lanes] * alive
+        centre = data.sum(axis=1) / self.m
+        self.offset[lanes] = np.abs(centre)
+        self.values[lanes, :self.n] = (data - centre[:, None]) * alive
+        self._sum(lanes, np.square(self.values[lanes]))
+
+    def _sum(self, lanes, squares: np.ndarray) -> None:
+        """Sum the blocks and totals of ``lanes``, and of their ``squares``,
+        exactly."""
+        shape = self.sums[lanes].shape + (_BLOCK,)
+        self.sums[lanes] = self.values[lanes].reshape(shape).sum(axis=2)
+        self.squares[lanes] = squares.reshape(shape).sum(axis=2)
+        self.total[lanes] = self.sums[lanes].sum(axis=1)
+        self.total_sq[lanes] = self.exact_sq[lanes] = self.squares[lanes].sum(axis=1)
+
+    def _moments(self) -> np.ndarray:
+        """The lanes' variances from their sums; sets their mean and margin.
+        A scatter that is 0 or overflowed makes the margin inf or NaN."""
+        m, n = self.m, self.n
+        self.mean = self.total / m
+        scatter = self.total_sq - self.total * self.mean
+        self.margin = (2.0**-47 * math.sqrt(n / m) * (n + _BLOCK) * self.exact_sq
+                       + 2.0**-47 * m**1.5 * self.offset * np.sqrt(scatter)) / scatter
+        return scatter / m
+
+    def _exact(self, i: int) -> Tuple[np.ndarray, float]:
+        """Lane i's survivors' squared deviations from their mean and their
+        total, by the exact arithmetic."""
+        survivors = self.data[i, self.alive[i, :self.n]]
+        survivors -= survivors.sum() / self.m
         scores = np.square(survivors, out=survivors)
-        totals = scores.sum(axis=1)
-        return (totals / m).tolist(), scores, totals
+        return scores, scores.sum()
 
-    def remove(self, rows: List[int]) -> None:
-        pass
+    def round(self, threshold: float) -> list:
+        if self.m == self.n:  # round 0: the centring was the exact arithmetic
+            self.squared = np.square(self.values)  # summed by the first pick
+            totals = self.squared[:, :self.n].sum(axis=1)
+            self.exact = list(zip(self.squared[:, :self.n], totals))
+            return (totals / self.n).tolist()
+        with np.errstate(all="ignore"):
+            lams = self._moments()
+            sure = self.margin <= _MARGIN_CAP  # hence a finite scatter > 0
+            if not sure.all():  # the drift guard
+                self._recentre(np.flatnonzero(~sure))
+                lams = self._moments()
+                sure = self.margin <= _MARGIN_CAP
+            if threshold > -math.inf:
+                sure &= np.abs(lams - threshold) > self.margin * lams
+        lams = lams.tolist()
+        self.exact = [None] * len(lams)
+        if not sure.all():
+            for i in np.flatnonzero(~sure).tolist():
+                self.exact[i] = scores, total = self._exact(i)
+                lams[i] = float(total / self.m)
+        return lams
+
+    def means(self, leaving: List[int]) -> np.ndarray:
+        data = self.data if len(leaving) == len(self.data) else self.data[leaving]
+        survivors = data[self.alive[leaving, :self.n]]
+        return survivors.reshape(len(leaving), self.m).mean(axis=1, keepdims=True)
+
+    def keep(self, going: List[int]) -> None:
+        for name, value in vars(self).items():  # every array is lane by lane
+            if isinstance(value, np.ndarray):
+                setattr(self, name, value[going])
+        self.exact = [self.exact[i] for i in going]
+
+    def pick(self, rngs: Sequence[np.random.Generator]) -> List[int]:
+        for exact in self.exact:
+            if exact is not None and not math.isfinite(exact[1]):
+                raise DegenerateScoresError("squared deviations overflow")
+        draws = [rng.random() for rng in rngs]
+        u = np.array(draws)
+        lanes = np.arange(u.size)
+        with np.errstate(all="ignore"):  # lanes with an inf or NaN margin
+            if self.m == self.n:
+                self._sum(slice(None), self.squared)
+                self.squared = None
+                self._moments()
+            mean = self.mean[:, None]
+            masses = self.squares - mean * (2.0 * self.sums - self.counts * mean)
+            cdf = masses.cumsum(axis=1)
+            target = u * cdf[:, -1]
+            margin = self.margin * cdf[:, -1]
+            # The block where u * total falls (flat index lane * blocks +
+            # block), and in it the first row whose cdf lies more than the
+            # margin above u: certain if it is also the first row whose cdf
+            # lies above u less the margin, and the block's start below it.
+            block = (cdf > target[:, None]).argmax(axis=1) + lanes * cdf.shape[1]
+            target -= cdf.take(block) - masses.take(block)
+            partial = (np.square(self.values.reshape(-1, _BLOCK).take(block, axis=0) - mean)
+                       * self.alive.reshape(-1, _BLOCK).take(block, axis=0)).cumsum(axis=1)
+            above, below = target + margin, target - margin
+            j = (partial > above[:, None]).argmax(axis=1)
+            sure = (j == (partial > below[:, None]).argmax(axis=1)) \
+                & (partial[:, -1] > above) & (below >= 0.0) \
+                & (self.margin <= _MARGIN_CAP)
+        picks = block * _BLOCK + j  # flat indices into values
+        if not sure.all():
+            for i in np.flatnonzero(~sure).tolist():
+                scores, total = self.exact[i] or self._exact(i)
+                scores /= total
+                cdf = scores.cumsum()
+                cdf /= cdf[-1]
+                picks[i] = i * self.values.shape[1] + np.flatnonzero(self.alive[i])[
+                    cdf.searchsorted(draws[i], side="right")]
+            block = picks // _BLOCK
+        # Every array here is C-contiguous, so reshape(-1) is a view of it.
+        y = self.values.take(picks)
+        y2 = y * y
+        self.sums.reshape(-1)[block] -= y
+        self.squares.reshape(-1)[block] -= y2
+        self.counts.reshape(-1)[block] -= 1.0
+        self.total -= y
+        self.total_sq -= y2
+        self.alive.reshape(-1)[picks] = False
+        self.m -= 1
+        return (picks % self.values.shape[1]).tolist()
 
 
 class _Multivariate:
@@ -163,22 +346,63 @@ def _weighted_picks(rngs: Sequence[np.random.Generator],
     return (cdf > draws[:, None]).argmax(axis=1).tolist()
 
 
+class _Scored:
+    """Lanes whose round statistics score every survivor (``_Multivariate``'s
+    ``round(alive)`` and ``remove(rows)``): the survivors listed in index
+    order, lane j's as rows j*n to j*n + n - 1 of ``stats.data``, and one
+    ``_weighted_picks`` over the scores a round."""
+
+    def __init__(self, stats, k: int, n: int):
+        self.stats, self.n = stats, n
+        self.alive = np.arange(k * n).reshape(k, n)
+
+    def round(self, threshold: float) -> list:
+        lams, self.scores, self.totals = self.stats.round(self.alive)
+        return lams
+
+    def means(self, leaving: List[int]) -> np.ndarray:
+        return self.stats.data[self.alive[leaving]].mean(axis=1)
+
+    def keep(self, going: List[int]) -> None:
+        self.alive, self.scores, self.totals = (
+            self.alive[going], self.scores[going], self.totals[going])
+
+    def pick(self, rngs: Sequence[np.random.Generator]) -> List[int]:
+        listed = self.totals.tolist()  # scores are squares: a total is 0 or more
+        if 0.0 in listed:
+            raise DegenerateScoresError("zero scores with a positive eigenvalue")
+        if not all(map(math.isfinite, listed)):
+            raise DegenerateScoresError("squared deviations overflow")
+        self.scores /= self.totals[:, None]
+        rows = []
+        for row, j in zip(self.alive, _weighted_picks(rngs, self.scores)):
+            rows.append(int(row[j]))
+            row[j:-1] = row[j + 1:]  # the survivors after j move left
+        self.stats.remove(rows)
+        self.alive = self.alive[:, :-1]
+        return [row % self.n for row in rows]
+
+
 def _filter(lane_stats, data: np.ndarray, config: FilterConfig,
             seeds: Sequence[int]) -> List[EstimateReport]:
     """The filter loop on the n rows of ``data``, one lane per seed, with
-    round statistics ``lane_stats(data)``.  The lanes run in lockstep: each
-    remaining lane removes one row a round, so all have m survivors.  A
-    round's statistics are array operations over the lanes, its stop rule and
-    records plain Python; a lane's record becomes its report when it leaves."""
+    round statistics ``lane_stats(data)``: ``_Univariate``'s, or ones that
+    score every survivor, picked from by ``_Scored``.  Either gives each
+    lane's eigenvalue (``round``), survivors' mean (``means``) and removed
+    row (``pick``), and drops the lanes that leave (``keep``).  The lanes
+    run in lockstep: each remaining lane removes one row a round, so all
+    have m survivors.  A round's statistics and picks are array operations
+    over the lanes, its stop rule and records plain Python; a lane's record
+    becomes its report when it leaves."""
     n = data.shape[0]
     if n < 2:
         raise ConfigurationError(f"filtering needs at least 2 rows, got n={n}")
     stats = lane_stats(data)
-    # lanes[i] is (lane, its eigenvalues, its removals), alive[i] its
-    # survivors in index order as rows of stats.data (lane j's from j * n),
-    # and rngs[i] its default_rng(seed), made at the first pick.
+    if not isinstance(stats, _Univariate):
+        stats = _Scored(stats, len(seeds), n)
+    # lanes[i] is (lane, its eigenvalues, its removals), the i-th lane of
+    # stats, and rngs[i] its default_rng(seed), made at the first pick.
     lanes = [(lane, [], []) for lane in range(len(seeds))]
-    alive = np.arange(len(lanes) * n).reshape(len(lanes), n)
     rngs = [None] * len(lanes)
     reports: List[EstimateReport] = [None] * len(lanes)
     threshold = -math.inf if config.cov_bound is None \
@@ -186,7 +410,7 @@ def _filter(lane_stats, data: np.ndarray, config: FilterConfig,
     budget = math.inf if config.steps is None else config.steps
     rounds = min(n - 1, budget + 1)  # the last spends the budget or leaves 1 row
     for r in range(rounds):  # round r starts with n - r survivors
-        lams, scores, totals = stats.round(alive)
+        lams = stats.round(threshold)
         for (_, history, _), lam in zip(lanes, lams):
             history.append(lam)
         # A lane stops below the threshold or at zero scatter (lam <= 0: no
@@ -195,7 +419,7 @@ def _filter(lane_stats, data: np.ndarray, config: FilterConfig,
         spent = r >= budget
         if spent or any(stop):
             leaving = [i for i, s in enumerate(stop) if s or spent]
-            for i, mean in zip(leaving, stats.data[alive[leaving]].mean(axis=1)):
+            for i, mean in zip(leaving, stats.means(leaving)):
                 lane, history, removal = lanes[i]
                 reason = "threshold" if lams[i] < threshold \
                     else "budget" if spent else "zero_scatter"
@@ -208,23 +432,11 @@ def _filter(lane_stats, data: np.ndarray, config: FilterConfig,
             going = [i for i, s in enumerate(stop) if not s]
             lanes = [lanes[i] for i in going]
             rngs = [rngs[i] for i in going]
-            alive, scores, totals = alive[going], scores[going], totals[going]
-        listed = totals.tolist()  # scores are squares: a total is 0 or more
-        if 0.0 in listed:
-            raise DegenerateScoresError("zero scores with a positive eigenvalue")
-        if not all(map(math.isfinite, listed)):
-            raise DegenerateScoresError("squared deviations overflow")
-        scores /= totals[:, None]
+            stats.keep(going)
         if r == 0:  # the first pick: lanes that left make no generator
             rngs = [np.random.default_rng(seeds[lane]) for lane, _, _ in lanes]
-        rows = []
-        for (lane, _, removal), row, j in zip(lanes, alive,
-                                              _weighted_picks(rngs, scores)):
-            rows.append(int(row[j]))
-            removal.append(rows[-1] - lane * n)
-            row[j:-1] = row[j + 1:]  # the survivors after j move left
-        stats.remove(rows)
-        alive = alive[:, :-1]
+        for (_, _, removal), row in zip(lanes, stats.pick(rngs)):
+            removal.append(row)
     raise FilterExhaustedError("fewer than 2 survivors before the stop condition held")
 
 
@@ -243,7 +455,10 @@ def filter_multivariate(samples, config: FilterConfig) -> EstimateReport:
     the survivors and recomputes both exactly whenever the trace of G at the
     last exact computation exceeds 2^10 * m * trace(cov), as it does once a
     far outlier has been removed.  For p = 1 a round is the variance and the
-    squared deviations of the survivors: no matrix and no eigensolve.  The
+    squared deviations of the survivors, no matrix and no eigensolve, read
+    from block sums (see ``_Univariate``): the same removals, stops and
+    estimate, with each eigenvalue the survivors' variance to within its
+    rounding margin (the exact one where the margin does not decide).  The
     estimate is the survivors' mean, computed from the data.
 
     ``diagnostics`` holds ``stop_reason`` (the limit of ``config`` that
@@ -271,8 +486,21 @@ def filter_univariate(samples: Sequence[float], config: FilterConfig) -> Estimat
 def filter_columns(samples, steps: int, seeds: Sequence[int]) -> np.ndarray:
     """The estimates of ``filter_univariate`` with ``clamp_steps(steps, n)``
     fixed steps and seed ``seeds[j]`` on each column j of an n x k dataset,
-    the k filters run in lockstep: the same removals as k separate calls."""
+    the k filters run in lockstep: the same removals as k separate calls.
+    A round costs O(n/32 + 32) a column: block masses, the block of the
+    draw and its rows' scores, with the exact arithmetic where the margin
+    does not decide (see ``_Univariate``).  ``seeds`` must hold one int >= 0
+    per column."""
     data = as_finite_matrix(samples)
+    if len(seeds) != data.shape[1]:
+        raise ConfigurationError(
+            f"filter_columns needs one seed per column: {len(seeds)} seeds "
+            f"for {data.shape[1]} columns")
+    # Plain ints >= 0, the usual seeds, skip check_range, whose per-seed
+    # cost adds up over many lanes.
+    if not all(type(seed) is int and seed >= 0 for seed in seeds):
+        for seed in seeds:
+            check_range("seed", seed, 0, kind=int)
     cfg = FilterConfig(steps=clamp_steps(steps, data.shape[0]))
     return np.array([r.estimate[0] for r in _filter(_Univariate, data, cfg, seeds)])
 

@@ -1,3 +1,4 @@
+import copy
 import math
 from dataclasses import replace
 from types import SimpleNamespace
@@ -511,6 +512,193 @@ class TestLanes:
              for j, seed in enumerate([7, 8, 9])])
         with pytest.raises(ConfigurationError, match="n=1"):
             filtering.filter_columns(np.ones((1, 3)), 6, [0, 1, 2])
+
+    @pytest.mark.parametrize("seeds", [[7, 8], [7, 8, 9, 10], [7, -3, 9],
+                                       [7, 8.0, 9], [7, True, 9]])
+    def test_filter_columns_needs_one_int_seed_per_column(self, seeds):
+        data = np.random.default_rng(79).standard_normal((20, 3))
+        with pytest.raises(ConfigurationError, match="seed"):
+            filtering.filter_columns(data, 2, seeds)
+
+
+def _reference_lanes(data, config, seeds):
+    """The per-survivor arithmetic, one lane per column and seed: every round
+    scores all m survivors by their squared deviations from their mean, takes
+    the variance as the scores' total over m, stops below the threshold, at
+    zero scatter or on the budget, and picks the first entry above the lane
+    generator's draw of the scores' cdf over their total and its last entry.
+    Returns each lane's removals, estimate, stop reason and eigenvalues."""
+    threshold = -math.inf if config.cov_bound is None \
+        else filtering.THRESHOLD_FACTOR * config.cov_bound
+    budget = math.inf if config.steps is None else config.steps
+    lanes = []
+    for column, seed in zip(np.asarray(data, dtype=float).T, seeds):
+        alive, removed, eigenvalues, rng = np.arange(column.size), [], [], None
+        while True:
+            survivors = column[alive]
+            survivors -= survivors.sum() / alive.size
+            scores = np.square(survivors)
+            total = scores.sum()
+            eigenvalues.append(float(total / alive.size))
+            lam, spent = eigenvalues[-1], len(removed) >= budget
+            if lam < threshold or lam <= 0.0 or spent:
+                reason = "threshold" if lam < threshold \
+                    else "budget" if spent else "zero_scatter"
+                if reason == "zero_scatter":
+                    eigenvalues[-1] = 0.0
+                lanes.append((tuple(removed), column[alive].mean(), reason,
+                              eigenvalues))
+                break
+            if not math.isfinite(total):
+                raise DegenerateScoresError("squared deviations overflow")
+            rng = rng or np.random.default_rng(seed)
+            cdf = (scores / total).cumsum()
+            cdf /= cdf[-1]
+            j = int(cdf.searchsorted(rng.random(), side="right"))
+            removed.append(int(alive[j]))
+            alive = np.delete(alive, j)
+            if alive.size == 1:
+                raise FilterExhaustedError("one survivor")
+    return lanes
+
+
+class TestBlockSums:
+    """Univariate lanes that pick from block sums remove, stop and estimate
+    as the per-survivor arithmetic does; their eigenvalues are within the
+    margin's bound of its own."""
+
+    def assert_as_reference(self, data, config, seeds):
+        try:
+            expected = _reference_lanes(data, config, seeds)
+        except (DegenerateScoresError, FilterExhaustedError) as error:
+            with pytest.raises(type(error)):
+                filtering._filter(filtering._Univariate, data, config, seeds)
+            return None
+        reports = filtering._filter(filtering._Univariate, data, config, seeds)
+        for rep, (removed, mean, reason, eigenvalues) in zip(reports, expected):
+            assert rep.removed_indices == removed
+            assert rep.estimate.tolist() == [mean]
+            assert rep.diagnostics["stop_reason"] == reason
+            np.testing.assert_allclose(rep.diagnostics["eigenvalues"],
+                                       eigenvalues, rtol=filtering._MARGIN_CAP)
+        return reports
+
+    def test_twenty_lognormal_lanes_and_a_point_mass(self):
+        for seed in range(20):
+            data = np.random.default_rng([80, seed]).lognormal(size=(500, 20))
+            self.assert_as_reference(data, FilterConfig(steps=6),
+                                     lane_seeds(seed, 20))
+        for seed in range(3):
+            data = np.random.default_rng([81, seed]).standard_normal((2000, 20))
+            data[:200] = 0.0
+            data[:200, 0] = 50.0
+            self.assert_as_reference(data, FilterConfig(steps=6),
+                                     lane_seeds(seed, 20))
+
+    @pytest.mark.parametrize("n", [2, 3, 17, 31, 33, 45, 100, 333])
+    def test_row_counts_off_the_block_size(self, n):
+        assert n % filtering._BLOCK or n < filtering._BLOCK
+        for seed in range(10):
+            data = np.random.default_rng([82, n, seed]).lognormal(size=(n, 4))
+            self.assert_as_reference(
+                data, FilterConfig(steps=filtering.clamp_steps(12, n)),
+                lane_seeds(seed, 4))
+            self.assert_as_reference(data, FilterConfig(cov_bound=0.5 / 32),
+                                     lane_seeds(seed, 4))
+
+    @pytest.mark.parametrize("scale", [1e2, 1e4, 1e6, 1e8, 1e10, 1e12])
+    def test_far_outliers_and_the_drift_guard(self, scale, monkeypatch):
+        recentred = []
+        recentre = filtering._Univariate._recentre
+        monkeypatch.setattr(filtering._Univariate, "_recentre", lambda self, lanes: (
+            recentred.append(len(lanes)), recentre(self, lanes)))
+        for seed in range(10):
+            data = np.random.default_rng([83, seed]).standard_normal((303, 5))
+            data[:3] = 0.0
+            data[:3, 0] = scale
+            data[:2, 3] = -scale
+            self.assert_as_reference(data, FilterConfig(steps=8),
+                                     lane_seeds(seed, 5))
+        # Past 1e4 the removals leave too few digits in the sums: the lanes
+        # of the outliers are re-centred.
+        assert bool(recentred) == (scale >= 1e4)
+
+    def test_constant_columns(self):
+        data = np.random.default_rng(84).standard_normal((70, 6))
+        data[:, 1] = 2.0  # stops at round 0
+        data[:, 2] = 0.0
+        data[:2, 2] = [40.0, -30.0]  # constant once both are removed
+        data[:, 4] = -1.5
+        data[5, 4] = 1e3
+        for seed in range(10):
+            reports = self.assert_as_reference(data, FilterConfig(steps=12),
+                                               lane_seeds(seed, 6))
+            assert reports[1].diagnostics["eigenvalues"] == [0.0]
+        reasons = [rep.diagnostics["stop_reason"] for rep in reports]
+        assert reasons == ["budget", "zero_scatter", "zero_scatter", "budget",
+                           "zero_scatter", "budget"]
+        assert len(reports[2].removed_indices) == 2
+
+    def test_threshold_stops_in_different_rounds(self):
+        rng = np.random.default_rng(85)
+        for case in range(10):
+            data = rng.standard_normal((300, 6))
+            for j in range(6):
+                data[:3 * j, j] += 30.0
+            for config in (FilterConfig(cov_bound=1.5 / 32),
+                           FilterConfig(cov_bound=1.5 / 32, steps=10)):
+                reports = self.assert_as_reference(data, config,
+                                                   lane_seeds(case, 6))
+                assert len({len(r.removed_indices) for r in reports}) > 1
+                assert "threshold" in {r.diagnostics["stop_reason"]
+                                       for r in reports}
+
+    def test_overflow_raises(self):
+        data = np.random.default_rng(86).standard_normal((50, 3))
+        data[7, 1] = 1e200
+        with np.errstate(over="ignore", invalid="ignore"):
+            for config in (FilterConfig(steps=3), FilterConfig(cov_bound=1.0)):
+                with pytest.raises(DegenerateScoresError):
+                    _reference_lanes(data, config, [0, 1, 2])
+                assert self.assert_as_reference(data, config, [0, 1, 2]) is None
+
+    def test_draws_on_and_beside_each_cdf_quotient_fall_back(self, monkeypatch):
+        # A draw on a cdf quotient of the exact arithmetic, or one ulp beside
+        # it, lies within the margin: the lane takes the exact arithmetic and
+        # picks what Generator.choice picks.  A draw midway between two far
+        # quotients is decided by the sums alone.
+        exact = []
+        exact_scores = filtering._Univariate._exact
+        monkeypatch.setattr(filtering._Univariate, "_exact", lambda self, i: (
+            exact.append(i), exact_scores(self, i))[1])
+        rng = np.random.default_rng(87)
+        for n, k in ((9, 1), (40, 3), (70, 2)):
+            data = rng.lognormal(size=(n, k))
+            stats = filtering._Univariate(data)
+            stats.round(-math.inf)
+            first = stats.pick([StubGenerator(0.5) for _ in range(k)])
+            stats.round(-math.inf)  # round 1: sums, not the centring pass
+            for lane in range(k):
+                alive = np.delete(np.arange(n), first[lane])
+                survivors = data[alive, lane]
+                scores = np.square(survivors - survivors.sum() / (n - 1))
+                cdf = (scores / scores.sum()).cumsum()
+                quotients = cdf / cdf[-1]
+                draws = {}
+                for q in quotients[quotients < 1.0]:
+                    for u in (np.nextafter(q, 0.0), q, np.nextafter(q, 1.0)):
+                        draws[u] = True
+                gaps = np.diff(np.concatenate([[0.0], quotients]))
+                widest = int(gaps.argmax())
+                draws[quotients[widest] - gaps[widest] / 2] = False
+                for u, falls_back in draws.items():
+                    trial = copy.deepcopy(stats)
+                    others = [StubGenerator(0.5) for _ in range(k)]
+                    others[lane] = StubGenerator(u)
+                    exact.clear()
+                    pick = trial.pick(others)[lane]
+                    assert pick == alive[(quotients > u).argmax()], (n, u)
+                    assert (lane in exact) == falls_back, (n, u)
 
 
 class TestDiagnostics:
