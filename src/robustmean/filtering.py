@@ -6,13 +6,16 @@ covariance, until a stop rule holds.  Sample covariances use the 1/|S|
 (population) convention throughout.
 
 One loop runs k filters ("lanes") in lockstep, a round's statistics and picks
-array operations over them: ``filter_multivariate`` is one lane,
-``filter_columns`` one univariate lane per column, with the removals of
-separate calls.  A univariate round reads block sums, not every survivor: it
-turns them into block masses, finds the block where the draw falls and scores
-only that block's rows.  Where a pick or stop decision lies within a rounding
-margin of its boundary, the lane takes the exact arithmetic on its survivors
-for that round, so every removal and estimate is the exact arithmetic's.
+array operations over them.  ``filter_multivariate`` is one lane, which for
+p > 1 scores every survivor in a round that picks; ``filter_columns`` is one
+univariate lane per column, with the removals of separate calls.  A
+univariate round reads block sums, not every survivor: it turns them into
+block masses, finds the block where the draw falls and scores only that
+block's rows.  Where a pick or stop decision lies within a rounding margin of
+its boundary, the lane takes the exact arithmetic on its survivors for that
+round, so every removal and estimate is the exact arithmetic's.  Every pick
+from a full list of scores, that fallback's and the p > 1 lane's, is the same
+cdf search as ``Generator.choice``'s (``_cdf_pick``).
 """
 
 from __future__ import annotations
@@ -89,6 +92,16 @@ def top_eigenpair(matrix: np.ndarray) -> Tuple[float, np.ndarray]:
         v[0] = 1.0
         return 0.0, v
     return float(values[0]), vectors[:, 0]
+
+
+def _cdf_pick(scores: np.ndarray, total: float, u: float) -> int:
+    """``rng.choice(scores.size, p=scores / total)`` for a generator whose
+    draw is ``u``, without its checks of p: the first entry above u of the
+    cumsum of p over its last entry, by ``choice``'s right-side binary
+    search (0 where that cdf is all NaN)."""
+    cdf = (scores / total).cumsum()
+    cdf /= cdf[-1]
+    return int(cdf.searchsorted(u, side="right"))
 
 
 # Univariate lanes sum their rows in blocks of _BLOCK rows, and decide from
@@ -273,11 +286,8 @@ class _Univariate:
         if not sure.all():
             for i in np.flatnonzero(~sure).tolist():
                 scores, total = self.exact[i] or self._exact(i)
-                scores /= total
-                cdf = scores.cumsum()
-                cdf /= cdf[-1]
                 picks[i] = i * self.values.shape[1] + np.flatnonzero(self.alive[i])[
-                    cdf.searchsorted(draws[i], side="right")]
+                    _cdf_pick(scores, total, draws[i])]
             block = picks // _BLOCK
         # Every array here is C-contiguous, so reshape(-1) is a view of it.
         y = self.values.take(picks)
@@ -293,11 +303,14 @@ class _Univariate:
 
 
 class _Multivariate:
-    """Round statistics of one lane from the survivors' shifted sum and Gram
-    matrix G, downdated by one rank-one term per removed row."""
+    """Round statistics and pick of one lane from the survivors' shifted sum
+    and Gram matrix G, downdated by one rank-one term per removed row; a pick
+    scores every survivor by its squared projection on the round's top
+    eigenvector."""
 
     def __init__(self, data: np.ndarray):
         self.data = data
+        self.alive = np.arange(data.shape[0])  # the survivors in index order
         self._recentre(slice(None))  # all rows, without copying them
 
     def _recentre(self, alive) -> None:
@@ -312,94 +325,53 @@ class _Multivariate:
         # np.outer(mu, mu) and np.trace bit for bit, without their wrappers.
         return mu, self.gram / m - mu[:, None] * mu
 
-    def round(self, alive: np.ndarray) -> Tuple[list, np.ndarray, np.ndarray]:
-        m = alive.shape[1]
-        mu, cov = self._moments(m)
+    def round(self, threshold: float) -> list:
+        m = self.alive.size
+        self.mu, cov = self._moments(m)
         trace = cov.trace()
         if not math.isfinite(trace):  # overflow: inf, or NaN from inf - inf
             raise DegenerateScoresError("the survivors' covariance is not finite")
         if self.exact_trace > _DRIFT_RATIO * m * trace:
-            self._recentre(alive[0])
-            mu, cov = self._moments(m)
-        lam, v = top_eigenpair(cov)
-        scores = np.square((self.shifted @ v).take(alive) - mu @ v)
-        return [lam], scores, scores.sum(axis=1)
+            self._recentre(self.alive)
+            self.mu, cov = self._moments(m)
+        lam, self.v = top_eigenpair(cov)
+        return [lam]
 
-    def remove(self, rows: List[int]) -> None:
-        x = self.shifted[rows[0]]
-        self.total -= x
-        self.gram -= x[:, None] * x
-
-
-def _weighted_picks(rngs: Sequence[np.random.Generator],
-                    p: np.ndarray) -> List[int]:
-    """For each row of ``p`` and its generator, ``rng.choice(p.shape[1],
-    p=row)`` without its checks of ``row``: the same cdf over its last entry
-    and draw, so the same index, the first entry above the draw (``choice``'s
-    right-side binary search for one lane, one comparison pass for several; 0
-    on an all-NaN row), and the same generator state afterwards."""
-    cdf = p.cumsum(axis=1)
-    cdf /= cdf[:, -1:].copy()  # a copy spares numpy's buffering of the overlap
-    if len(rngs) == 1:
-        return [int(cdf[0].searchsorted(rngs[0].random(), side="right"))]
-    draws = np.array([rng.random() for rng in rngs])
-    return (cdf > draws[:, None]).argmax(axis=1).tolist()
-
-
-class _Scored:
-    """Lanes whose round statistics score every survivor (``_Multivariate``'s
-    ``round(alive)`` and ``remove(rows)``): the survivors listed in index
-    order, lane j's as rows j*n to j*n + n - 1 of ``stats.data``, and one
-    ``_weighted_picks`` over the scores a round."""
-
-    def __init__(self, stats, k: int, n: int):
-        self.stats, self.n = stats, n
-        self.alive = np.arange(k * n).reshape(k, n)
-
-    def round(self, threshold: float) -> list:
-        lams, self.scores, self.totals = self.stats.round(self.alive)
-        return lams
-
-    def means(self, leaving: List[int]) -> np.ndarray:
-        return self.stats.data[self.alive[leaving]].mean(axis=1)
-
-    def keep(self, going: List[int]) -> None:
-        self.alive, self.scores, self.totals = (
-            self.alive[going], self.scores[going], self.totals[going])
+    def means(self, leaving: List[int]) -> list:
+        return [self.data[self.alive].mean(axis=0)]
 
     def pick(self, rngs: Sequence[np.random.Generator]) -> List[int]:
-        listed = self.totals.tolist()  # scores are squares: a total is 0 or more
-        if 0.0 in listed:
+        scores = np.square((self.shifted @ self.v).take(self.alive) - self.mu @ self.v)
+        total = scores.sum()  # scores are squares: 0 or more, inf or NaN
+        if total == 0.0:
             raise DegenerateScoresError("zero scores with a positive eigenvalue")
-        if not all(map(math.isfinite, listed)):
+        if not math.isfinite(total):
             raise DegenerateScoresError("squared deviations overflow")
-        self.scores /= self.totals[:, None]
-        rows = []
-        for row, j in zip(self.alive, _weighted_picks(rngs, self.scores)):
-            rows.append(int(row[j]))
-            row[j:-1] = row[j + 1:]  # the survivors after j move left
-        self.stats.remove(rows)
-        self.alive = self.alive[:, :-1]
-        return [row % self.n for row in rows]
+        j = _cdf_pick(scores, total, rngs[0].random())
+        row = int(self.alive[j])
+        self.alive[j:-1] = self.alive[j + 1:]  # the survivors after j move left
+        self.alive = self.alive[:-1]
+        x = self.shifted[row]
+        self.total -= x
+        self.gram -= x[:, None] * x
+        return [row]
 
 
 def _filter(lane_stats, data: np.ndarray, config: FilterConfig,
             seeds: Sequence[int]) -> List[EstimateReport]:
     """The filter loop on the n rows of ``data``, one lane per seed, with
-    round statistics ``lane_stats(data)``: ``_Univariate``'s, or ones that
-    score every survivor, picked from by ``_Scored``.  Either gives each
-    lane's eigenvalue (``round``), survivors' mean (``means``) and removed
-    row (``pick``), and drops the lanes that leave (``keep``).  The lanes
-    run in lockstep: each remaining lane removes one row a round, so all
-    have m survivors.  A round's statistics and picks are array operations
-    over the lanes, its stop rule and records plain Python; a lane's record
-    becomes its report when it leaves."""
+    round statistics ``lane_stats(data)``, ``_Univariate``'s or one lane's
+    ``_Multivariate``.  Either gives each lane's eigenvalue (``round``),
+    survivors' mean (``means``) and removed row (``pick``); ``_Univariate``
+    also drops the lanes that leave while others go on (``keep``).  The
+    lanes run in lockstep: each remaining lane removes one row a round, so
+    all have m survivors.  A round's statistics and picks are array
+    operations over the lanes, its stop rule and records plain Python; a
+    lane's record becomes its report when it leaves."""
     n = data.shape[0]
     if n < 2:
         raise ConfigurationError(f"filtering needs at least 2 rows, got n={n}")
     stats = lane_stats(data)
-    if not isinstance(stats, _Univariate):
-        stats = _Scored(stats, len(seeds), n)
     # lanes[i] is (lane, its eigenvalues, its removals), the i-th lane of
     # stats, and rngs[i] its default_rng(seed), made at the first pick.
     lanes = [(lane, [], []) for lane in range(len(seeds))]
@@ -451,15 +423,17 @@ def filter_multivariate(samples, config: FilterConfig) -> EstimateReport:
     ``top_eigenpair``.  Its covariance comes from the rows shifted by a
     centre: the survivors' shifted sum and Gram matrix G lose one rank-one
     term per removal, so cov = G/m - mu mu^T costs O(p^2) a round, plus one
-    O(np) projection for the scores.  A drift guard re-centres the rows on
-    the survivors and recomputes both exactly whenever the trace of G at the
-    last exact computation exceeds 2^10 * m * trace(cov), as it does once a
-    far outlier has been removed.  For p = 1 a round is the variance and the
-    squared deviations of the survivors, no matrix and no eigensolve, read
-    from block sums (see ``_Univariate``): the same removals, stops and
-    estimate, with each eigenvalue the survivors' variance to within its
-    rounding margin (the exact one where the margin does not decide).  The
-    estimate is the survivors' mean, computed from the data.
+    O(np) projection for the scores in a round that picks.  A drift guard
+    re-centres the rows on the survivors and recomputes both exactly
+    whenever the trace of G at the last exact computation exceeds 2^10 * m *
+    trace(cov), as it does once a far outlier has been removed.  For p = 1 a
+    round is the variance and the squared deviations of the survivors, no
+    matrix and no eigensolve, read from block sums (see ``_Univariate``):
+    the same removals, stops and estimate, with each eigenvalue the
+    survivors' variance to within its rounding margin (the exact one where
+    the margin does not decide).  The estimate is the survivors' mean,
+    computed from the data.  No bit of the report depends on the input's
+    memory layout.
 
     ``diagnostics`` holds ``stop_reason`` (the limit of ``config`` that
     ended the run, ``threshold`` or ``budget``, or ``zero_scatter``) and

@@ -28,8 +28,9 @@ LOGNORMAL_SHIFT = math.exp(0.5)
 
 
 def as_float_array(values, what: str) -> np.ndarray:
-    """An array of numbers as a float array of its own shape, converted once;
-    a ragged array, or one whose own dtype is not of an integer or float kind
+    """An array of numbers as a C-ordered float array of its own shape,
+    converted once, so that its memory layout changes no result's bits; a
+    ragged array, or one whose own dtype is not of an integer or float kind
     (bool, string, complex, object), raises ``ConfigurationError``."""
     try:
         data = np.asarray(values)
@@ -37,7 +38,7 @@ def as_float_array(values, what: str) -> np.ndarray:
         raise ConfigurationError(f"{what} must be an array of numbers: {exc}") from None
     if data.dtype.kind not in "iuf":
         raise ConfigurationError(f"{what} must be an array of numbers, not {data.dtype}")
-    return data.astype(float, copy=False)
+    return data.astype(float, order="C", copy=False)
 
 
 def as_finite_matrix(samples, univariate: bool = False,

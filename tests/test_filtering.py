@@ -68,21 +68,17 @@ class StubGenerator:
 
 
 class TestWeightedPick:
-    """The filter's draw is ``Generator.choice`` with ``p`` given, minus its
-    checks: same index, same generator state afterwards, for every lane of
-    one call."""
+    """The filter's pick is ``Generator.choice`` with ``p = scores / total``
+    given, minus its checks: for the generator's draw, the same index, and
+    the same generator state afterwards."""
 
-    def assert_same(self, p, seed):
-        self.assert_same_lanes(p[None], [seed])
-
-    def assert_same_lanes(self, p, seeds):
-        ours = [np.random.default_rng(seed) for seed in seeds]
-        refs = [np.random.default_rng(seed) for seed in seeds]
-        picks = filtering._weighted_picks(ours, p)
-        assert picks == [ref.choice(row.size, p=row)
-                         for ref, row in zip(refs, p)]
-        assert [rng.random() for rng in ours] == [
-            ref.random() for ref in refs]
+    def assert_same(self, scores, seed):
+        total = scores.sum()
+        ours, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        pick = filtering._cdf_pick(scores, total, ours.random())
+        assert pick == ref.choice(scores.size, p=scores / total)
+        assert ours.random() == ref.random()
+        return pick
 
     def test_matches_generator_choice(self):
         rng = np.random.default_rng(40)
@@ -92,39 +88,33 @@ class TestWeightedPick:
             scores[rng.random(n) < 0.1] = 0.0
             if scores.sum() == 0.0:
                 scores[0] = 1.0
-            self.assert_same(scores / scores.sum(), [41, case])
+            self.assert_same(scores, [41, case])
 
     def test_two_points(self):
         for case in range(200):
             a = np.random.default_rng([42, case]).random()
-            scores = np.array([a, 1.0 - a])
-            self.assert_same(scores / scores.sum(), [43, case])
+            self.assert_same(np.array([a, 1.0 - a]), [43, case])
 
     def test_single_nonzero_score(self):
         for n in (2, 5, 50):
             for where in range(n):
                 scores = np.zeros(n)
                 scores[where] = 3.7
-                p = scores / scores.sum()
-                self.assert_same(p, [44, n, where])
-                assert filtering._weighted_picks(
-                    [np.random.default_rng([45, n, where])], p[None]) == [where]
+                assert self.assert_same(scores, [44, n, where]) == where
 
     def test_draw_on_a_cdf_step(self):
-        # Each lane's draw u equals its cdf's first step exactly, so only a
-        # search on the right side picks index 1, as Generator.choice does.
-        seeds = [[48, lane] for lane in range(50)]
-        draws = [np.random.default_rng(seed).random() for seed in seeds]
-        p = np.array([[u, 1.0 - u] for u in draws])
-        assert np.all(p.sum(axis=1) == 1.0)
-        self.assert_same_lanes(p, seeds)
-        assert filtering._weighted_picks(
-            [np.random.default_rng(seed) for seed in seeds], p) == [1] * 50
+        # Each draw u equals its cdf's first step exactly, so only a search
+        # on the right side picks index 1, as Generator.choice does.
+        for lane in range(50):
+            u = np.random.default_rng([48, lane]).random()
+            scores = np.array([u, 1.0 - u])
+            assert scores.sum() == 1.0
+            assert self.assert_same(scores, [48, lane]) == 1
 
     def test_draws_on_and_beside_each_cdf_quotient(self):
         # Draws u equal to some cdf[i] / c, one ulp either side of it, 0 and
-        # the largest draw below 1, on cdfs ending above, below and at 1.0
-        # and on flat runs of zero scores, through one lane and seven.
+        # the largest draw below 1, on cdfs ending above, below and at 1.0,
+        # on flat runs of zero scores and with zero scores after the last.
         rng = np.random.default_rng(49)
         rows = [np.array([0.0, 0.0, 1.0, 0.0, 0.0, 2.0, 0.0]),
                 np.array([5.0, 0.0, 0.0, 0.0]),
@@ -136,46 +126,35 @@ class TestWeightedPick:
                 scores[rng.random(m) < 0.3] = 0.0
                 scores[rng.integers(m)] = 1.0
                 rows.append(scale * scores / scores.sum())
-        lane_draws = []
+        assert any(row.cumsum()[-1] != 1.0 for row in rows)
         for row in rows:
             cdf = row.cumsum()
             quotients = cdf / cdf[-1]
             draws = {0.0, np.nextafter(1.0, 0.0)}
             for q in quotients[quotients < 1.0]:
                 draws.update((np.nextafter(q, 0.0), q, np.nextafter(q, 1.0)))
-            lane_draws.append(sorted(draws))
-        assert any(row.cumsum()[-1] != 1.0 for row in rows)
-        for row, draws in zip(rows, lane_draws):
-            for u in draws:
-                self.assert_picks_as_before(row[None], [u])
-        for start in range(0, len(rows) - 6):
-            p = rows[start:start + 7]
-            m = max(row.size for row in p)
-            p = np.array([np.pad(row, (0, m - row.size)) for row in p])
-            draws = lane_draws[start:start + 7]
-            for t in range(max(len(d) for d in draws)):
-                self.assert_picks_as_before(p, [d[t % len(d)] for d in draws])
+            for u in sorted(draws):
+                self.assert_picks_as_before(row, u)
+                self.assert_picks_as_before(np.pad(row, (0, 3)), u)
 
     @staticmethod
-    def assert_picks_as_before(p, draws):
-        """``_weighted_picks`` with generators that draw ``draws`` picks what
-        dividing the whole cdf by its last entry picks, and draws once."""
-        rngs = [StubGenerator(u) for u in draws]
-        cdf = p.cumsum(axis=1)
-        expected = (cdf / cdf[:, -1:] > np.array(draws)[:, None]).argmax(axis=1)
-        assert filtering._weighted_picks(rngs, p) == expected.tolist(), draws
-        assert all(rng.draws == [] for rng in rngs)
+    def assert_picks_as_before(p, u):
+        """``_cdf_pick`` of ``p`` over a total of 1 picks what dividing the
+        whole cdf by its last entry picks."""
+        cdf = p.cumsum()
+        assert filtering._cdf_pick(p, 1.0, u) == (cdf / cdf[-1] > u).argmax(), u
 
     def test_overflowed_scores_pick_the_first_row_as_before(self):
         # Squared deviations of values near 1e200 overflow: the total is inf,
-        # the scores over it NaN or 0, the cdf all NaN, and the pick is row 0,
-        # through one lane and beside finite lanes.
-        nan_row = np.array([np.nan, 0.0, 0.0, 0.0])
-        for u in (0.0, 0.5, np.nextafter(1.0, 0.0)):
-            self.assert_picks_as_before(nan_row[None], [u])
-            self.assert_picks_as_before(
-                np.array([[0.5, 0.5, 0.0, 0.0], nan_row, [0.0, 0.0, 0.0, 1.0]]),
-                [u, u, u])
+        # the scores over it NaN or 0, the cdf all NaN, and the pick is row 0.
+        rows = [np.array([np.nan, 0.0, 0.0, 0.0]), np.array([0.5, 0.5, 0.0, 0.0]),
+                np.array([0.0, 0.0, 0.0, 1.0])]
+        with np.errstate(invalid="ignore"):
+            for u in (0.0, 0.5, np.nextafter(1.0, 0.0)):
+                for row in rows:
+                    self.assert_picks_as_before(row, u)
+                assert filtering._cdf_pick(
+                    np.array([0.0, np.inf, 0.0, 0.0]), np.inf, u) == 0
         # The filters refuse to pick from such scores, or to stop on the
         # eigenvalue of a covariance that overflowed.
         cfg = FilterConfig(steps=1)
@@ -190,7 +169,9 @@ class TestWeightedPick:
                 filter_multivariate([[1e200, 0.0], [0.0, 1.0], [1.0, 0.0],
                                      [0.0, 0.0]], FilterConfig(cov_bound=1.0))
 
-    def test_lanes_with_different_scores_in_one_call(self):
+    def test_lanes_with_different_scores(self):
+        # Lanes of scores on very different scales, each with its own
+        # generator.
         rng = np.random.default_rng(46)
         for case in range(300):
             k, n = int(rng.integers(2, 25)), int(rng.integers(2, 80))
@@ -198,8 +179,8 @@ class TestWeightedPick:
                 -6, 6, (k, n))
             scores[rng.random((k, n)) < 0.1] = 0.0
             scores[scores.sum(axis=1) == 0.0, 0] = 1.0
-            self.assert_same_lanes(scores / scores.sum(axis=1)[:, None],
-                                   [[47, case, lane] for lane in range(k)])
+            for lane in range(k):
+                self.assert_same(scores[lane], [47, case, lane])
 
 
 class TestFilterMechanics:
@@ -484,19 +465,13 @@ class TestLanes:
         assert made == [seeds[j] for j in (1, 2, 5, 6)]
         assert [len(r.removed_indices) for r in reports] == [0, 4, 4, 0, 0, 4, 4]
 
-    def test_zero_scores_with_positive_eigenvalue_raise(self):
-        # Round statistics whose eigenvalue says "go on" while every score
-        # is 0: no pick can be drawn, for any lane that goes on.
-        class Flat:
-            def __init__(self, data):
-                self.data = data
-
-            def round(self, alive):
-                k = alive.shape[0]
-                return np.ones(k), np.zeros(alive.shape), np.zeros(k)
-
-        with pytest.raises(DegenerateScoresError):
-            filtering._filter(Flat, np.zeros((6, 2)), FilterConfig(steps=3), [0, 1])
+    def test_zero_scores_with_positive_eigenvalue_raise(self, monkeypatch):
+        # An eigenvalue that says "go on" while every score is 0: no pick can
+        # be drawn.  Constant rows project to 0 on any direction.
+        monkeypatch.setattr(filtering, "top_eigenpair",
+                            lambda cov: (1.0, np.array([1.0, 0.0])))
+        with pytest.raises(DegenerateScoresError, match="zero scores"):
+            filter_multivariate(np.full((6, 2), 3.0), FilterConfig(steps=3))
 
     def test_exhaustion_raises(self):
         with pytest.raises(FilterExhaustedError):

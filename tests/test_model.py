@@ -586,3 +586,21 @@ def test_input_gate(name):
             call()
     else:
         assert call() == expected
+
+
+def test_estimates_do_not_depend_on_memory_layout():
+    # The gate hands every estimator C-ordered rows: a Fortran-ordered array
+    # and a strided view give the bits of their C-ordered copies.
+    x = np.random.default_rng(91).lognormal(size=(300, 6))
+    wide = np.random.default_rng(92).lognormal(size=(600, 12))
+    for data, copy_ in ((np.asfortranarray(x), x),
+                        (wide[::2, ::2], wide[::2, ::2].copy())):
+        a, b = (filtering.filter_multivariate(d, filtering.FilterConfig(steps=20))
+                for d in (data, copy_))
+        assert a.removed_indices == b.removed_indices
+        assert a.diagnostics == b.diagnostics
+        assert a.estimate.tolist() == b.estimate.tolist()
+        for estimator in (lambda d: baselines.coordinatewise_filter(d, 0.05, 3),
+                          baselines.sample_mean,
+                          lambda d: baselines.geometric_median_of_means(d, 7)):
+            assert estimator(data).tolist() == estimator(copy_).tolist()
